@@ -427,11 +427,15 @@ def theorem13_density(ell: int, p: int, q: int) -> Theorem13Report:
 # edge-list interchange format
 # ---------------------------------------------------------------------------
 
-def write_edge_list(path, g: LabeledGraph, comments=()):
+def write_edge_list(path, g: LabeledGraph, comments=(), classes=None):
+    """Write the `u v` edge format (u < v, ascending): one `# ` line per
+    comment, then `# n=...`, then `# <classes>` when given."""
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(f"# n={g.n}\n")
+        if classes is not None:
+            fh.write(f"# {classes}\n")
         for u, v in g.edges():
             fh.write(f"{u} {v}\n")
 

@@ -17,7 +17,6 @@ two points per cell), which is only feasible for very small mu or k = 1.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -185,9 +184,6 @@ class CbeGraph:
     def n(self) -> int:
         return self.params.n
 
-    def vertex_point(self, v: int) -> np.ndarray:
-        return self.W[v] if v < self.n else self.Z[v - self.n]
-
     def cross_density(self) -> float:
         n = self.n
         return float(self.adjacency[:n, n:].sum()) / (n * n)
@@ -205,23 +201,6 @@ class CbeGraph:
     def to_labeled_graph(self) -> LabeledGraph:
         labels = ["W"] * self.n + ["Z"] * self.n
         return LabeledGraph.from_adjacency(self.adjacency, labels)
-
-    def header_dict(self) -> dict:
-        return {"params": self.params.to_dict(),
-                "class_sizes": {"W": self.n, "Z": self.n}}
-
-    def write_edge_list(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"# n={2 * self.n}\n")
-            fh.write(f"# classes W=[0,{self.n}) Z=[{self.n},{2 * self.n})\n")
-            rows, cols = np.nonzero(np.triu(self.adjacency, k=1))
-            for u, v in zip(rows, cols):
-                fh.write(f"{u} {v}\n")
-
-    def write_header(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.header_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def _sample_distinct(k: int, n: int, seed: int, stream: int) -> np.ndarray:

@@ -2,9 +2,13 @@
 suites, and emit machine-readable reports.
 
 Commands: gen-cbe, gen-mbe, analyze, certify, rho-star, sweep.
-Exit codes: 0 all assertions passed, 1 assertion failure, 2 usage error.
+Exit codes: 0 all assertions passed, 1 a certified bound or suite failed,
+2 usage error: a bad or missing flag, an invalid parameter, a malformed or
+mistyped config-file line, or a bad sweep grid value.
 Every output embeds the originating configuration; reruns of the same
 configuration are byte-identical (seeds are explicit, never wall-clock).
+gen-cbe and gen-mbe run no Monte Carlo, so they take no thread count.
+gen-cbe, gen-mbe and sweep share one evaluation function per construction.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .analysis import (
     p_independence,
     read_edge_list,
     rho_star,
+    write_edge_list,
 )
 from .cbe import CbeParams, build_cbe
 from .mbe import MbeParams, build_mbe
@@ -192,38 +197,47 @@ def _write_json(path, doc: dict):
         fh.write("\n")
 
 
-def _write_csv(path, config: dict, columns, row):
+def _write_csv(path, columns, rows, config: dict | None = None):
+    """Header row and data rows; a `# config ...` line first when given."""
     with open(path, "w") as fh:
-        fh.write(f"# {_config_comment(config)}\n")
-        fh.write(",".join(columns) + "\n")
-        fh.write(",".join(str(x) for x in row) + "\n")
+        if config is not None:
+            fh.write(f"# {_config_comment(config)}\n")
+        for row in [columns, *rows]:
+            fh.write(",".join(str(x) for x in row) + "\n")
 
 
-def _load_config_file(path) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
+def _load_config_file(path, parser) -> dict:
+    """Flat key = value lines; '#' starts a comment.  Maps each key to its
+    (value, line number)."""
     out = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"malformed config line: {line!r}")
+                parser.error(f"{path}:{lineno}: malformed config line {line!r}; "
+                             "expected key = value")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            out[key.strip().replace("-", "_")] = (value.strip(), lineno)
     return out
 
 
 def _merge_config(args, parser, fields):
     """Config-file values fill in options the command line left unset."""
     merged = {}
-    file_values = _load_config_file(args.config) if args.config else {}
+    file_values = _load_config_file(args.config, parser) if args.config else {}
     for name, (typ, required, default) in fields.items():
         cli_value = getattr(args, name)
         if cli_value is not None:
             merged[name] = cli_value
         elif name in file_values:
-            merged[name] = typ(file_values[name])
+            value, lineno = file_values[name]
+            try:
+                merged[name] = typ(value)
+            except ValueError:
+                parser.error(f"{args.config}:{lineno}: {name} = {value!r} is not "
+                             f"a valid {typ.__name__}")
         elif default is not None:
             merged[name] = default
         elif required:
@@ -233,13 +247,8 @@ def _merge_config(args, parser, fields):
     return merged
 
 
-def _threads_default() -> int:
-    env = os.environ.get("RT_LAB_THREADS")
-    return int(env) if env else 1
-
-
 # ---------------------------------------------------------------------------
-# commands
+# evaluation: one path for gen-cbe, gen-mbe and sweep
 # ---------------------------------------------------------------------------
 
 def _cbe_fields():
@@ -248,12 +257,16 @@ def _cbe_fields():
         "n": (int, True, None), "epsilon": (float, False, 0.02),
         "big_k": (float, False, 2.0), "seed": (int, True, None),
         "mode": (str, False, "sampled"), "out": (str, True, None),
-        "threads": (int, False, _threads_default()),
     }
 
 
-def cmd_gen_cbe(args, parser) -> int:
-    cfg = _merge_config(args, parser, _cbe_fields())
+def evaluate_cbe(cfg: dict, parser):
+    """Build the CBE graph for the gen-cbe field values in cfg and certify
+    omega <= p + ell by exhaustive search.
+
+    Returns (graph, labelled graph, clique certificate, results), where
+    results holds the columns that sweep writes and gen-cbe's CSV shares.
+    """
     try:
         params = CbeParams(p=cfg["p"], ell=cfg["ell"], k=cfg["k"], n=cfg["n"],
                            epsilon=cfg["epsilon"], bigK=cfg["big_k"],
@@ -262,41 +275,11 @@ def cmd_gen_cbe(args, parser) -> int:
         parser.error(str(exc))
     graph = build_cbe(params)
     lg = graph.to_labeled_graph()
-    rep = density_report(lg)
     cert = max_clique(lg)
     bound = params.p + params.ell
-    config = params.to_dict()
-    config["threads"] = cfg["threads"]
-
-    out = cfg["out"]
-    with open(f"{out}.edges", "w") as fh:
-        fh.write(f"# {_config_comment(config)}\n")
-        fh.write(f"# n={lg.n}\n")
-        fh.write(f"# classes W=[0,{params.n}) Z=[{params.n},{2*params.n})\n")
-        for u, v in lg.edges():
-            fh.write(f"{u} {v}\n")
-    degs = graph.cross_degrees()
-    summary = {
-        "config": config,
-        "class_sizes": {"W": params.n, "Z": params.n},
-        "edge_count": rep.edge_count,
-        "cross_density": graph.cross_density(),
-        "inner_edges": rep.inner_edges,
-        "max_inner_degree": graph.max_inner_degree(),
-        "cross_degree_range": [int(degs.min()), int(degs.max())],
-        "clique": {"size": cert.size, "witness": list(cert.witness),
-                   "exhaustive": cert.exhaustive, "bound": bound,
-                   "bound_satisfied": cert.size <= bound},
-    }
-    _write_json(f"{out}.json", summary)
-    _write_csv(f"{out}.csv", config,
-               ["graph_id", "n", "cross_density", "max_inner_degree",
-                "min_cross_degree", "max_cross_degree", "omega",
-                "omega_exhaustive", "omega_bound", "bound_satisfied"],
-               [os.path.basename(out), lg.n, repr(graph.cross_density()),
-                graph.max_inner_degree(), int(degs.min()), int(degs.max()),
-                cert.size, cert.exhaustive, bound, cert.size <= bound])
-    return 0 if cert.size <= bound else 1
+    results = {"cross_density": repr(graph.cross_density()), "omega": cert.size,
+               "omega_bound": bound, "bound_satisfied": cert.size <= bound}
+    return graph, lg, cert, results
 
 
 def _mbe_fields():
@@ -306,12 +289,16 @@ def _mbe_fields():
         "epsilon": (float, False, 0.05), "t": (int, False, 1),
         "retention": (float, False, 0.5), "seed": (int, True, None),
         "point_mode": (str, False, "antipodal"), "out": (str, True, None),
-        "threads": (int, False, _threads_default()),
     }
 
 
-def cmd_gen_mbe(args, parser) -> int:
-    cfg = _merge_config(args, parser, _mbe_fields())
+def evaluate_mbe(cfg: dict, parser):
+    """Build the MBE graph for the gen-mbe field values in cfg and certify
+    omega <= 2^ell + 2^p + q - 2 with the search cut off at that bound.
+
+    Returns (graph, labelled graph, pair densities, results), where results
+    holds the columns that sweep writes and gen-mbe's CSV shares.
+    """
     try:
         params = MbeParams(ell=cfg["ell"], p=cfg["p"], q=cfg["q"], k=cfg["k"],
                            m=cfg["m"], epsilon=cfg["epsilon"], t=cfg["t"],
@@ -320,39 +307,80 @@ def cmd_gen_mbe(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     graph = build_mbe(params)
+    lg = graph.to_labeled_graph()
     bound = graph.omega_bound()
-    cert = max_clique(graph.to_labeled_graph(), cutoff=bound)
-    bound_ok = cert.upper_bound == bound
-    config = params.to_dict()
-    config["threads"] = cfg["threads"]
-
-    out = cfg["out"]
-    with open(f"{out}.edges", "w") as fh:
-        fh.write(f"# {_config_comment(config)}\n")
-        fh.write(f"# n={graph.n}\n")
-        fh.write(f"# classes: {params.q} x {graph.class_size}\n")
-        rows, cols = np.nonzero(np.triu(graph.adjacency, k=1))
-        for u, v in zip(rows, cols):
-            fh.write(f"{u} {v}\n")
-    graph.borsuk.hypergraph.write_hyperedges(f"{out}.hyper")
+    cert = max_clique(lg, cutoff=bound)
     densities = {f"V{i+1},V{j+1}": graph.pair_density(i, j)
                  for i in range(params.q) for j in range(i + 1, params.q)}
+    results = {"min_pair_density": repr(min(densities.values())),
+               "max_pair_density": repr(max(densities.values())),
+               "omega_found": cert.size, "omega_bound": bound,
+               "bound_satisfied": cert.upper_bound == bound}
+    return graph, lg, densities, results
+
+
+# ---------------------------------------------------------------------------
+# commands
+# ---------------------------------------------------------------------------
+
+def cmd_gen_cbe(args, parser) -> int:
+    cfg = _merge_config(args, parser, _cbe_fields())
+    graph, lg, cert, results = evaluate_cbe(cfg, parser)
+    n = graph.n
+    rep = density_report(lg)
+    config = graph.params.to_dict()
+
+    out = cfg["out"]
+    write_edge_list(f"{out}.edges", lg, comments=[_config_comment(config)],
+                    classes=f"classes W=[0,{n}) Z=[{n},{2*n})")
+    degs = graph.cross_degrees()
+    summary = {
+        "config": config,
+        "class_sizes": {"W": n, "Z": n},
+        "edge_count": rep.edge_count,
+        "cross_density": graph.cross_density(),
+        "inner_edges": rep.inner_edges,
+        "max_inner_degree": graph.max_inner_degree(),
+        "cross_degree_range": [int(degs.min()), int(degs.max())],
+        "clique": {"size": cert.size, "witness": list(cert.witness),
+                   "exhaustive": cert.exhaustive, "bound": results["omega_bound"],
+                   "bound_satisfied": results["bound_satisfied"]},
+    }
+    _write_json(f"{out}.json", summary)
+    _write_csv(f"{out}.csv",
+               ["graph_id", "n", "cross_density", "max_inner_degree",
+                "min_cross_degree", "max_cross_degree", "omega",
+                "omega_exhaustive", "omega_bound", "bound_satisfied"],
+               [[os.path.basename(out), lg.n, results["cross_density"],
+                 graph.max_inner_degree(), int(degs.min()), int(degs.max()),
+                 cert.size, cert.exhaustive, results["omega_bound"],
+                 results["bound_satisfied"]]],
+               config)
+    return 0 if results["bound_satisfied"] else 1
+
+
+def cmd_gen_mbe(args, parser) -> int:
+    cfg = _merge_config(args, parser, _mbe_fields())
+    graph, lg, densities, results = evaluate_mbe(cfg, parser)
+    config = graph.params.to_dict()
+
+    out = cfg["out"]
+    write_edge_list(f"{out}.edges", lg, comments=[_config_comment(config)],
+                    classes=f"classes: {graph.params.q} x {graph.class_size}")
+    graph.borsuk.hypergraph.write_hyperedges(f"{out}.hyper")
     summary = {
         "config": config,
         "header": graph.header_dict(),
         "pair_densities": densities,
-        "clique": {"found": cert.size, "bound": bound,
-                   "bound_satisfied": bound_ok},
+        "clique": {"found": results["omega_found"], "bound": results["omega_bound"],
+                   "bound_satisfied": results["bound_satisfied"]},
     }
     _write_json(f"{out}.json", summary)
-    dvals = list(densities.values()) or [0.0]
-    _write_csv(f"{out}.csv", config,
-               ["graph_id", "n", "classes", "class_size", "min_pair_density",
-                "max_pair_density", "omega_found", "omega_bound",
-                "bound_satisfied"],
-               [os.path.basename(out), graph.n, params.q, graph.class_size,
-                repr(min(dvals)), repr(max(dvals)), cert.size, bound, bound_ok])
-    return 0 if bound_ok else 1
+    _write_csv(f"{out}.csv", ["graph_id", "n", "classes", "class_size", *results],
+               [[os.path.basename(out), graph.n, graph.params.q, graph.class_size,
+                 *results.values()]],
+               config)
+    return 0 if results["bound_satisfied"] else 1
 
 
 def cmd_analyze(args, parser) -> int:
@@ -377,7 +405,7 @@ def cmd_analyze(args, parser) -> int:
     config = {"edge_list": os.path.basename(args.edge_list), "p": args.p,
               "cutoff": args.cutoff, "exact_limit": args.exact_limit}
     if args.out:
-        _write_csv(args.out, config, columns, row)
+        _write_csv(args.out, columns, [row], config)
     else:
         print(",".join(columns))
         print(",".join(str(x) for x in row))
@@ -409,76 +437,37 @@ def cmd_rho_star(args, parser) -> int:
     return 0
 
 
-def _parse_grid(parser, value, typ, name, default=None):
+def _parse_grid(parser, value, field, name):
+    """Comma-separated axis values; an unset axis takes the field's default."""
+    typ, _, default = field
+    flag = "--" + name.replace("_", "-")
     if value is None:
-        value = default
-    if value is None:
-        parser.error(f"sweep requires --{name}")
-    return [typ(tok) for tok in str(value).split(",")]
+        if default is None:
+            parser.error(f"sweep requires {flag}")
+        return [default]
+    try:
+        return [typ(tok) for tok in value.split(",")]
+    except ValueError:
+        parser.error(f"{flag}: {value!r} is not a comma-separated list of "
+                     f"{typ.__name__} values")
 
 
 def cmd_sweep(args, parser) -> int:
     if args.target == "gen-cbe":
-        grids = {"p": _parse_grid(parser, args.p, int, "p"),
-                 "ell": _parse_grid(parser, args.ell, int, "ell"),
-                 "k": _parse_grid(parser, args.k, int, "k"),
-                 "n": _parse_grid(parser, args.n, int, "n"),
-                 "epsilon": _parse_grid(parser, args.epsilon, float, "epsilon", "0.02"),
-                 "big_k": _parse_grid(parser, args.big_k, float, "big-k", "2"),
-                 "seed": _parse_grid(parser, args.seed, int, "seed")}
-        columns = list(grids) + ["cross_density", "omega", "omega_bound",
-                                 "bound_satisfied"]
-        rows = []
-        for combo in itertools.product(*grids.values()):
-            cell = dict(zip(grids, combo))
-            try:
-                params = CbeParams(p=cell["p"], ell=cell["ell"], k=cell["k"],
-                                   n=cell["n"], epsilon=cell["epsilon"],
-                                   bigK=cell["big_k"], seed=cell["seed"])
-            except ValueError as exc:
-                parser.error(str(exc))
-            graph = build_cbe(params)
-            cert = max_clique(graph.to_labeled_graph())
-            bound = cell["p"] + cell["ell"]
-            rows.append([cell[c] for c in grids]
-                        + [repr(graph.cross_density()), cert.size, bound,
-                           cert.size <= bound])
-    elif args.target == "gen-mbe":
-        grids = {"ell": _parse_grid(parser, args.ell, int, "ell"),
-                 "p": _parse_grid(parser, args.p, int, "p"),
-                 "q": _parse_grid(parser, args.q, int, "q"),
-                 "k": _parse_grid(parser, args.k, int, "k"),
-                 "m": _parse_grid(parser, args.m, int, "m"),
-                 "epsilon": _parse_grid(parser, args.epsilon, float, "epsilon", "0.05"),
-                 "t": _parse_grid(parser, args.t, int, "t", "1"),
-                 "seed": _parse_grid(parser, args.seed, int, "seed")}
-        columns = list(grids) + ["min_pair_density", "max_pair_density",
-                                 "omega_found", "omega_bound", "bound_satisfied"]
-        rows = []
-        for combo in itertools.product(*grids.values()):
-            cell = dict(zip(grids, combo))
-            try:
-                params = MbeParams(ell=cell["ell"], p=cell["p"], q=cell["q"],
-                                   k=cell["k"], m=cell["m"],
-                                   epsilon=cell["epsilon"], t=cell["t"],
-                                   seed=cell["seed"])
-            except ValueError as exc:
-                parser.error(str(exc))
-            graph = build_mbe(params)
-            bound = graph.omega_bound()
-            cert = max_clique(graph.to_labeled_graph(), cutoff=bound)
-            dvals = [graph.pair_density(i, j) for i in range(cell["q"])
-                     for j in range(i + 1, cell["q"])] or [0.0]
-            rows.append([cell[c] for c in grids]
-                        + [repr(min(dvals)), repr(max(dvals)), cert.size,
-                           bound, cert.upper_bound == bound])
+        fields, evaluate = _cbe_fields(), evaluate_cbe
+        axes = ["p", "ell", "k", "n", "epsilon", "big_k", "seed"]
     else:
-        parser.error("sweep target must be gen-cbe or gen-mbe")
-
-    with open(args.out, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+        fields, evaluate = _mbe_fields(), evaluate_mbe
+        axes = ["ell", "p", "q", "k", "m", "epsilon", "t", "seed"]
+    grids = [_parse_grid(parser, getattr(args, name), fields[name], name)
+             for name in axes]
+    rows = []
+    for combo in itertools.product(*grids):
+        cell = {name: default for name, (_, _, default) in fields.items()}
+        cell.update(zip(axes, combo))
+        results = evaluate(cell, parser)[-1]
+        rows.append([*combo, *results.values()])
+    _write_csv(args.out, [*axes, *results], rows)
     return 0
 
 
@@ -495,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("gen-cbe", help="build a complex two-class graph")
     for flag, typ in [("--p", int), ("--ell", int), ("--k", int), ("--n", int),
-                      ("--epsilon", float), ("--big-k", float), ("--seed", int),
-                      ("--threads", int)]:
+                      ("--epsilon", float), ("--big-k", float), ("--seed", int)]:
         pc.add_argument(flag, type=typ)
     pc.add_argument("--mode", choices=["sampled", "strict"])
     pc.add_argument("--out")
@@ -506,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("gen-mbe", help="build a multipartite Borsuk-based graph")
     for flag, typ in [("--ell", int), ("--p", int), ("--q", int), ("--k", int),
                       ("--m", int), ("--epsilon", float), ("--t", int),
-                      ("--retention", float), ("--seed", int), ("--threads", int)]:
+                      ("--retention", float), ("--seed", int)]:
         pm.add_argument(flag, type=typ)
     pm.add_argument("--point-mode", dest="point_mode",
                     choices=["antipodal", "partition"])

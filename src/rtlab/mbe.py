@@ -150,10 +150,6 @@ class BinaryStringFamily:
         return best
 
 
-def build_q_family(ell: int) -> BinaryStringFamily:
-    return BinaryStringFamily(ell)
-
-
 # ---------------------------------------------------------------------------
 # proper edge colouring of K_q (round-robin 1-factorisation)
 # ---------------------------------------------------------------------------
@@ -456,25 +452,19 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
 
 class BorsukGraph:
     """Shadow graph of a geometric hypergraph: u ~ v iff some hyperedge
-    contains both.  Keeps a covering hyperedge reference per edge."""
+    contains both."""
 
     def __init__(self, hypergraph: GeometricHypergraph):
         self.hypergraph = hypergraph
         n = len(hypergraph.vertices)
         self.n = n
         self.adjacency = np.zeros((n, n), dtype=bool)
-        self.edge_cover = {}
-        for ei, edge in enumerate(hypergraph.hyperedges):
+        for edge in hypergraph.hyperedges:
             for a, b in itertools.combinations(sorted(set(edge)), 2):
                 self.adjacency[a, b] = self.adjacency[b, a] = True
-                self.edge_cover.setdefault((a, b), ei)
 
     def to_labeled_graph(self) -> LabeledGraph:
         return LabeledGraph.from_adjacency(self.adjacency)
-
-    def coordinate_points(self, v: int) -> np.ndarray:
-        hg = self.hypergraph
-        return hg.points[list(hg.vertices[v])]
 
 
 def shadow_graph(hypergraph: GeometricHypergraph) -> BorsukGraph:
@@ -512,7 +502,6 @@ class MbeGraph:
         self.borsuk = borsuk
         self.coloring = coloring
         self.blowup_report = blowup_report
-        self.related = {}
         N = borsuk.n
         q = params.q
         self.class_size = N
@@ -530,7 +519,6 @@ class MbeGraph:
         for i in range(q):
             for ip in range(i + 1, q):
                 rel = related_coordinates(i, ip, params, coloring)
-                self.related[(i, ip)] = rel
                 block = np.ones((N, N), dtype=bool)
                 for h, hp in sorted(rel):
                     block &= near[np.ix_(coord_ids[:, h - 1], coord_ids[:, hp - 1])]
@@ -540,12 +528,6 @@ class MbeGraph:
 
     def omega_bound(self) -> int:
         return 2 ** self.params.ell + 2 ** self.params.p + self.params.q - 2
-
-    def class_of(self, v: int) -> int:
-        return v // self.class_size
-
-    def local_id(self, v: int) -> int:
-        return v % self.class_size
 
     def to_labeled_graph(self) -> LabeledGraph:
         labels = [f"V{1 + v // self.class_size}" for v in range(self.n)]
@@ -565,14 +547,6 @@ class MbeGraph:
                 "blowup": {"base_edges": self.blowup_report.base_edges,
                            "retained": self.blowup_report.retained,
                            "deleted": self.blowup_report.deleted}}
-
-    def write_edge_list(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"# n={self.n}\n")
-            fh.write(f"# classes: {self.params.q} x {self.class_size}\n")
-            rows, cols = np.nonzero(np.triu(self.adjacency, k=1))
-            for u, v in zip(rows, cols):
-                fh.write(f"{u} {v}\n")
 
 
 def build_mbe(params: MbeParams, points: np.ndarray | None = None) -> MbeGraph:

@@ -143,10 +143,6 @@ def complex_to_real(z: ComplexUnitVector) -> RealUnitVector:
     return RealUnitVector(interleave(z.coords))
 
 
-def real_to_complex(x: RealUnitVector) -> ComplexUnitVector:
-    return ComplexUnitVector(uninterleave(x.coords))
-
-
 # ---------------------------------------------------------------------------
 # Spherical caps
 # ---------------------------------------------------------------------------
@@ -228,32 +224,38 @@ def sample_complex_sphere(k: int, size: int, rng: np.random.Generator) -> np.nda
 _MC_CHUNK = 1 << 15
 
 
-def _mc_first_coord_fraction(d: int, threshold: float, samples: int, seed: int,
-                             substream_base: int, threads: int = 1):
-    """Fraction of uniform points on S^{d-1}(R) with first coordinate at
-    least `threshold`, plus its binomial standard error.
+def _chunked_count(samples: int, seed: int, stream: int, substream_base: int,
+                   count, threads: int = 1):
+    """Sum of count(rng, size) over chunks of at most _MC_CHUNK samples.
 
-    Chunks are keyed by (seed, chunk index), so the count is identical for
-    any thread count.
+    Chunk i draws from philox_rng(seed, stream, substream_base + i), so the
+    sum is identical for any thread count.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    sizes = [(_MC_CHUNK if (i + 1) * _MC_CHUNK <= samples else samples - i * _MC_CHUNK)
-             for i in range((samples + _MC_CHUNK - 1) // _MC_CHUNK)]
 
-    def count_chunk(ci_size):
-        ci, size = ci_size
-        rng = philox_rng(seed, _STREAM_MC, substream_base + ci)
+    def one(ci):
+        rng = philox_rng(seed, stream, substream_base + ci)
+        return count(rng, min(_MC_CHUNK, samples - ci * _MC_CHUNK))
+
+    chunks = range((samples + _MC_CHUNK - 1) // _MC_CHUNK)
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return sum(pool.map(one, chunks))
+    return sum(map(one, chunks))
+
+
+def _mc_first_coord_fraction(d: int, threshold: float, samples: int, seed: int,
+                             substream_base: int, threads: int = 1):
+    """Fraction of uniform points on S^{d-1}(R) with first coordinate at
+    least `threshold`, plus its binomial standard error."""
+
+    def count(rng, size):
         x = rng.standard_normal((size, d))
         nrm = np.linalg.norm(x, axis=1)
         return int(np.count_nonzero(x[:, 0] >= threshold * nrm))
 
-    jobs = list(enumerate(sizes))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(count_chunk, jobs))
-    else:
-        hits = sum(count_chunk(j) for j in jobs)
+    hits = _chunked_count(samples, seed, _STREAM_MC, substream_base, count, threads)
     phat = hits / samples
     se = math.sqrt(max(phat * (1.0 - phat), 1.0 / samples) / samples)
     return phat, se
@@ -420,7 +422,7 @@ class RealSpherePartition:
         self.d = d
         self.n = n
         self.cells = cells              # list of (lo, hi) angle arrays
-        self.tree = tree                # _Split or cell id
+        self.tree = tree                # _Node or cell id
         self.max_diameter = max_diameter
         self.seed = seed
         self._axes = [_Axis(d, j) for j in range(d - 1)]
@@ -619,19 +621,9 @@ def monte_carlo_cell_counts(partition, samples: int, seed: int,
                             threads: int = 1) -> np.ndarray:
     """Hit counts per cell for uniform sphere samples (counter-keyed chunks)."""
     real = partition.real if isinstance(partition, SpherePartition) else partition
-    sizes = [(_MC_CHUNK if (i + 1) * _MC_CHUNK <= samples else samples - i * _MC_CHUNK)
-             for i in range((samples + _MC_CHUNK - 1) // _MC_CHUNK)]
 
-    def one(ci_size):
-        ci, size = ci_size
-        rng = philox_rng(seed, _STREAM_SAMPLE, ci)
+    def count(rng, size):
         pts = sample_real_sphere(real.d, size, rng)
         return np.bincount(real.locate(pts), minlength=real.n)
 
-    jobs = list(enumerate(sizes))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, jobs))
-    else:
-        parts = [one(j) for j in jobs]
-    return np.sum(parts, axis=0)
+    return _chunked_count(samples, seed, _STREAM_SAMPLE, 0, count, threads)

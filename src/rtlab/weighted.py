@@ -115,7 +115,13 @@ class PWeightedGraph:
     @classmethod
     def from_text(cls, text: str) -> "PWeightedGraph":
         tokens = text.split()
+        if len(tokens) < 2:
+            raise ValueError("weighted graph text must start with 'p m'")
         p, m = int(tokens[0]), int(tokens[1])
+        expected = m * (m - 1) // 2
+        if len(tokens) - 2 != expected:
+            raise ValueError(f"m={m} needs {expected} upper-triangle weights, "
+                             f"found {len(tokens) - 2}")
         return cls.from_upper(p, m, (int(t) for t in tokens[2:]))
 
 
@@ -173,8 +179,13 @@ def max_feasible_weight(p: int, backwards) -> int:
     backwards = sorted(backwards)
     if not backwards:
         return p
-    min1 = backwards[0]
-    min2 = backwards[1] if len(backwards) > 1 else None
+    return _weight_of_two_smallest(p, backwards[0],
+                                   backwards[1] if len(backwards) > 1 else None)
+
+
+def _weight_of_two_smallest(p: int, min1: int, min2) -> int:
+    """max_feasible_weight from the smallest backwards weight and the second
+    smallest (None for a single backwards weight)."""
     for a in range(p, 0, -1):
         if min1 < a:
             continue
@@ -245,15 +256,7 @@ def _wmax(g: PWeightedGraph, u: int, mask: int) -> int:
     """max_feasible_weight of u against the backwards set given by mask."""
     if mask == 0:
         return g.p
-    min1, min2 = _two_smallest(g, u, mask)
-    p = g.p
-    for a in range(p, 0, -1):
-        if min1 < a:
-            continue
-        if min2 is not None and a * min2 < (p + 1) * a - p:
-            continue
-        return a
-    return 0
+    return _weight_of_two_smallest(g.p, *_two_smallest(g, u, mask))
 
 
 def extension_value_table(g: PWeightedGraph):

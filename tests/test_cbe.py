@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rtlab import sphere as S
-from rtlab.analysis import max_clique
+from rtlab.analysis import max_clique, read_edge_list, write_edge_list
 from rtlab.cbe import CbeGraph, CbeParams, build_cbe, cross_edge, rotation_witness
 from rtlab.sphere import InfeasiblePartition
 
@@ -269,10 +269,9 @@ def test_strict_mode_circle():
 def test_edge_list_export(tmp_path):
     pr = params(n=20, seed=8)
     g = build_cbe(pr)
+    lg = g.to_labeled_graph()
     path = tmp_path / "g.edges"
-    g.write_edge_list(path)
-    g.write_header(tmp_path / "g.json")
-    from rtlab.analysis import read_edge_list
+    write_edge_list(path, lg, classes=f"classes W=[0,{pr.n}) Z=[{pr.n},{2 * pr.n})")
     back = read_edge_list(path)
     assert back.n == 2 * pr.n
-    assert back.edge_count() == g.to_labeled_graph().edge_count()
+    assert back.adj == lg.adj

@@ -82,11 +82,42 @@ def test_gen_cbe_config_file_and_override(tmp_path):
 
 
 def test_gen_cbe_threads_env(tmp_path, monkeypatch):
+    # gen-* run no Monte Carlo: the thread count is neither an option nor
+    # part of their outputs
+    argv = ["gen-cbe", "--p", 3, "--ell", 1, "--k", 8, "--n", 30, "--seed", 2]
+    monkeypatch.delenv("RT_LAB_THREADS", raising=False)
+    (tmp_path / "unset").mkdir()
+    assert run(argv + ["--out", tmp_path / "unset" / "g"]) == 0
     monkeypatch.setenv("RT_LAB_THREADS", "3")
-    assert run(["gen-cbe", "--p", 3, "--ell", 1, "--k", 8, "--n", 30,
-                "--seed", 2, "--out", tmp_path / "t"]) == 0
-    doc = json.loads((tmp_path / "t.json").read_text())
-    assert doc["config"]["threads"] == 3
+    (tmp_path / "set").mkdir()
+    assert run(argv + ["--out", tmp_path / "set" / "g"]) == 0
+    for name in ("g.edges", "g.json", "g.csv"):
+        data = (tmp_path / "set" / name).read_bytes()
+        assert data == (tmp_path / "unset" / name).read_bytes()
+        assert b"threads" not in data
+    for cmd in (argv, ["gen-mbe", "--ell", 1, "--p", 1, "--q", 2, "--k", 6,
+                       "--m", 4, "--seed", 1]):
+        with pytest.raises(SystemExit) as exc:
+            run(cmd + ["--threads", 2, "--out", tmp_path / "x"])
+        assert exc.value.code == 2
+
+
+def test_gen_cbe_config_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 3\nell = 1\nk = eight\nn = 40\nseed = 9\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["gen-cbe", "--config", cfg, "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert "run.cfg:3: k = 'eight'" in capsys.readouterr().err
+
+
+def test_gen_cbe_config_malformed_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# instance\np 3\nell = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["gen-cbe", "--config", cfg, "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert "run.cfg:2: malformed config line 'p 3'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +229,36 @@ def test_sweep_mbe_grid(tmp_path):
                 "--k", 6, "--m", 4, "--seed", 3, "--out", out]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_sweep_rejects_bad_grid_token(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "gen-cbe", "--p", 3, "--ell", 1, "--k", "8,x", "--n", 20,
+             "--seed", 1, "--out", tmp_path / "s.csv"])
+    assert exc.value.code == 2
+    assert "--k: '8,x'" in capsys.readouterr().err
+
+
+def _csv_rows(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+
+
+@pytest.mark.parametrize("target, flags, shared", [
+    ("gen-cbe", ["--p", 3, "--ell", 1, "--k", 8, "--n", 30, "--seed", 2],
+     {"cross_density", "omega", "omega_bound", "bound_satisfied"}),
+    ("gen-mbe", ["--ell", 2, "--p", 1, "--q", 2, "--k", 6, "--m", 4, "--seed", 3],
+     {"min_pair_density", "max_pair_density", "omega_found", "omega_bound",
+      "bound_satisfied"}),
+])
+def test_sweep_row_matches_gen_csv(tmp_path, target, flags, shared):
+    assert run([target, *flags, "--out", tmp_path / "g"]) == 0
+    assert run(["sweep", target, *flags, "--out", tmp_path / "s.csv"]) == 0
+    [gen] = _csv_rows(tmp_path / "g.csv")
+    [row] = _csv_rows(tmp_path / "s.csv")
+    # n names the per-class size in a CBE sweep and the vertex count in gen-*
+    assert set(gen) & set(row) - {"n"} == shared
+    assert {c: row[c] for c in shared} == {c: gen[c] for c in shared}
 
 
 def test_sweep_requires_params(tmp_path):

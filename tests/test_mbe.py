@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from rtlab import sphere as S
-from rtlab.analysis import max_clique
+from rtlab.analysis import max_clique, read_edge_list, write_edge_list
 from rtlab.mbe import (
     BinaryStringFamily,
     MbeParams,
     blowup_sparsify,
     build_base_hypergraph,
     build_mbe,
-    build_q_family,
     find_dense_subconfig,
     lengthy_coordinates,
     proper_edge_coloring,
@@ -36,13 +35,13 @@ def antipodal_points(k, half, seed):
 # ---------------------------------------------------------------------------
 
 def test_q_family_ell1():
-    fam = build_q_family(1)
+    fam = BinaryStringFamily(1)
     assert fam.r == 2
     assert fam.q_edges(1) == {(0, 1)}
 
 
 def test_q_family_ell2():
-    fam = build_q_family(2)
+    fam = BinaryStringFamily(2)
     assert fam.r == 4
     union = fam.q_edges(1) | fam.q_edges(2)
     assert union == set(itertools.combinations(range(4), 2))  # Q_0 = K_4
@@ -51,13 +50,13 @@ def test_q_family_ell2():
 
 
 def test_q_family_alpha_single_coordinate():
-    fam = build_q_family(3)
+    fam = BinaryStringFamily(3)
     assert fam.union_alpha([1]) == 4  # 2^{3-1}
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_q_family_alpha_formula(ell):
-    fam = build_q_family(ell)
+    fam = BinaryStringFamily(ell)
     for size in range(ell + 1):
         for coords in itertools.combinations(range(1, ell + 1), size):
             assert fam.union_alpha(coords) == 2 ** (ell - size)
@@ -65,9 +64,9 @@ def test_q_family_alpha_formula(ell):
 
 def test_q_family_gate():
     with pytest.raises(ValueError):
-        build_q_family(7)
+        BinaryStringFamily(7)
     with pytest.raises(ValueError):
-        build_q_family(0)
+        BinaryStringFamily(0)
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +399,11 @@ def test_mbe_determinism():
 def test_mbe_exports(tmp_path):
     pr = mbe_params(ell=2, p=1, q=2, k=6, m=4, seed=9)
     g = build_mbe(pr)
-    g.write_edge_list(tmp_path / "g.edges")
+    lg = g.to_labeled_graph()
+    write_edge_list(tmp_path / "g.edges", lg, classes=f"classes: 2 x {g.class_size}")
     g.borsuk.hypergraph.write_hyperedges(tmp_path / "g.hyper")
-    from rtlab.analysis import read_edge_list
     back = read_edge_list(tmp_path / "g.edges")
-    assert back.n == g.n
+    assert back.n == g.n and back.adj == lg.adj
     lines = [l for l in (tmp_path / "g.hyper").read_text().splitlines()
              if not l.startswith("#")]
     assert all(len(l.split()) == g.borsuk.hypergraph.r for l in lines)

@@ -247,6 +247,14 @@ def test_partition_mc_thread_determinism():
     assert np.array_equal(c1, c4)
 
 
+def test_mc_rejects_no_samples():
+    part = S.partition_sphere(2, 6, delta=2.0, seed=1)
+    with pytest.raises(ValueError, match="samples"):
+        S.monte_carlo_cell_counts(part, 0, seed=1)
+    with pytest.raises(ValueError, match="samples"):
+        S.mc_cap_height_measure(10, 0.2, samples=0, seed=1)
+
+
 def test_partition_json_export():
     part = S.partition_sphere(2, 6, delta=2.0, seed=5)
     doc = json.loads(part.to_json())

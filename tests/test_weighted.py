@@ -471,6 +471,11 @@ def test_weighted_text_roundtrip():
     assert back.p == g.p and back.w == g.w
 
 
+def test_weighted_text_rejects_short_input():
+    with pytest.raises(ValueError, match="needs 3 upper-triangle weights, found 2"):
+        PWeightedGraph.from_text("3 3\n1 2\n")
+
+
 def test_extension_json():
     g = graph_from_upper(3, 2, [2])
     ext = in_G_p_q(g, 5).extension
