@@ -9,6 +9,7 @@ search kernels allocation-free.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -441,21 +442,37 @@ def write_edge_list(path, g: LabeledGraph, comments=(), classes=None):
 
 
 def read_edge_list(path):
-    """Read the `u v` edge format; `# n=...` comments pin the vertex count."""
+    """Read the `u v` edge format; `# n=...` comments pin the vertex count.
+
+    A malformed line, a loop, or a vertex id outside 0..n-1 once `# n=` has
+    been read raises ValueError("path:line: ...").
+    """
     n = None
+    limit = sys.maxsize
     edges = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("n="):
-                    n = int(body[2:])
-                continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
+            try:
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("n="):
+                        n = limit = int(body[2:])
+                        if n < 0:
+                            raise ValueError
+                    continue
+                u, v = line.split()
+                u, v = int(u), int(v)
+                if u == v or not (0 <= u < limit and 0 <= v < limit):
+                    raise ValueError
+            except ValueError:
+                bound = "" if n is None else f" below n={n}"
+                raise ValueError(f"{path}:{lineno}: bad line {line!r}; expected "
+                                 f"'# n=<count>' or 'u v' with distinct vertex "
+                                 f"ids{bound}") from None
+            edges.append((u, v))
     if n is None:
         n = 1 + max((max(e) for e in edges), default=-1)
     return LabeledGraph.from_edges(n, edges)

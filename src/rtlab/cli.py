@@ -3,8 +3,11 @@ suites, and emit machine-readable reports.
 
 Commands: gen-cbe, gen-mbe, analyze, certify, rho-star, sweep.
 Exit codes: 0 all assertions passed, 1 a certified bound or suite failed,
-2 usage error: a bad or missing flag, an invalid parameter, a malformed or
-mistyped config-file line, or a bad sweep grid value.
+2 usage, input or resource-gate error: a bad or missing flag, an invalid
+parameter, a malformed or mistyped config-file line, a bad sweep grid value
+or an axis the sweep target does not take, an unreadable config file, edge
+list or header, a malformed edge-list line (reported as path:line), or an
+exact search beyond its size gate.
 Every output embeds the originating configuration; reruns of the same
 configuration are byte-identical (seeds are explicit, never wall-clock).
 gen-cbe and gen-mbe run no Monte Carlo, so they take no thread count.
@@ -23,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sphere
+from .sphere import ResourceLimit
 from .analysis import (
     density_report,
     max_clique,
@@ -42,10 +46,6 @@ from .weighted import (
     multiset_dominates,
     verify_theorem15_window,
 )
-
-CERTIFY_SUITES = ("smallp-p3-t1", "smallp-p4-t1", "theorem15-window",
-                  "gofA-oracle", "dominance-axioms")
-
 
 # ---------------------------------------------------------------------------
 # certification suites (importable; the CLI wraps them)
@@ -169,18 +169,20 @@ def suite_dominance_axioms(seed: int = 0, trials: int = 500) -> dict:
             "cases": cases}
 
 
+# suite name -> report of one run, given the certify --trials and --seed
+SUITES = {
+    "smallp-p3-t1": lambda trials, seed: suite_smallp(3, 1),
+    "smallp-p4-t1": lambda trials, seed: suite_smallp(4, 1),
+    "theorem15-window": lambda trials, seed: suite_theorem15_window(),
+    "gofA-oracle": lambda trials, seed: suite_gofa_oracle(trials=trials, seed=seed),
+    "dominance-axioms": lambda trials, seed: suite_dominance_axioms(seed=seed),
+}
+
+
 def run_suite(name: str, trials: int = 200, seed: int = 0) -> dict:
-    if name == "smallp-p3-t1":
-        return suite_smallp(3, 1)
-    if name == "smallp-p4-t1":
-        return suite_smallp(4, 1)
-    if name == "theorem15-window":
-        return suite_theorem15_window()
-    if name == "gofA-oracle":
-        return suite_gofa_oracle(trials=trials, seed=seed)
-    if name == "dominance-axioms":
-        return suite_dominance_axioms(seed=seed)
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,17 @@ def _write_json(path, doc: dict):
         fh.write("\n")
 
 
+def _read_class_sizes(path) -> dict:
+    """Class name -> size from a gen-* JSON summary ({} when it has none)."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+            sizes = doc.get("class_sizes") or doc.get("header", {}).get("class_sizes")
+            return {name: int(size) for name, size in (sizes or {}).items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a gen-* JSON summary: {exc}") from None
+
+
 def _write_csv(path, columns, rows, config: dict | None = None):
     """Header row and data rows; a `# config ...` line first when given."""
     with open(path, "w") as fh:
@@ -210,16 +223,20 @@ def _load_config_file(path, parser) -> dict:
     """Flat key = value lines; '#' starts a comment.  Maps each key to its
     (value, line number)."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                parser.error(f"{path}:{lineno}: malformed config line {line!r}; "
-                             "expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = (value.strip(), lineno)
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config file: {exc}")
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            parser.error(f"{path}:{lineno}: malformed config line {line!r}; "
+                         "expected key = value")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = (value.strip(), lineno)
     return out
 
 
@@ -384,17 +401,14 @@ def cmd_gen_mbe(args, parser) -> int:
 
 
 def cmd_analyze(args, parser) -> int:
-    g = read_edge_list(args.edge_list)
-    if args.header:
-        with open(args.header) as fh:
-            header = json.load(fh)
-        sizes = header.get("class_sizes") or header.get("header", {}).get("class_sizes")
-        if sizes:
-            labels = []
-            for name in sorted(sizes):
-                labels.extend([name] * int(sizes[name]))
-            if len(labels) == g.n:
-                g.labels = labels
+    try:
+        g = read_edge_list(args.edge_list)
+        sizes = _read_class_sizes(args.header) if args.header else {}
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
+    labels = [name for name in sorted(sizes) for _ in range(sizes[name])]
+    if sizes and len(labels) == g.n:
+        g.labels = labels
     rep = density_report(g)
     cert = max_clique(g, cutoff=args.cutoff)
     lb, ub, exact = p_independence(g, args.p, exact_limit=args.exact_limit)
@@ -413,8 +427,8 @@ def cmd_analyze(args, parser) -> int:
 
 
 def cmd_certify(args, parser) -> int:
-    if args.suite not in CERTIFY_SUITES:
-        parser.error(f"unknown suite {args.suite!r}; choose from {CERTIFY_SUITES}")
+    if args.suite not in SUITES:
+        parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
     report = run_suite(args.suite, trials=args.trials, seed=args.seed)
     text = json.dumps(report, sort_keys=True, indent=2, default=str)
     if args.out:
@@ -452,13 +466,23 @@ def _parse_grid(parser, value, field, name):
                      f"{typ.__name__} values")
 
 
+# target -> (fields, evaluation, the axes sweep takes, in CSV column order)
+SWEEP_TARGETS = {
+    "gen-cbe": (_cbe_fields(), evaluate_cbe,
+                ("p", "ell", "k", "n", "epsilon", "big_k", "seed")),
+    "gen-mbe": (_mbe_fields(), evaluate_mbe,
+                ("ell", "p", "q", "k", "m", "epsilon", "t", "seed")),
+}
+SWEEP_AXES = tuple(dict.fromkeys(
+    name for _, _, axes in SWEEP_TARGETS.values() for name in axes))
+
+
 def cmd_sweep(args, parser) -> int:
-    if args.target == "gen-cbe":
-        fields, evaluate = _cbe_fields(), evaluate_cbe
-        axes = ["p", "ell", "k", "n", "epsilon", "big_k", "seed"]
-    else:
-        fields, evaluate = _mbe_fields(), evaluate_mbe
-        axes = ["ell", "p", "q", "k", "m", "epsilon", "t", "seed"]
+    fields, evaluate, axes = SWEEP_TARGETS[args.target]
+    stray = ["--" + name.replace("_", "-") for name in SWEEP_AXES
+             if name not in axes and getattr(args, name) is not None]
+    if stray:
+        parser.error(f"sweep {args.target} takes no {', '.join(stray)}")
     grids = [_parse_grid(parser, getattr(args, name), fields[name], name)
              for name in axes]
     rows = []
@@ -527,10 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="cartesian parameter grid, one CSV row "
                                       "per cell")
-    ps.add_argument("target", choices=["gen-cbe", "gen-mbe"])
-    for flag in ["--p", "--ell", "--q", "--k", "--n", "--m", "--epsilon",
-                 "--big-k", "--t", "--seed"]:
-        ps.add_argument(flag, default=None)
+    ps.add_argument("target", choices=list(SWEEP_TARGETS))
+    for name in SWEEP_AXES:
+        ps.add_argument("--" + name.replace("_", "-"), default=None)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_sweep)
 
@@ -540,7 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except ResourceLimit as exc:
+        parser.error(f"resource gate: {exc}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,8 @@ class ResourceLimit(RuntimeError):
 def philox_rng(seed: int, stream: int = 0, substream: int = 0) -> np.random.Generator:
     """Counter-based generator; (seed, stream, substream) fully determine output.
 
-    Substreams let Monte Carlo chunks be distributed over threads while the
-    pooled result stays identical to a sequential run.
+    Monte Carlo chunk i draws from substream i, so a chunked estimate
+    depends only on the seed and the sample count.
     """
     key = [int(seed) & 0xFFFFFFFFFFFFFFFF,
            ((int(stream) & 0xFFFFFFFF) << 32) | (int(substream) & 0xFFFFFFFF)]
@@ -225,28 +224,18 @@ _MC_CHUNK = 1 << 15
 
 
 def _chunked_count(samples: int, seed: int, stream: int, substream_base: int,
-                   count, threads: int = 1):
-    """Sum of count(rng, size) over chunks of at most _MC_CHUNK samples.
-
-    Chunk i draws from philox_rng(seed, stream, substream_base + i), so the
-    sum is identical for any thread count.
-    """
+                   count):
+    """Sum of count(rng, size) over chunks of at most _MC_CHUNK samples;
+    chunk i draws from philox_rng(seed, stream, substream_base + i)."""
     if samples < 1:
         raise ValueError("samples must be positive")
-
-    def one(ci):
-        rng = philox_rng(seed, stream, substream_base + ci)
-        return count(rng, min(_MC_CHUNK, samples - ci * _MC_CHUNK))
-
-    chunks = range((samples + _MC_CHUNK - 1) // _MC_CHUNK)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(one, chunks))
-    return sum(map(one, chunks))
+    return sum(count(philox_rng(seed, stream, substream_base + ci),
+                     min(_MC_CHUNK, samples - ci * _MC_CHUNK))
+               for ci in range((samples + _MC_CHUNK - 1) // _MC_CHUNK))
 
 
 def _mc_first_coord_fraction(d: int, threshold: float, samples: int, seed: int,
-                             substream_base: int, threads: int = 1):
+                             substream_base: int):
     """Fraction of uniform points on S^{d-1}(R) with first coordinate at
     least `threshold`, plus its binomial standard error."""
 
@@ -255,27 +244,25 @@ def _mc_first_coord_fraction(d: int, threshold: float, samples: int, seed: int,
         nrm = np.linalg.norm(x, axis=1)
         return int(np.count_nonzero(x[:, 0] >= threshold * nrm))
 
-    hits = _chunked_count(samples, seed, _STREAM_MC, substream_base, count, threads)
+    hits = _chunked_count(samples, seed, _STREAM_MC, substream_base, count)
     phat = hits / samples
     se = math.sqrt(max(phat * (1.0 - phat), 1.0 / samples) / samples)
     return phat, se
 
 
-def mc_cap_height_measure(k: int, alpha: float, samples: int, seed: int,
-                          threads: int = 1):
+def mc_cap_height_measure(k: int, alpha: float, samples: int, seed: int):
     """Monte Carlo measure of a cap of height 1-alpha on S^{k-1}(C)."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    return _mc_first_coord_fraction(2 * k, alpha, samples, seed, 0, threads)
+    return _mc_first_coord_fraction(2 * k, alpha, samples, seed, 0)
 
 
-def mc_cap_radius_measure(k: int, radius: float, samples: int, seed: int,
-                          threads: int = 1):
+def mc_cap_radius_measure(k: int, radius: float, samples: int, seed: int):
     """Monte Carlo measure of {x : |x - pole| <= radius} on S^{k-1}(C)."""
     if not 0.0 < radius <= 2.0:
         raise ValueError("radius must lie in (0, 2]")
     threshold = 1.0 - radius * radius / 2.0
-    return _mc_first_coord_fraction(2 * k, threshold, samples, seed, 1 << 20, threads)
+    return _mc_first_coord_fraction(2 * k, threshold, samples, seed, 1 << 20)
 
 
 def two_set_distance_check(A, B, nu: float) -> bool:
@@ -617,8 +604,7 @@ def partition_sphere(k: int, n: int, delta: float, seed: int) -> SpherePartition
     return SpherePartition(k, partition_real_sphere(2 * k, n, delta, seed))
 
 
-def monte_carlo_cell_counts(partition, samples: int, seed: int,
-                            threads: int = 1) -> np.ndarray:
+def monte_carlo_cell_counts(partition, samples: int, seed: int) -> np.ndarray:
     """Hit counts per cell for uniform sphere samples (counter-keyed chunks)."""
     real = partition.real if isinstance(partition, SpherePartition) else partition
 
@@ -626,4 +612,4 @@ def monte_carlo_cell_counts(partition, samples: int, seed: int,
         pts = sample_real_sphere(real.d, size, rng)
         return np.bincount(real.locate(pts), minlength=real.n)
 
-    return _chunked_count(samples, seed, _STREAM_SAMPLE, 0, count, threads)
+    return _chunked_count(samples, seed, _STREAM_SAMPLE, 0, count)

@@ -259,21 +259,29 @@ def _wmax(g: PWeightedGraph, u: int, mask: int) -> int:
     return _weight_of_two_smallest(g.p, *_two_smallest(g, u, mask))
 
 
-def extension_value_table(g: PWeightedGraph):
-    """val[mask] = maximal dominating-extension size of the induced subgraph
-    on mask (-inf when no extension exists), with a back-pointer table.
+def _supersets(first: int, m: int):
+    """Masks over m vertices that contain first, ascending."""
+    mask = first
+    while mask < 1 << m:
+        yield mask
+        mask = (mask + 1) | first
 
-    The feasible weight of a vertex depends only on the set of earlier
-    vertices, so the maximum over enumerations is a subset DP.
+
+def extension_value_table(g: PWeightedGraph, first: int = 0, base: int = 0):
+    """val[mask] = maximal dominating-extension size of the induced subgraph
+    on mask, over the enumerations that list first's vertices first in a
+    fixed order of size base (-inf where none exists), with a back-pointer
+    table.  Only masks containing first are filled; the defaults give every
+    enumeration of every mask.  The feasible weight of a vertex depends only
+    on the set of earlier vertices, so the maximum is a subset DP.
     """
     m = g.m
-    size = 1 << m
     NEG = -(10 ** 9)
-    val = [NEG] * size
-    last = [-1] * size
-    val[0] = 0
-    for mask in range(1, size):
-        rest = mask
+    val = [NEG] * (1 << m)
+    last = [-1] * (1 << m)
+    val[first] = base
+    for mask in itertools.islice(_supersets(first, m), 1, None):
+        rest = mask & ~first
         best, arg = NEG, -1
         while rest:
             u = (rest & -rest).bit_length() - 1
@@ -292,14 +300,15 @@ def extension_value_table(g: PWeightedGraph):
     return val, last
 
 
-def _reconstruct(g: PWeightedGraph, last, mask: int):
-    """Extension (global vertex ids) achieving val[mask] from the DP table."""
-    order = []
-    while mask:
+def _reconstruct(g: PWeightedGraph, last, mask: int, head=()):
+    """Extension (global vertex ids) achieving val[mask] from the DP table:
+    head, the fixed order of the seed mask, then the back-pointer tail."""
+    tail = []
+    while last[mask] >= 0:
         u = last[mask]
-        order.append(u)
+        tail.append(u)
         mask &= ~(1 << u)
-    order.reverse()
+    order = [*head, *reversed(tail)]
     weights = maximal_dominating_extension(g, order)
     return DominatingExtension(tuple(order), weights, sum(weights))
 
@@ -428,20 +437,20 @@ def _solve_support(M, support):
     return gval, u
 
 
-def g_of_A(A, exact_limit: int = MAX_EXACT_SIMPLEX) -> SimplexSolution:
+def g_of_A(A) -> SimplexSolution:
     """max u^T A u over the probability simplex, exact.
 
     Every maximiser satisfies the equal-row-sum stationarity system on its
-    support, so enumerating supports (smallest first) and keeping the best
-    feasible solution is exhaustive.  Gated at exact_limit; use
-    g_of_A_numeric beyond.
+    support, so enumerating supports (smallest first, each size in
+    combinations order) and keeping the first best feasible solution is
+    exhaustive.  Gated at MAX_EXACT_SIMPLEX; use g_of_A_numeric beyond.
     """
     M = _as_matrix(A)
     m = len(M)
     if m == 0:
         return SimplexSolution(Fraction(0), (), (), True)
-    if m > exact_limit:
-        raise ResourceLimit(f"exact simplex optimisation gated at {exact_limit}")
+    if m > MAX_EXACT_SIMPLEX:
+        raise ResourceLimit(f"exact simplex optimisation gated at {MAX_EXACT_SIMPLEX}")
     best_g = Fraction(0)
     best_u = [Fraction(0)] * m
     best_u[0] = Fraction(1)
@@ -507,22 +516,23 @@ def g_of_A_grid(A, step: float = 0.001):
 
 
 def dense_core(A):
-    """Minimal index set J with g(A[J]) = g(A); the returned submatrix is
-    dense (every one-index deletion strictly decreases g)."""
-    M = _as_matrix(A)
-    m = len(M)
-    if m == 0:
+    """Minimal index set J with g(A[J]) = g(A), first in size-then-
+    combinations order, and the solution on A[J] (support range(|J|)); the
+    submatrix is dense: every one-index deletion strictly decreases g.
+
+    J is g_of_A's support.  A minimal J supports a maximiser of A with the
+    smallest possible support, and there the bordered stationarity system
+    is nonsingular: a kernel direction d (A_J d = delta 1, sum d = 0) keeps
+    u^T A u constant, so moving along it would shrink the support.  So
+    g_of_A solves J exactly, no support it meets earlier reaches g(A), and
+    later ones only tie.
+    """
+    sol = g_of_A(A)
+    if not sol.support:
         raise ValueError("empty matrix has no core")
-    if m > MAX_EXACT_SIMPLEX:
-        raise ResourceLimit(f"dense core gated at {MAX_EXACT_SIMPLEX}")
-    full_g = g_of_A(M).value
-    for size in range(1, m + 1):
-        for J in itertools.combinations(range(m), size):
-            sub = [[M[a][b] for b in J] for a in J]
-            sol = g_of_A(sub)
-            if sol.value >= full_g:
-                return J, sol
-    raise AssertionError("unreachable: the full set always attains g(A)")
+    J = sol.support
+    return J, SimplexSolution(sol.value, tuple(sol.u[j] for j in J),
+                              tuple(range(len(J))), True)
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +621,9 @@ def find_herculean(g: PWeightedGraph) -> HerculeanCertificate:
 
     evidence = {}
     sub = k_mask
-    while True:
-        if sub:
-            L = tuple(i for i in range(m) if (sub >> i) & 1)
-            evidence[frozenset(L)] = _reconstruct(g, last, sub)
-        if sub == 0:
-            break
+    while sub:
+        L = frozenset(i for i in range(m) if (sub >> i) & 1)
+        evidence[L] = _reconstruct(g, last, sub)
         sub = (sub - 1) & k_mask
 
     gamma_inside = {y: g.gamma(Kset, y) for y in K}
@@ -650,9 +657,10 @@ def find_G_pq_subgraph(g: PWeightedGraph, t: int) -> SubgraphSearchResult:
     """Find J with an extension of size >= p t + 2 (p = g.p in {3, 4}).
 
     Follows the constructive recipe: take a herculean K with its maximal
-    extension, then search the best augmentation appending outside vertices;
-    on a miss, falls back to the exhaustive subset optimum before reporting
-    failure with the violated minimum-degree condition.
+    extension, then search the best augmentation appending outside vertices
+    (the extension DP seeded with K); on a miss, falls back to the
+    exhaustive subset optimum (the unseeded DP) before reporting failure
+    with the violated minimum-degree condition.
     """
     p = g.p
     if p not in (3, 4):
@@ -665,70 +673,24 @@ def find_G_pq_subgraph(g: PWeightedGraph, t: int) -> SubgraphSearchResult:
         raise ResourceLimit(f"search gated at {MAX_HERCULEAN}")
     target = p * t + 2
     cert = find_herculean(g)
-    K = cert.K
-    k_mask = sum(1 << v for v in K)
-    others = [v for v in range(g.m) if v not in set(K)]
-
-    # augmentation DP over subsets of the outside vertices, appended after K
-    base_val = cert.heroic_evidence[frozenset(K)].size
-    n_out = len(others)
-    add_val = [0] * (1 << n_out)
-    add_last = [-1] * (1 << n_out)
-    best_add, best_mask = 0, 0
-    for mask in range(1, 1 << n_out):
-        rest = mask
-        best = -1
-        arg = -1
-        while rest:
-            ui = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            prev = mask & ~(1 << ui)
-            prefix = k_mask
-            pm = prev
-            while pm:
-                vi = (pm & -pm).bit_length() - 1
-                pm &= pm - 1
-                prefix |= 1 << others[vi]
-            wu = _wmax(g, others[ui], prefix)
-            cand = add_val[prev] + wu
-            if cand > best:
-                best, arg = cand, ui
-        add_val[mask] = best
-        add_last[mask] = arg
-        if best > best_add:
-            best_add, best_mask = best, mask
-
-    def build_extension(mask):
-        base_ext = cert.heroic_evidence[frozenset(K)]
-        order = list(base_ext.order)
-        tail = []
-        while mask:
-            ui = add_last[mask]
-            tail.append(others[ui])
-            mask &= ~(1 << ui)
-        order.extend(reversed(tail))
-        weights = maximal_dominating_extension(g, order)
-        return order, DominatingExtension(tuple(order), weights, sum(weights))
-
-    if base_val + best_add >= target:
-        order, ext = build_extension(best_mask)
-        assert ext.verify(g) and ext.size >= target
-        return SubgraphSearchResult(True, tuple(sorted(order)), ext, False,
-                                    cert, None)
-
-    # exhaustive fallback: the recipe is a proof device, not the only route
-    val, last = extension_value_table(g)
-    best_mask_all = max(range(1, 1 << g.m), key=lambda s: val[s])
-    if val[best_mask_all] >= target:
-        ext = _reconstruct(g, last, best_mask_all)
-        assert ext.verify(g) and ext.size >= target
-        return SubgraphSearchResult(True, tuple(sorted(ext.order)), ext, True,
-                                    cert, None)
+    base_ext = cert.heroic_evidence[frozenset(cert.K)]
+    searches = ((sum(1 << v for v in cert.K), base_ext.size, base_ext.order),
+                (0, 0, ()))
+    best_size = 0
+    for used_fallback, (first, base, head) in enumerate(searches):
+        val, last = extension_value_table(g, first, base)
+        best = max(_supersets(first, g.m), key=val.__getitem__)
+        if val[best] >= target:
+            ext = _reconstruct(g, last, best, head)
+            assert ext.verify(g) and ext.size >= target
+            return SubgraphSearchResult(True, tuple(sorted(ext.order)), ext,
+                                        bool(used_fallback), cert, None)
+        best_size = max(best_size, val[best])
 
     threshold = Fraction(p) * rho_star(p, p * t + 2)[0] * g.m
     failure = {
         "target": target,
-        "best_size": max(base_val + best_add, val[best_mask_all]),
+        "best_size": best_size,
         "delta": g.delta(),
         "degree_threshold": threshold,
         "hypothesis_met": Fraction(g.delta()) > threshold,

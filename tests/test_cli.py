@@ -178,6 +178,59 @@ def test_analyze_stdout(tmp_path, capsys):
     assert "graph_id" in capsys.readouterr().out
 
 
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+# (argv after the command, given tmp_path; expected fragment of the error)
+BAD_INPUTS = {
+    "missing-config": (lambda d: ["gen-cbe", "--config", d / "missing.cfg"],
+                       "missing.cfg"),
+    "missing-edges": (lambda d: ["analyze", d / "missing.edges"], "missing.edges"),
+    "missing-header": (lambda d: ["analyze", _write(d / "ok.edges", "# n=3\n0 1\n"),
+                                  "--header", d / "missing.json"], "missing.json"),
+    "bad-header": (lambda d: ["analyze", _write(d / "ok.edges", "# n=3\n0 1\n"),
+                              "--header", _write(d / "h.json", "{")], "h.json: "),
+    "header-shape": (lambda d: ["analyze", _write(d / "ok.edges", "# n=3\n0 1\n"),
+                                "--header", _write(d / "h.json", '{"header": 3}')],
+                     "h.json: not a gen-* JSON summary"),
+    "non-integer": (lambda d: ["analyze", _write(d / "g.edges", "# n=3\n1 x\n")],
+                    "g.edges:2: bad line '1 x'"),
+    "three-ids": (lambda d: ["analyze", _write(d / "g.edges", "# n=3\n0 1 2\n")],
+                  "g.edges:2: bad line '0 1 2'"),
+    "out-of-range": (lambda d: ["analyze", _write(d / "g.edges", "# n=3\n0 1\n1 5\n")],
+                     "g.edges:3: bad line '1 5'"),
+    "loop": (lambda d: ["analyze", _write(d / "g.edges", "0 1\n\n2 2\n")],
+             "g.edges:3: bad line '2 2'"),
+    "bad-count": (lambda d: ["analyze", _write(d / "g.edges", "# n=three\n")],
+                  "g.edges:1: bad line"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys, case):
+    argv, fragment = BAD_INPUTS[case]
+    with pytest.raises(SystemExit) as exc:
+        run(argv(tmp_path))
+    assert exc.value.code == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (lambda d: ["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 4, "--m", 1002,
+                "--seed", 1, "--out", d / "g"], "m^ell = 1004004 exceeds"),
+    (lambda d: ["analyze", _write(d / "big.edges", "# n=5001\n0 1\n")],
+     "capped at 5000 vertices"),
+], ids=["gen-mbe-hyperedges", "analyze-clique"])
+def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        run(argv(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "resource gate" in err and fragment in err
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -259,6 +312,22 @@ def test_sweep_row_matches_gen_csv(tmp_path, target, flags, shared):
     # n names the per-class size in a CBE sweep and the vertex count in gen-*
     assert set(gen) & set(row) - {"n"} == shared
     assert {c: row[c] for c in shared} == {c: gen[c] for c in shared}
+
+
+@pytest.mark.parametrize("target, flags, stray", [
+    ("gen-cbe", ["--p", 3, "--ell", 1, "--k", 8, "--n", 20, "--seed", 1,
+                 "--m", 99, "--q", 7, "--t", 3], "--q, --m, --t"),
+    ("gen-mbe", ["--ell", 1, "--p", 1, "--q", 2, "--k", 6, "--m", 4, "--seed", 3,
+                 "--n", 5, "--big-k", 3], "--n, --big-k"),
+])
+def test_sweep_rejects_axes_the_target_ignores(tmp_path, capsys, target, flags,
+                                               stray):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", target, *flags, "--out", out])
+    assert exc.value.code == 2
+    assert f"sweep {target} takes no {stray}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_requires_params(tmp_path):

@@ -92,10 +92,12 @@ def test_mc_cap_lower_bound_respected():
     assert est >= S.cap_measure_lower_bound(k, delta) - 4 * se
 
 
-def test_mc_threads_do_not_change_counts():
-    a = S.mc_cap_height_measure(10, 0.2, samples=70_000, seed=5, threads=1)
-    b = S.mc_cap_height_measure(10, 0.2, samples=70_000, seed=5, threads=4)
+def test_mc_same_seed_same_estimate():
+    samples = 2 * S._MC_CHUNK + 4_464          # three chunks, the last partial
+    a = S.mc_cap_height_measure(10, 0.2, samples=samples, seed=5)
+    b = S.mc_cap_height_measure(10, 0.2, samples=samples, seed=5)
     assert a == b
+    assert S.mc_cap_height_measure(10, 0.2, samples=samples, seed=6) != a
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +242,15 @@ def test_partition_equal_measure_monte_carlo():
     assert np.max(np.abs(counts - expected)) <= four_sigma
 
 
-def test_partition_mc_thread_determinism():
+def test_partition_mc_seed_determinism():
     part = S.partition_sphere(2, 32, delta=2.0, seed=3)
-    c1 = S.monte_carlo_cell_counts(part, 50_000, seed=4, threads=1)
-    c4 = S.monte_carlo_cell_counts(part, 50_000, seed=4, threads=4)
-    assert np.array_equal(c1, c4)
+    samples = S._MC_CHUNK + 17_232             # two chunks, the last partial
+    c1 = S.monte_carlo_cell_counts(part, samples, seed=4)
+    c2 = S.monte_carlo_cell_counts(part, samples, seed=4)
+    assert np.array_equal(c1, c2) and c1.sum() == samples
+    # the chunks are keyed by index: the first chunk alone repeats its counts
+    first = S.monte_carlo_cell_counts(part, S._MC_CHUNK, seed=4)
+    assert np.all(first <= c1) and not np.array_equal(first, c1)
 
 
 def test_mc_rejects_no_samples():

@@ -344,6 +344,47 @@ def test_dense_core_positive_and_full_support():
                 assert g_of_A(sub_A).value < sol.value or len(J) == 1
 
 
+def brute_dense_core(A):
+    """The first index set J, by size then in combinations order, with
+    g(A[J]) = g(A), and the g_of_A solution on A[J]."""
+    full_g = g_of_A(A).value
+    for size in range(1, len(A) + 1):
+        for J in itertools.combinations(range(len(A)), size):
+            sol = g_of_A([[A[a][b] for b in J] for a in J])
+            if sol.value >= full_g:
+                return J, sol
+
+
+def random_core_matrix(seed):
+    """Small symmetric matrices with zero blocks and many tied weights."""
+    rng = S.philox_rng(seed, 65)
+    m = int(rng.integers(1, 7))
+    hi = int(rng.integers(1, 4))
+    A = np.zeros((m, m), dtype=int)
+    iu = np.triu_indices(m, 1)
+    A[iu] = rng.integers(0, hi + 1, size=len(iu[0]))
+    if seed % 3 == 1:                       # ties: two weight values only
+        A[iu] = np.where(A[iu] > 0, hi, 0)
+    if seed % 3 == 2:                       # zero block between two sides
+        side = rng.integers(0, 2, size=m)
+        A[iu] *= side[iu[0]] == side[iu[1]]
+    return (A + A.T).tolist()
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_dense_core_matches_bruteforce(chunk):
+    for seed in range(chunk * 60, chunk * 60 + 60):
+        A = random_core_matrix(seed)
+        assert dense_core(A) == brute_dense_core(A), A
+
+
+def test_dense_core_gate():
+    from rtlab.sphere import ResourceLimit
+    A = [[0 if i == j else 1 for j in range(17)] for i in range(17)]
+    with pytest.raises(ResourceLimit):
+        dense_core(A)
+
+
 # ---------------------------------------------------------------------------
 # heroic / herculean sets
 # ---------------------------------------------------------------------------
@@ -425,6 +466,38 @@ def test_find_subgraph_random_successes_verified():
         assert res.extension.size >= 5
         assert res.extension.verify(g)
         assert set(res.extension.order) == set(res.vertices)
+
+
+def brute_k_first_best(g, K):
+    """Best extension size over the enumerations that list K first, then
+    any ordered subset of the other vertices."""
+    best = 0
+    for order in itertools.permutations(range(g.m)):
+        if set(order[:len(K)]) != set(K):
+            continue
+        weights = maximal_dominating_extension(g, order)
+        best = max(best, max(sum(weights[:n]) for n in range(len(K), g.m + 1)))
+    return best
+
+
+@pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_find_subgraph_recipe_matches_k_first_oracle(p, t):
+    augmented = 0
+    for seed in range(40):
+        g = random_positive_graph(p, 2 + seed % 4, seed + 900)
+        res = find_G_pq_subgraph(g, t)
+        K = res.herculean.K
+        best = brute_k_first_best(g, K)
+        if res.found and not res.used_fallback:
+            head = res.herculean.heroic_evidence[frozenset(K)].order
+            assert res.extension.order[:len(K)] == head
+            assert res.extension.size == best
+            augmented += len(res.extension.order) > len(K)
+        elif res.found:
+            assert best < p * t + 2
+        else:
+            assert best <= res.failure["best_size"] < p * t + 2
+    assert augmented > 0
 
 
 def test_find_subgraph_validation():
