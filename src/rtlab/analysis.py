@@ -9,7 +9,6 @@ search kernels allocation-free.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,14 +54,9 @@ class LabeledGraph:
             raise ValueError("adjacency matrix must be square")
         if np.any(m != m.T) or np.any(np.diag(m)):
             raise ValueError("adjacency must be symmetric with empty diagonal")
-        n = m.shape[0]
-        adj = [0] * n
-        for u in range(n):
-            row = 0
-            for v in np.flatnonzero(m[u]):
-                row |= 1 << int(v)
-            adj[u] = row
-        return cls(n, adj, labels)
+        rows = np.packbits(m, axis=1, bitorder="little")
+        adj = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        return cls(m.shape[0], adj, labels)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -175,7 +169,6 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
     greedy = _greedy_clique(adj, g.n)
     best_size = len(greedy)
     best_witness = list(greedy)
-    floor = best_size if cutoff is None else max(cutoff, best_size)
     found_over_cutoff = cutoff is not None and best_size > cutoff
 
     def color_sort(P: int):
@@ -218,8 +211,7 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
 
     expand((1 << g.n) - 1)
 
-    inv = {i: v for v, i in pos.items()}
-    witness = tuple(sorted(inv[i] for i in best_witness))
+    witness = tuple(sorted(order[i] for i in best_witness))
     if cutoff is None:
         return CliqueCertificate(best_size, witness, True, best_size)
     if found_over_cutoff or best_size > cutoff:
@@ -231,36 +223,28 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
 # p-independence
 # ---------------------------------------------------------------------------
 
-def _has_clique(adj: list[int], mask: int, t: int) -> bool:
-    """True iff the induced subgraph on mask contains a clique of size t."""
+def _find_clique(adj: list[int], mask: int, t: int):
+    """A clique of size t inside mask, as a list of vertices, or None.
+
+    Vertices are tried lowest first and each branch looks only at later
+    vertices, so the first clique in that order is returned; a branch with
+    fewer than t vertices left is cut, which never cuts a success.
+    """
     if t <= 0:
-        return True
-    if mask.bit_count() < t:
-        return False
-    if t == 1:
-        return mask != 0
-    rest = mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        # only look at later vertices to avoid revisiting subsets
-        if _has_clique(adj, adj[v] & rest, t - 1):
-            return True
-        if rest.bit_count() < t:
-            return False
-    return False
-
-
-def _find_clique_of_size(adj: list[int], mask: int, t: int):
-    if t == 0:
         return []
+    if mask.bit_count() < t:
+        return None
+    if t == 1:
+        return [(mask & -mask).bit_length() - 1]
     rest = mask
     while rest:
         v = (rest & -rest).bit_length() - 1
         rest &= rest - 1
-        sub = _find_clique_of_size(adj, adj[v] & rest, t - 1)
+        sub = _find_clique(adj, adj[v] & rest, t - 1)
         if sub is not None:
-            return [v] + sub
+            return [v, *sub]
+        if rest.bit_count() < t:
+            return None
     return None
 
 
@@ -286,7 +270,7 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
                 best = max(best, count)
                 return
             v = order[idx]
-            if not _has_clique(adj, adj[v] & chosen, p - 1):
+            if _find_clique(adj, adj[v] & chosen, p - 1) is None:
                 dfs(idx + 1, chosen | (1 << v), count + 1)
             dfs(idx + 1, chosen, count)
 
@@ -297,7 +281,7 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
     chosen = 0
     count = 0
     for v in sorted(range(g.n), key=lambda u: g.degree(u)):
-        if not _has_clique(adj, adj[v] & chosen, p - 1):
+        if _find_clique(adj, adj[v] & chosen, p - 1) is None:
             chosen |= 1 << v
             count += 1
     # disjoint K_p packing upper bound: a K_p-free set misses at least one
@@ -305,7 +289,7 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
     mask = (1 << g.n) - 1
     packed = 0
     while True:
-        clique = _find_clique_of_size(adj, mask, p)
+        clique = _find_clique(adj, mask, p)
         if clique is None:
             break
         packed += 1
@@ -441,38 +425,62 @@ def write_edge_list(path, g: LabeledGraph, comments=(), classes=None):
             fh.write(f"{u} {v}\n")
 
 
+def _bad_line(path, lineno: int, line: str, n):
+    bound = "" if n is None else f" below n={n}"
+    return ValueError(f"{path}:{lineno}: bad line {line!r}; expected '# n=<count>' "
+                      f"or 'u v' with distinct vertex ids{bound}")
+
+
 def read_edge_list(path):
     """Read the `u v` edge format; `# n=...` comments pin the vertex count.
 
-    A malformed line, a loop, or a vertex id outside 0..n-1 once `# n=` has
-    been read raises ValueError("path:line: ...").
+    A line that is not UTF-8, a malformed line, a loop, a vertex id outside
+    0..n-1, or an edge that an earlier line lists, in either orientation,
+    raises ValueError("path:line: ...").  The last two are found by a rescan
+    that runs only when the graph disagrees with the lines.
     """
     n = None
-    limit = sys.maxsize
     edges = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode().strip()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: line is not UTF-8") from None
             if not line:
                 continue
             try:
                 if line.startswith("#"):
                     body = line[1:].strip()
                     if body.startswith("n="):
-                        n = limit = int(body[2:])
+                        n = int(body[2:])
                         if n < 0:
                             raise ValueError
                     continue
                 u, v = line.split()
                 u, v = int(u), int(v)
-                if u == v or not (0 <= u < limit and 0 <= v < limit):
+                if u == v or u < 0 or v < 0:
                     raise ValueError
             except ValueError:
-                bound = "" if n is None else f" below n={n}"
-                raise ValueError(f"{path}:{lineno}: bad line {line!r}; expected "
-                                 f"'# n=<count>' or 'u v' with distinct vertex "
-                                 f"ids{bound}") from None
+                raise _bad_line(path, lineno, line, n) from None
             edges.append((u, v))
     if n is None:
         n = 1 + max((max(e) for e in edges), default=-1)
-    return LabeledGraph.from_edges(n, edges)
+    try:
+        g = LabeledGraph.from_edges(n, edges)
+        if g.edge_count() == len(edges):
+            return g
+    except ValueError:              # an id >= n
+        pass
+    # an id >= n or a repeated edge: rescan for the first line at fault
+    with open(path, "rb") as fh:
+        stripped = (raw.decode().strip() for raw in fh)
+        linenos = [i for i, line in enumerate(stripped, 1)
+                   if line and not line.startswith("#")]
+    first = {}
+    for (u, v), lineno in zip(edges, linenos):
+        if max(u, v) >= n:
+            raise _bad_line(path, lineno, f"{u} {v}", n)
+        seen = first.setdefault((min(u, v), max(u, v)), lineno)
+        if seen != lineno:
+            raise ValueError(f"{path}:{lineno}: edge '{u} {v}' repeats line {seen}")

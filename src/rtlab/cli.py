@@ -5,9 +5,10 @@ Commands: gen-cbe, gen-mbe, analyze, certify, rho-star, sweep.
 Exit codes: 0 all assertions passed, 1 a certified bound or suite failed,
 2 usage, input or resource-gate error: a bad or missing flag, an invalid
 parameter, a malformed or mistyped config-file line, a bad sweep grid value
-or an axis the sweep target does not take, an unreadable config file, edge
-list or header, a malformed edge-list line (reported as path:line), or an
-exact search beyond its size gate.
+or an axis the sweep target does not take, a certify flag the suite does
+not take, an unreadable config file, edge list or header, a malformed,
+repeated or non-UTF-8 edge-list line (reported as path:line), or an exact
+search beyond its size gate.
 Every output embeds the originating configuration; reruns of the same
 configuration are byte-identical (seeds are explicit, never wall-clock).
 gen-cbe and gen-mbe run no Monte Carlo, so they take no thread count.
@@ -17,6 +18,8 @@ gen-cbe, gen-mbe and sweep share one evaluation function per construction.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import itertools
 import json
 import os
@@ -56,38 +59,37 @@ def _all_positive_graphs(p, m):
         yield PWeightedGraph.from_upper(p, m, upper)
 
 
-def suite_smallp(p: int, t: int = 1, max_m: int | None = None) -> dict:
-    """Exhaustive check: every positive p-weighted graph up to max_m vertices
-    with min degree above p rho*_p(pt+2) m admits a subgraph in G_p(pt+2)."""
-    if max_m is None:
-        max_m = 5 if p == 3 else 4
-    rho = rho_star(p, p * t + 2)[0]
+def suite_smallp(p: int) -> dict:
+    """Exhaustive check at t = 1: every positive p-weighted graph on up to
+    5 vertices for p = 3, 4 otherwise, with min degree above p rho*_p(p+2) m
+    admits a subgraph in G_p(p+2)."""
+    rho = rho_star(p, p + 2)[0]
     checked = skipped = failures = 0
     failing = []
-    for m in range(1, max_m + 1):
+    for m in range(1, (5 if p == 3 else 4) + 1):
         threshold = Fraction(p) * rho * m
         for g in _all_positive_graphs(p, m):
             if Fraction(g.delta()) <= threshold:
                 skipped += 1
                 continue
             checked += 1
-            res = find_G_pq_subgraph(g, t)
+            res = find_G_pq_subgraph(g, 1)
             if not (res.found and res.extension.verify(g)
-                    and res.extension.size >= p * t + 2):
+                    and res.extension.size >= p + 2):
                 failures += 1
                 if len(failing) < 10:
                     failing.append(g.to_text())
-    return {"suite": f"smallp-p{p}-t{t}", "passed": failures == 0,
+    return {"suite": f"smallp-p{p}-t1", "passed": failures == 0,
             "counters": {"checked": checked, "skipped": skipped,
                          "failures": failures},
             "failing_examples": failing}
 
 
-def suite_theorem15_window(t_max: int = 6) -> dict:
-    """Window infeasibility for every (t <= t_max, s in window)."""
+def suite_theorem15_window() -> dict:
+    """Window infeasibility for every (t <= 6, s in window)."""
     cases = []
     ok = True
-    for t in range(1, t_max + 1):
+    for t in range(1, 7):
         for s in range(max(1, t * (t - 2)), t * t + 1):
             rep = verify_theorem15_window(p=s + t - 1, s=s, t=t)
             cases.append({"t": t, "s": s, "passed": rep.passed})
@@ -111,7 +113,7 @@ def suite_gofa_oracle(trials: int = 200, seed: int = 0) -> dict:
         A[iu] = rng.integers(0, 5, size=len(iu[0]))
         A = (A + A.T).tolist()
         sol = g_of_A(A)
-        approx, _ = g_of_A_numeric(A, steps=10_000, restarts=50, seed=trial)
+        approx, _ = g_of_A_numeric(A, seed=trial)
         max_dev = max(max_dev, abs(float(sol.value) - approx))
         sums = sol.row_sums(A)
         row_sum_ok = row_sum_ok and all(sums[j] == sol.value for j in sol.support)
@@ -121,9 +123,10 @@ def suite_gofa_oracle(trials: int = 200, seed: int = 0) -> dict:
                          "row_sum_identity": row_sum_ok}}
 
 
-def suite_dominance_axioms(seed: int = 0, trials: int = 500) -> dict:
-    """Named dominance examples, order axioms on random rational multisets,
-    and the m <= 4, p <= 4 exhaustive membership G in G_p(p + t + m - 2)."""
+def suite_dominance_axioms(seed: int = 0) -> dict:
+    """Named dominance examples, order axioms on 500 random triples of
+    rational multisets, and the m <= 4, p <= 4 exhaustive membership G in
+    G_p(p + t + m - 2)."""
     cases = []
 
     def case(name, ok):
@@ -135,7 +138,7 @@ def suite_dominance_axioms(seed: int = 0, trials: int = 500) -> dict:
 
     rng = sphere.philox_rng(seed, 71)
     axioms_ok = True
-    for _ in range(trials):
+    for _ in range(500):
         n = int(rng.integers(1, 6))
         trip = [[Fraction(int(rng.integers(0, 13)), int(rng.integers(1, 5)))
                  for _ in range(n)] for _ in range(3)]
@@ -164,25 +167,28 @@ def suite_dominance_axioms(seed: int = 0, trials: int = 500) -> dict:
 
     passed = all(c["passed"] for c in cases)
     return {"suite": "dominance-axioms", "passed": passed,
-            "counters": {"axiom_trials": trials,
+            "counters": {"axiom_trials": 500,
                          "membership_graphs": counted},
             "cases": cases}
 
 
-# suite name -> report of one run, given the certify --trials and --seed
+# suite name -> runner.  The certify flags a suite takes are its runner's
+# parameters, and their defaults are the flags' defaults.
 SUITES = {
-    "smallp-p3-t1": lambda trials, seed: suite_smallp(3, 1),
-    "smallp-p4-t1": lambda trials, seed: suite_smallp(4, 1),
-    "theorem15-window": lambda trials, seed: suite_theorem15_window(),
-    "gofA-oracle": lambda trials, seed: suite_gofa_oracle(trials=trials, seed=seed),
-    "dominance-axioms": lambda trials, seed: suite_dominance_axioms(seed=seed),
+    "smallp-p3-t1": functools.partial(suite_smallp, 3),
+    "smallp-p4-t1": functools.partial(suite_smallp, 4),
+    "theorem15-window": suite_theorem15_window,
+    "gofA-oracle": suite_gofa_oracle,
+    "dominance-axioms": suite_dominance_axioms,
 }
+CERTIFY_FLAGS = ("trials", "seed")
 
 
-def run_suite(name: str, trials: int = 200, seed: int = 0) -> dict:
+def run_suite(name: str, **flags) -> dict:
+    """Report of one run of the named suite, given the flags it takes."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](trials, seed)
+    return SUITES[name](**flags)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +435,13 @@ def cmd_analyze(args, parser) -> int:
 def cmd_certify(args, parser) -> int:
     if args.suite not in SUITES:
         parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
-    report = run_suite(args.suite, trials=args.trials, seed=args.seed)
+    takes = inspect.signature(SUITES[args.suite]).parameters
+    flags = {name: getattr(args, name) for name in CERTIFY_FLAGS
+             if getattr(args, name) is not None}
+    stray = [f"--{name}" for name in flags if name not in takes]
+    if stray:
+        parser.error(f"certify {args.suite} takes no {', '.join(stray)}")
+    report = run_suite(args.suite, **flags)
     text = json.dumps(report, sort_keys=True, indent=2, default=str)
     if args.out:
         with open(args.out, "w") as fh:
@@ -538,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("certify", help="run a certification suite")
     pv.add_argument("suite")
-    pv.add_argument("--trials", type=int, default=200)
-    pv.add_argument("--seed", type=int, default=0)
+    for name in CERTIFY_FLAGS:
+        pv.add_argument("--" + name, type=int)
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_certify)
 

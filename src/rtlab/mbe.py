@@ -20,7 +20,8 @@ At desk scale the equal-measure partition with diameter mu/4 is far out of
 reach, and hyperedges only exist when the point set contains almost
 antipodal pairs, so the default point scheme samples m/2 uniform points and
 adds their exact antipodes.  The partition route is kept as an option, and
-an explicit point set can be supplied for experiments.
+an explicit point set can be supplied to build_base_hypergraph for
+experiments.
 """
 
 from __future__ import annotations
@@ -95,10 +96,6 @@ class MbeParams:
     @property
     def zeta(self) -> float:
         return math.exp(-self.k * self.mu / (3 * 2 ** (2 * self.ell)))
-
-    @property
-    def t_root(self) -> int:
-        return round(self.t ** (1 / self.ell))
 
     def to_dict(self) -> dict:
         return {"ell": self.ell, "p": self.p, "q": self.q, "k": self.k,
@@ -326,15 +323,15 @@ def _bullet2_value(n_vertices: int, n_edges: int, zeta: float, r: int) -> float:
     return n_vertices + (1 + zeta - r) * (n_edges - 1)
 
 
-def find_dense_subconfig(hyperedges, zeta: float, r: int, max_vertices: int,
-                         max_edges: int = 8):
+def find_dense_subconfig(hyperedges, zeta: float, r: int):
     """Search connected hyperedge subsets violating the sparsity condition
-    |V| + (1 + zeta - r)(|E| - 1) < r, up to max_vertices vertices.
+    |V| + (1 + zeta - r)(|E| - 1) < r, up to r^3 vertices and 8 hyperedges.
 
     Breadth-first over connected subsets (smallest violating configuration
     first); a disconnected violator always contains a connected one, so
     connected subsets suffice.  Returns a tuple of hyperedge indices or None.
     """
+    max_vertices = r ** 3
     edge_sets = [frozenset(e) for e in hyperedges]
     n = len(edge_sets)
     neighbors = [set() for _ in range(n)]
@@ -353,7 +350,7 @@ def find_dense_subconfig(hyperedges, zeta: float, r: int, max_vertices: int,
             if len(chosen) >= 2 and len(verts) <= max_vertices:
                 if _bullet2_value(len(verts), len(chosen), zeta, r) < r - GEOM_TOL:
                     return tuple(sorted(chosen))
-            if len(chosen) >= max_edges or len(verts) > max_vertices:
+            if len(chosen) >= 8 or len(verts) > max_vertices:
                 continue
             grow = set().union(*(neighbors[i] for i in chosen)) - chosen
             for j in grow:
@@ -432,9 +429,8 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
 
     kept = list(retained)
     deleted = 0
-    max_cfg_vertices = r ** 3
     while True:
-        bad = find_dense_subconfig(kept, zeta, r, max_cfg_vertices)
+        bad = find_dense_subconfig(kept, zeta, r)
         if bad is None:
             break
         kept.pop(bad[-1])
@@ -549,10 +545,10 @@ class MbeGraph:
                            "deleted": self.blowup_report.deleted}}
 
 
-def build_mbe(params: MbeParams, points: np.ndarray | None = None) -> MbeGraph:
+def build_mbe(params: MbeParams) -> MbeGraph:
     """Full pipeline: points -> B -> B' -> B(ell) -> q classes with cross
     edges; deterministic given the seed."""
-    base = build_base_hypergraph(params, points)
+    base = build_base_hypergraph(params)
     blown, report = blowup_sparsify(base, params.t, params.zeta, params.seed,
                                     params.retention)
     borsuk = shadow_graph(blown)

@@ -99,10 +99,6 @@ class PWeightedGraph:
     def gamma(self, K, x: int) -> int:
         return sum(self.wtilde(x, y) for y in K if y != x)
 
-    def subgraph(self, vertices) -> "PWeightedGraph":
-        vs = list(vertices)
-        return PWeightedGraph(self.p, [[self.w[a][b] for b in vs] for a in vs])
-
     # text format: first line "p m", then upper-triangle weights row by row
     def to_text(self) -> str:
         lines = [f"{self.p} {self.m}"]
@@ -323,16 +319,16 @@ class MembershipResult:
         return self.extension is not None
 
 
-def in_G_p_q(g: PWeightedGraph, q: int, exact_limit: int = MAX_EXACT_GPQ) -> MembershipResult:
+def in_G_p_q(g: PWeightedGraph, q: int) -> MembershipResult:
     """Search for a dominating extension of size at least q.
 
-    Exact (subset DP over all enumerations) up to exact_limit vertices;
+    Exact (subset DP over all enumerations) up to MAX_EXACT_GPQ vertices;
     beyond that a small set of greedy enumerations is tried and a miss is
     reported as non-exhaustive.
     """
     if not g.is_positive():
         return MembershipResult(None, True)
-    if g.m <= exact_limit:
+    if g.m <= MAX_EXACT_GPQ:
         val, last = extension_value_table(g)
         full = (1 << g.m) - 1
         if val[full] >= q:
@@ -371,11 +367,9 @@ class SimplexSolution:
     value: Fraction
     u: tuple
     support: tuple
-    exact: bool
 
     def row_sums(self, A) -> dict:
-        """sum_{i != j} a_ij u_i for j in the support (equals value when
-        the solution is exact)."""
+        """sum_{i != j} a_ij u_i for j in the support (each equals value)."""
         out = {}
         for j in self.support:
             out[j] = sum(Fraction(A[i][j]) * self.u[i]
@@ -448,7 +442,7 @@ def g_of_A(A) -> SimplexSolution:
     M = _as_matrix(A)
     m = len(M)
     if m == 0:
-        return SimplexSolution(Fraction(0), (), (), True)
+        return SimplexSolution(Fraction(0), (), ())
     if m > MAX_EXACT_SIMPLEX:
         raise ResourceLimit(f"exact simplex optimisation gated at {MAX_EXACT_SIMPLEX}")
     best_g = Fraction(0)
@@ -464,25 +458,25 @@ def g_of_A(A) -> SimplexSolution:
             if gval > best_g:
                 best_g, best_u = gval, u
                 best_support = tuple(i for i in range(m) if u[i] > 0)
-    return SimplexSolution(best_g, tuple(best_u), best_support, True)
+    return SimplexSolution(best_g, tuple(best_u), best_support)
 
 
-def g_of_A_numeric(A, steps: int = 10_000, restarts: int = 50, seed: int = 0):
-    """Multiplicative-update (replicator) ascent with restarts; returns
-    (value, u).  The quadratic form is nonconcave, so restarts hedge local
-    maxima; the exact mode is authoritative."""
+def g_of_A_numeric(A, seed: int = 0):
+    """Multiplicative-update (replicator) ascent, 50 restarts of at most
+    10,000 steps; returns (value, u).  The quadratic form is nonconcave, so
+    restarts hedge local maxima; the exact mode is authoritative."""
     M = np.asarray(A, dtype=float)
     m = M.shape[0]
     if m == 0:
         return 0.0, np.zeros(0)
     best_val, best_u = 0.0, None
-    for restart in range(restarts):
+    for restart in range(50):
         if restart == 0:
             u = np.full(m, 1.0 / m)
         else:
             rng = sphere.philox_rng(seed, 40, restart)
             u = rng.dirichlet(np.ones(m))
-        for _ in range(steps):
+        for _ in range(10_000):
             Au = M @ u
             val = float(u @ Au)
             if val <= 0:
@@ -532,7 +526,7 @@ def dense_core(A):
         raise ValueError("empty matrix has no core")
     J = sol.support
     return J, SimplexSolution(sol.value, tuple(sol.u[j] for j in J),
-                              tuple(range(len(J))), True)
+                              tuple(range(len(J))))
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +538,17 @@ class HerculeanCertificate:
     K: tuple
     value: int                      # p|K| - wtilde(K)
     heroic_evidence: dict           # frozenset(L) -> DominatingExtension on L
-    gamma_inside: dict              # y in K -> gamma_K(y), all <= p-1
-    gamma_outside: dict             # x not in K -> gamma_K(x), all >= p
-    exchange: dict                  # (x, y) -> (gamma_{K\y}(x), gamma_K(y))
 
     def verify(self, g: PWeightedGraph) -> bool:
+        """Recheck everything from g: the value; an extension of size at
+        least p|L| - wtilde(L) for every nonempty L in K (heroism); (ii)
+        gamma_K(y) <= p - 1 inside K and gamma_K(x) >= p outside; and (iii)
+        gamma_{K - y}(x) >= gamma_K(y) for x outside K and y in K."""
         K = set(self.K)
         if self.value != g.p * len(K) - g.wtilde_total(K):
+            return False
+        if (len(self.heroic_evidence) != 2 ** len(K) - 1
+                or not all(L and L <= K for L in self.heroic_evidence)):
             return False
         for L, ext in self.heroic_evidence.items():
             if set(ext.order) != set(L):
@@ -559,16 +557,12 @@ class HerculeanCertificate:
                 return False
             if not ext.verify(g):
                 return False
-        for y in self.K:
-            if g.gamma(K, y) > g.p - 1:
-                return False
-        for x in range(g.m):
-            if x not in K and g.gamma(K, x) < g.p:
-                return False
-        for (x, y), (gxy, gy) in self.exchange.items():
-            if g.gamma(K - {y}, x) != gxy or g.gamma(K, y) != gy or gxy < gy:
-                return False
-        return True
+        inside = {y: g.gamma(K, y) for y in K}
+        outside = set(range(g.m)) - K
+        return (all(gy <= g.p - 1 for gy in inside.values())
+                and all(g.gamma(K, x) >= g.p for x in outside)
+                and all(g.gamma(K - {y}, x) >= gy
+                        for x in outside for y, gy in inside.items()))
 
 
 def find_herculean(g: PWeightedGraph) -> HerculeanCertificate:
@@ -617,7 +611,6 @@ def find_herculean(g: PWeightedGraph) -> HerculeanCertificate:
                 best = (key, mask)
     k_mask = best[1]
     K = tuple(i for i in range(m) if (k_mask >> i) & 1)
-    Kset = set(K)
 
     evidence = {}
     sub = k_mask
@@ -625,18 +618,7 @@ def find_herculean(g: PWeightedGraph) -> HerculeanCertificate:
         L = frozenset(i for i in range(m) if (sub >> i) & 1)
         evidence[L] = _reconstruct(g, last, sub)
         sub = (sub - 1) & k_mask
-
-    gamma_inside = {y: g.gamma(Kset, y) for y in K}
-    gamma_outside = {x: g.gamma(Kset, x) for x in range(m) if x not in Kset}
-    exchange = {}
-    for x in range(m):
-        if x in Kset:
-            continue
-        for y in K:
-            exchange[(x, y)] = (g.gamma(Kset - {y}, x), g.gamma(Kset, y))
-    cert = HerculeanCertificate(K, p * len(K) - wtl[k_mask], evidence,
-                                gamma_inside, gamma_outside, exchange)
-    return cert
+    return HerculeanCertificate(K, p * len(K) - wtl[k_mask], evidence)
 
 
 # ---------------------------------------------------------------------------

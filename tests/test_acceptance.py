@@ -126,14 +126,14 @@ def test_formula_table():
 
 
 def test_weighted_exhaustive_p3():
-    rep = suite_smallp(3, 1)
+    rep = suite_smallp(3)
     _report("weighted-exhaustive-p3", rep["passed"],
             f"{rep['counters']['checked']} graphs, "
             f"{rep['counters']['failures']} failures")
 
 
 def test_weighted_exhaustive_p4():
-    rep = suite_smallp(4, 1)
+    rep = suite_smallp(4)
     _report("weighted-exhaustive-p4", rep["passed"],
             f"{rep['counters']['checked']} graphs, "
             f"{rep['counters']['failures']} failures")
@@ -185,7 +185,7 @@ def test_geometry_oracles():
 
 
 def test_theorem15_window():
-    rep = suite_theorem15_window(t_max=6)
+    rep = suite_theorem15_window()
     _report("theorem15-window", rep["passed"],
             f"{rep['counters']['cases']} (t, s) cases, "
             f"{rep['counters']['failures']} failures")

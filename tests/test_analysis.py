@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rtlab import sphere as S
@@ -57,6 +58,29 @@ def brute_alpha_p(g: LabeledGraph, p: int) -> int:
                 best = r
                 break
     return best
+
+
+def reference_packing_bound(g: LabeledGraph, p: int) -> int:
+    """n minus the number of vertex-disjoint K_p copies packed greedily, each
+    found lowest-first by a search with no pruning."""
+    def find(mask, t):
+        if t == 0:
+            return []
+        rest = mask
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            sub = find(g.adj[v] & rest, t - 1)
+            if sub is not None:
+                return [v, *sub]
+        return None
+
+    mask, packed = (1 << g.n) - 1, 0
+    while (clique := find(mask, p)) is not None:
+        packed += 1
+        for v in clique:
+            mask &= ~(1 << v)
+    return g.n - packed
 
 
 def random_graph(n, density, seed):
@@ -151,6 +175,13 @@ def test_p_independence_heuristic_brackets_exact():
     lb, ub, flag = p_independence(g, 3, exact_limit=5)
     assert not flag
     assert lb <= exact <= ub
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_p_independence_packing_matches_unpruned_reference(seed):
+    g = random_graph(28, 0.25 + 0.1 * seed, seed=seed + 40)
+    for p in (2, 3, 4):
+        assert p_independence(g, p, exact_limit=0)[1] == reference_packing_bound(g, p)
 
 
 def test_p_independence_validation():
@@ -290,6 +321,21 @@ def test_theorem13_validation():
 # ---------------------------------------------------------------------------
 # interchange format
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 65, 203])
+def test_from_adjacency_matches_per_entry_rows(n):
+    rng = S.philox_rng(n, 78)
+    upper = np.triu(rng.random((n, n)) < 0.3, 1)
+    matrix = upper | upper.T
+    rows = [sum(1 << int(v) for v in np.flatnonzero(matrix[u])) for u in range(n)]
+    assert LabeledGraph.from_adjacency(matrix).adj == rows
+    if n >= 2:
+        with pytest.raises(ValueError):
+            LabeledGraph.from_adjacency(matrix | np.eye(n, dtype=bool))
+        upper[0, 1] = True
+        with pytest.raises(ValueError):
+            LabeledGraph.from_adjacency(upper)
+
 
 def test_edge_list_roundtrip(tmp_path):
     g = random_graph(15, 0.4, seed=2)

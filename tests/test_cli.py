@@ -134,6 +134,20 @@ def test_gen_mbe_spec_instance(tmp_path):
     assert (tmp_path / "m.hyper").exists()
 
 
+def test_gen_mbe_partition_points(tmp_path):
+    argv = ["gen-mbe", "--ell", 1, "--p", 1, "--q", 2, "--k", 1, "--m", 128,
+            "--epsilon", 0.2, "--seed", 1, "--point-mode", "partition"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        assert run(argv + ["--out", d / "g"]) == 0
+    assert "point_mode=partition" in (a / "g.edges").read_text().splitlines()[0]
+    summary = json.loads((a / "g.json").read_text())
+    assert summary["clique"] == {"found": 4, "bound": 4, "bound_satisfied": True}
+    for name in ("g.edges", "g.hyper", "g.json", "g.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_gen_mbe_rejects_odd_q(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["gen-mbe", "--ell", 2, "--p", 1, "--q", 3, "--k", 6, "--m", 4,
@@ -179,7 +193,7 @@ def test_analyze_stdout(tmp_path, capsys):
 
 
 def _write(path, text):
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return path
 
 
@@ -205,6 +219,17 @@ BAD_INPUTS = {
              "g.edges:3: bad line '2 2'"),
     "bad-count": (lambda d: ["analyze", _write(d / "g.edges", "# n=three\n")],
                   "g.edges:1: bad line"),
+    "repeated-edge": (lambda d: ["analyze", _write(d / "g.edges",
+                                                   "# n=3\n0 1\n1 2\n0 1\n")],
+                      "g.edges:4: edge '0 1' repeats line 2"),
+    "reversed-edge": (lambda d: ["analyze", _write(d / "g.edges",
+                                                   "# n=3\n0 1\n1 2\n2 1\n")],
+                      "g.edges:4: edge '2 1' repeats line 3"),
+    "out-of-range-above-count": (
+        lambda d: ["analyze", _write(d / "g.edges", "0 1\n1 5\n# n=3\n")],
+        "g.edges:2: bad line '1 5'"),
+    "not-utf8": (lambda d: ["analyze", _write(d / "g.edges", b"# n=3\n0 1\n\xff 2\n")],
+                 "g.edges:3: line is not UTF-8"),
 }
 
 
@@ -250,6 +275,30 @@ def test_certify_gofa_small(capsys):
 
 def test_certify_theorem15(capsys):
     assert run(["certify", "theorem15-window"]) == 0
+
+
+@pytest.mark.parametrize("argv, stray", [
+    (["smallp-p3-t1", "--trials", 5], "--trials"),
+    (["smallp-p4-t1", "--seed", 1, "--trials", 5], "--trials, --seed"),
+    (["theorem15-window", "--seed", 0], "--seed"),
+    (["dominance-axioms", "--trials", 10], "--trials"),
+])
+def test_certify_rejects_flags_the_suite_ignores(tmp_path, capsys, argv, stray):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", *argv, "--out", out])
+    assert exc.value.code == 2
+    assert f"certify {argv[0]} takes no {stray}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_flags_reach_the_suite(capsys):
+    assert run(["certify", "gofA-oracle", "--seed", 3, "--trials", 2]) == 0
+    assert json.loads(capsys.readouterr().out)["counters"]["trials"] == 2
+    assert run(["certify", "dominance-axioms", "--seed", 4]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    with pytest.raises(TypeError):
+        run_suite("theorem15-window", seed=0)
 
 
 def test_certify_unknown_suite():

@@ -233,8 +233,7 @@ def test_blowup_bullet2_sparsity():
     assert len(hg.hyperedges) == 1
     blown, report = blowup_sparsify(hg, 4, pr.zeta, seed=3, retention=0.5)
     assert report.deleted > 0  # copies of one base edge overlap heavily
-    assert find_dense_subconfig(blown.hyperedges, pr.zeta, hg.r,
-                                hg.r ** 3) is None
+    assert find_dense_subconfig(blown.hyperedges, pr.zeta, hg.r) is None
     # independent pairwise check: sharing >= 2 vertices violates the bound
     sets = [frozenset(e) for e in blown.hyperedges]
     for e1, e2 in itertools.combinations(sets, 2):

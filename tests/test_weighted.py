@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from rtlab import sphere as S
 from rtlab.weighted import (
+    DominatingExtension,
+    HerculeanCertificate,
     PWeightedGraph,
     dense_core,
     dominance_target,
@@ -231,7 +234,7 @@ def test_in_gpq_nonpositive():
 
 def test_in_gpq_heuristic_beyond_gate():
     g = random_positive_graph(3, 12, seed=31)
-    res = in_G_p_q(g, 3 + 1 + 12 - 2, exact_limit=10)
+    res = in_G_p_q(g, 3 + 1 + 12 - 2)  # 12 > MAX_EXACT_GPQ = 10
     assert res.member and not res.exhaustive
     assert res.extension.verify(g)
 
@@ -285,7 +288,7 @@ def test_g_of_a_matches_numeric():
         A[iu] = rng.integers(0, 5, size=len(iu[0]))
         A = A + A.T
         exact = float(g_of_A(A.tolist()).value)
-        approx, _ = g_of_A_numeric(A.tolist(), steps=10_000, restarts=50, seed=seed)
+        approx, _ = g_of_A_numeric(A.tolist(), seed=seed)
         assert abs(exact - approx) <= 1e-3
 
 
@@ -402,7 +405,7 @@ def test_herculean_all_p():
     assert cert.K == (0, 1, 2, 3, 4)
     assert cert.value == 15
     assert cert.verify(g)
-    assert all(v == 0 for v in cert.gamma_inside.values())
+    assert all(g.gamma(set(cert.K), y) == 0 for y in cert.K)
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 1))
@@ -425,6 +428,52 @@ def test_herculean_random_certificates(seed):
             continue
         for y in cert.K:
             assert g.gamma(K - {y}, x) >= g.gamma(K, y)
+
+
+def _certificate_for(g, K):
+    """A certificate that claims K, with a best extension of every nonempty
+    L inside K found over all enumerations of L."""
+    evidence = {}
+    for size in range(1, len(K) + 1):
+        for L in itertools.combinations(K, size):
+            exts = [DominatingExtension(order, w, sum(w))
+                    for order in itertools.permutations(L)
+                    for w in [maximal_dominating_extension(g, order)]]
+            evidence[frozenset(L)] = max(exts, key=lambda e: e.size)
+    return HerculeanCertificate(tuple(K), g.p * len(K) - g.wtilde_total(K),
+                                evidence)
+
+
+@pytest.mark.parametrize("text, wrong_K, ii_iii", [
+    ("3 3\n1 3\n1\n", (0,), (False, True)),
+    ("3 6\n2 2 2 2 1\n3 3 1 2\n2 3 3\n3 1\n1\n", (2, 4, 5), (True, False)),
+], ids=["violates-ii", "violates-iii"])
+def test_herculean_verify_rejects_wrong_K(text, wrong_K, ii_iii):
+    g = PWeightedGraph.from_text(text)
+    cert = find_herculean(g)
+    assert cert.verify(g) and cert.K != wrong_K
+    forged = _certificate_for(g, wrong_K)
+    # the forged K is heroic, with a correct value; only (ii) or (iii) fails
+    for L, ext in forged.heroic_evidence.items():
+        assert ext.verify(g) and ext.size >= g.p * len(L) - g.wtilde_total(L)
+    K = set(wrong_K)
+    outside = set(range(g.m)) - K
+    ii = (all(g.gamma(K, y) <= g.p - 1 for y in K)
+          and all(g.gamma(K, x) >= g.p for x in outside))
+    iii = all(g.gamma(K - {y}, x) >= g.gamma(K, y) for x in outside for y in K)
+    assert (ii, iii) == ii_iii
+    assert not forged.verify(g)
+    assert _certificate_for(g, cert.K).verify(g)
+
+
+def test_herculean_verify_needs_every_subset():
+    g = random_positive_graph(3, 5, seed=1003)
+    cert = find_herculean(g)
+    assert len(cert.K) >= 2
+    some_L = next(L for L in cert.heroic_evidence if len(L) < len(cert.K))
+    partial = {L: e for L, e in cert.heroic_evidence.items() if L != some_L}
+    assert not replace(cert, heroic_evidence=partial).verify(g)
+    assert not replace(cert, heroic_evidence={}).verify(g)
 
 
 def test_herculean_gate():
