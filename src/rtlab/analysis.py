@@ -434,10 +434,11 @@ def _bad_line(path, lineno: int, line: str, n):
 def read_edge_list(path):
     """Read the `u v` edge format; `# n=...` comments pin the vertex count.
 
-    A line that is not UTF-8, a malformed line, a loop, a vertex id outside
-    0..n-1, or an edge that an earlier line lists, in either orientation,
-    raises ValueError("path:line: ...").  The last two are found by a rescan
-    that runs only when the graph disagrees with the lines.
+    A line that is not UTF-8, a malformed line, a `# n=` line that contradicts
+    an earlier one, a loop, a vertex id outside 0..n-1, or an edge that an
+    earlier line lists, in either orientation, raises
+    ValueError("path:line: ...").  The last two are found by a rescan that
+    runs only when the graph disagrees with the lines.
     """
     n = None
     edges = []
@@ -449,14 +450,23 @@ def read_edge_list(path):
                 raise ValueError(f"{path}:{lineno}: line is not UTF-8") from None
             if not line:
                 continue
-            try:
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("n="):
-                        n = int(body[2:])
-                        if n < 0:
-                            raise ValueError
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if not body.startswith("n="):
                     continue
+                try:
+                    count = int(body[2:])
+                    if count < 0:
+                        raise ValueError
+                except ValueError:
+                    raise _bad_line(path, lineno, line, n) from None
+                if n is None:
+                    n, n_line = count, lineno
+                elif count != n:
+                    raise ValueError(f"{path}:{lineno}: '# n={count}' contradicts "
+                                     f"'# n={n}' on line {n_line}")
+                continue
+            try:
                 u, v = line.split()
                 u, v = int(u), int(v)
                 if u == v or u < 0 or v < 0:

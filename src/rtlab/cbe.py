@@ -37,9 +37,9 @@ class CbeParams:
     ell: int
     k: int
     n: int
-    epsilon: float
-    bigK: float
     seed: int
+    epsilon: float = 0.02
+    big_k: float = 2.0
     mode: str = "sampled"
 
     def __post_init__(self):
@@ -53,8 +53,8 @@ class CbeParams:
             raise ValueError("n must be at least 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.bigK < 1:
-            raise ValueError("bigK must be at least 1")
+        if self.big_k < 1:
+            raise ValueError("big_k must be at least 1")
         if self.mode not in ("sampled", "strict"):
             raise ValueError("mode must be 'sampled' or 'strict'")
         if 3 * math.sqrt(self.mu) >= 4 / self.p:
@@ -62,9 +62,9 @@ class CbeParams:
                 f"parameter hierarchy advisory: 3 sqrt(mu)={3*math.sqrt(self.mu):.4f} "
                 f">= 4/p={4/self.p:.4f}; rotation composition is not guaranteed",
                 stacklevel=2)
-        if self.bigK * self.mu >= 1:
+        if self.big_k * self.mu >= 1:
             warnings.warn(
-                f"parameter hierarchy advisory: bigK*mu={self.bigK*self.mu:.4f} >= 1",
+                f"parameter hierarchy advisory: big_k*mu={self.big_k*self.mu:.4f} >= 1",
                 stacklevel=2)
 
     @property
@@ -78,7 +78,7 @@ class CbeParams:
     def to_dict(self) -> dict:
         return {
             "p": self.p, "ell": self.ell, "k": self.k, "n": self.n,
-            "epsilon": self.epsilon, "bigK": self.bigK, "seed": self.seed,
+            "epsilon": self.epsilon, "bigK": self.big_k, "seed": self.seed,
             "mode": self.mode, "mu": self.mu,
             "rho": [self.rho.real, self.rho.imag],
         }
@@ -103,7 +103,7 @@ def rotation_witness(u, v, params: CbeParams):
 
 def _cross_conditions(ip: complex, params: CbeParams):
     """(strip condition, window condition) for a single inner product."""
-    kmu = params.bigK * params.mu
+    kmu = params.big_k * params.mu
     strips = all(abs((params.rho ** h * ip).imag) >= kmu - GEOM_TOL
                  for h in range(params.p))
     window_hi = 2 * math.pi * params.ell / params.p
@@ -148,7 +148,7 @@ def _inner_adjacency(points: np.ndarray, params: CbeParams):
 
 def _cross_adjacency(W: np.ndarray, Z: np.ndarray, params: CbeParams):
     gram = W @ Z.conj().T
-    kmu = params.bigK * params.mu
+    kmu = params.big_k * params.mu
     strips = np.ones(gram.shape, dtype=bool)
     for h in range(params.p):
         strips &= np.abs((params.rho ** h * gram).imag) >= kmu - GEOM_TOL
@@ -183,6 +183,9 @@ class CbeGraph:
     @property
     def n(self) -> int:
         return self.params.n
+
+    def omega_bound(self) -> int:
+        return self.params.p + self.params.ell
 
     def cross_density(self) -> float:
         n = self.n

@@ -6,30 +6,37 @@ Exit codes: 0 all assertions passed, 1 a certified bound or suite failed,
 2 usage, input or resource-gate error: a bad or missing flag, an invalid
 parameter, a malformed or mistyped config-file line, a bad sweep grid value
 or an axis the sweep target does not take, a certify flag the suite does
-not take, an unreadable config file, edge list or header, a malformed,
-repeated or non-UTF-8 edge-list line (reported as path:line), or an exact
-search beyond its size gate.
+not take, a --trials below 1, an unreadable config file, edge list or
+header, a malformed, repeated or non-UTF-8 edge-list line or a `# n=` line
+that contradicts an earlier one (reported as path:line), an equal-measure
+partition that cannot meet its diameter (gen-cbe --mode strict, gen-mbe
+--point-mode partition), or an exact search beyond its size gate.
 Every output embeds the originating configuration; reruns of the same
 configuration are byte-identical (seeds are explicit, never wall-clock).
-gen-cbe and gen-mbe run no Monte Carlo, so they take no thread count.
-gen-cbe, gen-mbe and sweep share one evaluation function per construction.
+The options of gen-cbe and gen-mbe, and the sweep axes' defaults, are the
+fields of CbeParams and MbeParams.  gen-* run no Monte Carlo, so they take
+no thread count.  gen-cbe, gen-mbe and sweep share one evaluation function
+per construction.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import itertools
 import json
 import os
 import sys
+import typing
+from dataclasses import MISSING, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import sphere
-from .sphere import ResourceLimit
+from .sphere import InfeasiblePartition, ResourceLimit
 from .analysis import (
     density_report,
     max_clique,
@@ -103,6 +110,8 @@ def suite_theorem15_window() -> dict:
 def suite_gofa_oracle(trials: int = 200, seed: int = 0) -> dict:
     """Exact simplex optimum vs numeric multiplicative-update oracle within
     1e-3, plus the exact equal-row-sum identity on the support."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     max_dev = 0.0
     row_sum_ok = True
     for trial in range(trials):
@@ -199,8 +208,13 @@ def _config_comment(config: dict) -> str:
     return "config " + " ".join(f"{k}={config[k]}" for k in sorted(config))
 
 
+def _output(path):
+    """The file at path opened for writing, or stdout when path is None."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _write_json(path, doc: dict):
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2, default=str)
         fh.write("\n")
 
@@ -218,7 +232,7 @@ def _read_class_sizes(path) -> dict:
 
 def _write_csv(path, columns, rows, config: dict | None = None):
     """Header row and data rows; a `# config ...` line first when given."""
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         if config is not None:
             fh.write(f"# {_config_comment(config)}\n")
         for row in [columns, *rows]:
@@ -246,95 +260,80 @@ def _load_config_file(path, parser) -> dict:
     return out
 
 
-def _merge_config(args, parser, fields):
-    """Config-file values fill in options the command line left unset."""
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _options(params_cls) -> dict:
+    """Option name -> (type, default) of a gen-* command: the fields of its
+    Params dataclass, then the output prefix.  MISSING marks a required one."""
+    hints = typing.get_type_hints(params_cls)
+    options = {f.name: (hints[f.name], f.default) for f in fields(params_cls)}
+    options["out"] = (str, MISSING)
+    return options
+
+
+def _make_params(params_cls, values: dict, parser):
+    try:
+        return params_cls(**values)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _merge_config(args, parser, params_cls):
+    """(Params, output prefix) of a gen-* command line.  Config-file values
+    fill in options the command line left unset."""
     merged = {}
     file_values = _load_config_file(args.config, parser) if args.config else {}
-    for name, (typ, required, default) in fields.items():
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            merged[name] = cli_value
-        elif name in file_values:
-            value, lineno = file_values[name]
+    for name, (typ, default) in _options(params_cls).items():
+        value = getattr(args, name)
+        if value is None and name in file_values:
+            text, lineno = file_values[name]
             try:
-                merged[name] = typ(value)
+                value = typ(text)
             except ValueError:
-                parser.error(f"{args.config}:{lineno}: {name} = {value!r} is not "
+                parser.error(f"{args.config}:{lineno}: {name} = {text!r} is not "
                              f"a valid {typ.__name__}")
-        elif default is not None:
-            merged[name] = default
-        elif required:
-            parser.error(f"missing required parameter --{name.replace('_', '-')}")
-        else:
-            merged[name] = None
-    return merged
+        if value is not None:
+            merged[name] = value
+        elif default is MISSING:
+            parser.error(f"missing required parameter {_flag(name)}")
+    out = merged.pop("out")
+    return _make_params(params_cls, merged, parser), out
 
 
 # ---------------------------------------------------------------------------
 # evaluation: one path for gen-cbe, gen-mbe and sweep
 # ---------------------------------------------------------------------------
 
-def _cbe_fields():
-    return {
-        "p": (int, True, None), "ell": (int, True, None), "k": (int, True, None),
-        "n": (int, True, None), "epsilon": (float, False, 0.02),
-        "big_k": (float, False, 2.0), "seed": (int, True, None),
-        "mode": (str, False, "sampled"), "out": (str, True, None),
-    }
-
-
-def evaluate_cbe(cfg: dict, parser):
-    """Build the CBE graph for the gen-cbe field values in cfg and certify
-    omega <= p + ell by exhaustive search.
+def evaluate_cbe(params: CbeParams):
+    """Build the CBE graph and certify omega <= p + ell by exhaustive search.
 
     Returns (graph, labelled graph, clique certificate, results), where
     results holds the columns that sweep writes and gen-cbe's CSV shares.
     """
-    try:
-        params = CbeParams(p=cfg["p"], ell=cfg["ell"], k=cfg["k"], n=cfg["n"],
-                           epsilon=cfg["epsilon"], bigK=cfg["big_k"],
-                           seed=cfg["seed"], mode=cfg["mode"])
-    except ValueError as exc:
-        parser.error(str(exc))
     graph = build_cbe(params)
     lg = graph.to_labeled_graph()
     cert = max_clique(lg)
-    bound = params.p + params.ell
+    bound = graph.omega_bound()
     results = {"cross_density": repr(graph.cross_density()), "omega": cert.size,
                "omega_bound": bound, "bound_satisfied": cert.size <= bound}
     return graph, lg, cert, results
 
 
-def _mbe_fields():
-    return {
-        "ell": (int, True, None), "p": (int, True, None), "q": (int, True, None),
-        "k": (int, True, None), "m": (int, True, None),
-        "epsilon": (float, False, 0.05), "t": (int, False, 1),
-        "retention": (float, False, 0.5), "seed": (int, True, None),
-        "point_mode": (str, False, "antipodal"), "out": (str, True, None),
-    }
-
-
-def evaluate_mbe(cfg: dict, parser):
-    """Build the MBE graph for the gen-mbe field values in cfg and certify
-    omega <= 2^ell + 2^p + q - 2 with the search cut off at that bound.
+def evaluate_mbe(params: MbeParams):
+    """Build the MBE graph and certify omega <= 2^ell + 2^p + q - 2 with the
+    search cut off at that bound.
 
     Returns (graph, labelled graph, pair densities, results), where results
     holds the columns that sweep writes and gen-mbe's CSV shares.
     """
-    try:
-        params = MbeParams(ell=cfg["ell"], p=cfg["p"], q=cfg["q"], k=cfg["k"],
-                           m=cfg["m"], epsilon=cfg["epsilon"], t=cfg["t"],
-                           retention=cfg["retention"], seed=cfg["seed"],
-                           point_mode=cfg["point_mode"])
-    except ValueError as exc:
-        parser.error(str(exc))
     graph = build_mbe(params)
     lg = graph.to_labeled_graph()
     bound = graph.omega_bound()
     cert = max_clique(lg, cutoff=bound)
     densities = {f"V{i+1},V{j+1}": graph.pair_density(i, j)
-                 for i in range(params.q) for j in range(i + 1, params.q)}
+                 for i, j in itertools.combinations(range(graph.classes), 2)}
     results = {"min_pair_density": repr(min(densities.values())),
                "max_pair_density": repr(max(densities.values())),
                "omega_found": cert.size, "omega_bound": bound,
@@ -347,13 +346,11 @@ def evaluate_mbe(cfg: dict, parser):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_cbe(args, parser) -> int:
-    cfg = _merge_config(args, parser, _cbe_fields())
-    graph, lg, cert, results = evaluate_cbe(cfg, parser)
+    params, out = _merge_config(args, parser, CbeParams)
+    graph, lg, cert, results = evaluate_cbe(params)
     n = graph.n
     rep = density_report(lg)
-    config = graph.params.to_dict()
-
-    out = cfg["out"]
+    config = params.to_dict()
     write_edge_list(f"{out}.edges", lg, comments=[_config_comment(config)],
                     classes=f"classes W=[0,{n}) Z=[{n},{2*n})")
     degs = graph.cross_degrees()
@@ -383,13 +380,11 @@ def cmd_gen_cbe(args, parser) -> int:
 
 
 def cmd_gen_mbe(args, parser) -> int:
-    cfg = _merge_config(args, parser, _mbe_fields())
-    graph, lg, densities, results = evaluate_mbe(cfg, parser)
-    config = graph.params.to_dict()
-
-    out = cfg["out"]
+    params, out = _merge_config(args, parser, MbeParams)
+    graph, lg, densities, results = evaluate_mbe(params)
+    config = params.to_dict()
     write_edge_list(f"{out}.edges", lg, comments=[_config_comment(config)],
-                    classes=f"classes: {graph.params.q} x {graph.class_size}")
+                    classes=f"classes: {graph.classes} x {graph.class_size}")
     graph.borsuk.hypergraph.write_hyperedges(f"{out}.hyper")
     summary = {
         "config": config,
@@ -400,7 +395,7 @@ def cmd_gen_mbe(args, parser) -> int:
     }
     _write_json(f"{out}.json", summary)
     _write_csv(f"{out}.csv", ["graph_id", "n", "classes", "class_size", *results],
-               [[os.path.basename(out), graph.n, graph.params.q, graph.class_size,
+               [[os.path.basename(out), graph.n, graph.classes, graph.class_size,
                  *results.values()]],
                config)
     return 0 if results["bound_satisfied"] else 1
@@ -424,11 +419,7 @@ def cmd_analyze(args, parser) -> int:
            cert.size, cert.exhaustive, lb, ub]
     config = {"edge_list": os.path.basename(args.edge_list), "p": args.p,
               "cutoff": args.cutoff, "exact_limit": args.exact_limit}
-    if args.out:
-        _write_csv(args.out, columns, [row], config)
-    else:
-        print(",".join(columns))
-        print(",".join(str(x) for x in row))
+    _write_csv(args.out, columns, [row], config if args.out else None)
     return 0
 
 
@@ -441,12 +432,12 @@ def cmd_certify(args, parser) -> int:
     stray = [f"--{name}" for name in flags if name not in takes]
     if stray:
         parser.error(f"certify {args.suite} takes no {', '.join(stray)}")
+    if flags.get("trials", 1) < 1:
+        parser.error(f"--trials must be at least 1, not {flags['trials']}")
     report = run_suite(args.suite, **flags)
-    text = json.dumps(report, sort_keys=True, indent=2, default=str)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(args.out, report)
+    _write_json(None, report)
     return 0 if report["passed"] else 1
 
 
@@ -463,45 +454,44 @@ def cmd_rho_star(args, parser) -> int:
     return 0
 
 
-def _parse_grid(parser, value, field, name):
+def _parse_grid(parser, value, typ, default, name):
     """Comma-separated axis values; an unset axis takes the field's default."""
-    typ, _, default = field
-    flag = "--" + name.replace("_", "-")
     if value is None:
-        if default is None:
-            parser.error(f"sweep requires {flag}")
+        if default is MISSING:
+            parser.error(f"sweep requires {_flag(name)}")
         return [default]
     try:
         return [typ(tok) for tok in value.split(",")]
     except ValueError:
-        parser.error(f"{flag}: {value!r} is not a comma-separated list of "
+        parser.error(f"{_flag(name)}: {value!r} is not a comma-separated list of "
                      f"{typ.__name__} values")
 
 
-# target -> (fields, evaluation, the axes sweep takes, in CSV column order)
-SWEEP_TARGETS = {
-    "gen-cbe": (_cbe_fields(), evaluate_cbe,
+# gen-* command -> (help, Params class, evaluation, the axes sweep takes, in
+# CSV column order)
+CONSTRUCTIONS = {
+    "gen-cbe": ("build a complex two-class graph", CbeParams, evaluate_cbe,
                 ("p", "ell", "k", "n", "epsilon", "big_k", "seed")),
-    "gen-mbe": (_mbe_fields(), evaluate_mbe,
+    "gen-mbe": ("build a multipartite Borsuk-based graph", MbeParams, evaluate_mbe,
                 ("ell", "p", "q", "k", "m", "epsilon", "t", "seed")),
 }
 SWEEP_AXES = tuple(dict.fromkeys(
-    name for _, _, axes in SWEEP_TARGETS.values() for name in axes))
+    name for *_, axes in CONSTRUCTIONS.values() for name in axes))
 
 
 def cmd_sweep(args, parser) -> int:
-    fields, evaluate, axes = SWEEP_TARGETS[args.target]
-    stray = ["--" + name.replace("_", "-") for name in SWEEP_AXES
+    _, params_cls, evaluate, axes = CONSTRUCTIONS[args.target]
+    stray = [_flag(name) for name in SWEEP_AXES
              if name not in axes and getattr(args, name) is not None]
     if stray:
         parser.error(f"sweep {args.target} takes no {', '.join(stray)}")
-    grids = [_parse_grid(parser, getattr(args, name), fields[name], name)
+    options = _options(params_cls)
+    grids = [_parse_grid(parser, getattr(args, name), *options[name], name)
              for name in axes]
     rows = []
     for combo in itertools.product(*grids):
-        cell = {name: default for name, (_, _, default) in fields.items()}
-        cell.update(zip(axes, combo))
-        results = evaluate(cell, parser)[-1]
+        params = _make_params(params_cls, dict(zip(axes, combo)), parser)
+        results = evaluate(params)[-1]
         rows.append([*combo, *results.values()])
     _write_csv(args.out, [*axes, *results], rows)
     return 0
@@ -518,25 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "builders and weighted-graph certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("gen-cbe", help="build a complex two-class graph")
-    for flag, typ in [("--p", int), ("--ell", int), ("--k", int), ("--n", int),
-                      ("--epsilon", float), ("--big-k", float), ("--seed", int)]:
-        pc.add_argument(flag, type=typ)
-    pc.add_argument("--mode", choices=["sampled", "strict"])
-    pc.add_argument("--out")
-    pc.add_argument("--config")
-    pc.set_defaults(func=cmd_gen_cbe)
-
-    pm = sub.add_parser("gen-mbe", help="build a multipartite Borsuk-based graph")
-    for flag, typ in [("--ell", int), ("--p", int), ("--q", int), ("--k", int),
-                      ("--m", int), ("--epsilon", float), ("--t", int),
-                      ("--retention", float), ("--seed", int)]:
-        pm.add_argument(flag, type=typ)
-    pm.add_argument("--point-mode", dest="point_mode",
-                    choices=["antipodal", "partition"])
-    pm.add_argument("--out")
-    pm.add_argument("--config")
-    pm.set_defaults(func=cmd_gen_mbe)
+    for command, func in (("gen-cbe", cmd_gen_cbe), ("gen-mbe", cmd_gen_mbe)):
+        help_text, params_cls, *_ = CONSTRUCTIONS[command]
+        pg = sub.add_parser(command, help=help_text)
+        for name, (typ, _) in _options(params_cls).items():
+            pg.add_argument(_flag(name), type=typ)
+        pg.add_argument("--config")
+        pg.set_defaults(func=func)
 
     pa = sub.add_parser("analyze", help="clique/density/independence stats "
                                         "for an edge list")
@@ -563,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="cartesian parameter grid, one CSV row "
                                       "per cell")
-    ps.add_argument("target", choices=list(SWEEP_TARGETS))
+    ps.add_argument("target", choices=list(CONSTRUCTIONS))
     for name in SWEEP_AXES:
-        ps.add_argument("--" + name.replace("_", "-"), default=None)
+        ps.add_argument(_flag(name))
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_sweep)
 
@@ -579,6 +557,8 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except ResourceLimit as exc:
         parser.error(f"resource gate: {exc}")
+    except InfeasiblePartition as exc:
+        parser.error(f"infeasible partition: {exc}")
 
 
 if __name__ == "__main__":

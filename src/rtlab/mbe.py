@@ -57,10 +57,10 @@ class MbeParams:
     q: int
     k: int          # spheres are S^k(R), i.e. unit spheres in R^{k+1}
     m: int          # points per sphere
-    epsilon: float
+    seed: int
+    epsilon: float = 0.05
     t: int = 1      # blow-up multiplicity, a perfect ell-th power
     retention: float = 0.5
-    seed: int = 0
     point_mode: str = "antipodal"
 
     def __post_init__(self):
@@ -500,6 +500,7 @@ class MbeGraph:
         self.blowup_report = blowup_report
         N = borsuk.n
         q = params.q
+        self.classes = q
         self.class_size = N
         self.n = N * q
         adjacency = np.zeros((self.n, self.n), dtype=bool)

@@ -32,7 +32,7 @@ def _report(name, ok, detail=""):
 def cbe_instance(p, ell, seed):
     key = (p, ell, seed)
     if key not in _cbe_cache:
-        params = CbeParams(p=p, ell=ell, k=16, n=300, epsilon=0.02, bigK=2.0,
+        params = CbeParams(p=p, ell=ell, k=16, n=300, epsilon=0.02, big_k=2.0,
                            seed=seed)
         _cbe_cache[key] = build_cbe(params)
     return _cbe_cache[key]
@@ -79,7 +79,7 @@ def test_cbe_inner_freeness():
 
 
 def test_cbe_cross_density():
-    params = CbeParams(p=3, ell=1, k=32, n=500, epsilon=0.02, bigK=2.0, seed=1)
+    params = CbeParams(p=3, ell=1, k=32, n=500, epsilon=0.02, big_k=2.0, seed=1)
     g = build_cbe(params)
     dev = abs(g.cross_density() - 1 / 3)
     _report("cbe-cross-density", dev <= 0.15,

@@ -11,8 +11,8 @@ from rtlab.cbe import CbeGraph, CbeParams, build_cbe, cross_edge, rotation_witne
 from rtlab.sphere import InfeasiblePartition
 
 
-def params(p=3, ell=1, k=8, n=50, epsilon=0.05, bigK=10.0, seed=1, mode="sampled"):
-    return CbeParams(p=p, ell=ell, k=k, n=n, epsilon=epsilon, bigK=bigK,
+def params(p=3, ell=1, k=8, n=50, epsilon=0.05, big_k=10.0, seed=1, mode="sampled"):
+    return CbeParams(p=p, ell=ell, k=k, n=n, epsilon=epsilon, big_k=big_k,
                      seed=seed, mode=mode)
 
 
@@ -56,14 +56,14 @@ def test_params_validation():
     with pytest.raises(ValueError):
         params(epsilon=0.0)
     with pytest.raises(ValueError):
-        params(bigK=0.5)
+        params(big_k=0.5)
     with pytest.raises(ValueError):
         params(mode="other")
 
 
 def test_params_hierarchy_advisory_warns():
     with pytest.warns(UserWarning):
-        CbeParams(p=9, ell=1, k=2, n=4, epsilon=1.5, bigK=1.0, seed=0)
+        CbeParams(p=9, ell=1, k=2, n=4, epsilon=1.5, big_k=1.0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +124,18 @@ def test_cross_edge_orthogonal_false():
 def test_cross_edge_strip_centre_false():
     # <w,z> = 0.5 e^{i pi/3}: rho^1 rotates it onto the negative real axis,
     # so Im(rho <w,z>) = 0 < K mu and condition (i) fails
-    pr = CbeParams(p=3, ell=1, k=4, n=1, epsilon=0.001 * math.sqrt(8), bigK=1.0, seed=0)
+    pr = CbeParams(p=3, ell=1, k=4, n=1, epsilon=0.001 * math.sqrt(8), big_k=1.0, seed=0)
     ip = 0.5 * cmath.exp(1j * math.pi / 3)
-    assert abs((pr.rho * ip).imag) < pr.bigK * pr.mu
-    assert not cross_edge_oracle(ip, 3, 1, pr.bigK * pr.mu)
+    assert abs((pr.rho * ip).imag) < pr.big_k * pr.mu
+    assert not cross_edge_oracle(ip, 3, 1, pr.big_k * pr.mu)
     w, z = unit_with_inner_product(4, ip)
     assert not cross_edge(w, z, pr)
 
 
 def test_cross_edge_inside_window_true():
-    pr = CbeParams(p=3, ell=1, k=4, n=1, epsilon=0.001 * math.sqrt(8), bigK=1.0, seed=0)
+    pr = CbeParams(p=3, ell=1, k=4, n=1, epsilon=0.001 * math.sqrt(8), big_k=1.0, seed=0)
     ip = 0.5 * cmath.exp(1j * math.pi / 2)
-    assert cross_edge_oracle(ip, 3, 1, pr.bigK * pr.mu)
+    assert cross_edge_oracle(ip, 3, 1, pr.big_k * pr.mu)
     w, z = unit_with_inner_product(4, ip)
     assert cross_edge(w, z, pr)
 
@@ -147,11 +147,11 @@ def test_cross_edge_window_excludes_large_argument():
 
 
 def test_cross_edge_matches_oracle_on_random_pairs():
-    pr = params(p=4, ell=2, k=8, epsilon=0.08, bigK=2.0)
+    pr = params(p=4, ell=2, k=8, epsilon=0.08, big_k=2.0)
     rng = S.philox_rng(9)
     W = S.sample_complex_sphere(8, 60, rng)
     Z = S.sample_complex_sphere(8, 60, rng)
-    kmu = pr.bigK * pr.mu
+    kmu = pr.big_k * pr.mu
     for i in range(60):
         ip = complex(np.sum(W[i] * np.conj(Z[i])))
         # skip knife-edge cases within float slack of the thresholds
@@ -187,7 +187,7 @@ def test_build_edge_rules_sound():
 def _rotation_family(p, k, ell, seed, extra_per_class=1):
     """W containing rho^h v plus tangent noise for each h: a K_p with edges."""
     pr = CbeParams(p=p, ell=ell, k=k, n=p * extra_per_class, epsilon=0.2,
-                   bigK=1.0, seed=seed)
+                   big_k=1.0, seed=seed)
     rng = S.philox_rng(seed, 33)
     v = S.sample_complex_sphere(k, 1, rng)[0]
     pts = []
@@ -226,7 +226,7 @@ def test_inner_graphs_kp1_free():
 
 
 def test_build_small_instance_clique_bound():
-    pr = params(p=3, ell=1, k=8, n=100, epsilon=0.05, bigK=10.0, seed=7)
+    pr = params(p=3, ell=1, k=8, n=100, epsilon=0.05, big_k=10.0, seed=7)
     g = build_cbe(pr)
     cert = max_clique(g.to_labeled_graph())
     assert cert.exhaustive
@@ -241,7 +241,7 @@ def test_max_inner_degree_bound():
 
 
 def test_cross_density_near_ell_over_p():
-    pr = params(p=3, ell=1, k=32, n=200, epsilon=0.02, bigK=2.0, seed=5)
+    pr = params(p=3, ell=1, k=32, n=200, epsilon=0.02, big_k=2.0, seed=5)
     g = build_cbe(pr)
     assert abs(g.cross_density() - 1 / 3) <= 0.2
 
@@ -263,7 +263,7 @@ def test_strict_mode_circle():
     g = build_cbe(pr)
     assert g.adjacency.shape == (200, 200)
     with pytest.raises(InfeasiblePartition):
-        build_cbe(CbeParams(p=3, ell=1, k=1, n=50, epsilon=0.4, bigK=10.0, seed=2, mode="strict"))
+        build_cbe(CbeParams(p=3, ell=1, k=1, n=50, epsilon=0.4, big_k=10.0, seed=2, mode="strict"))
 
 
 def test_edge_list_export(tmp_path):

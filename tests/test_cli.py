@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
+from rtlab.cbe import CbeParams
 from rtlab.cli import main, run_suite
+from rtlab.mbe import MbeParams
 
 
 def run(argv):
@@ -164,6 +168,76 @@ def test_gen_mbe_rejects_small_ell(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# gen-* options, derived from the Params dataclasses
+# ---------------------------------------------------------------------------
+
+def _argv(values):
+    return [str(x) for name, value in values.items()
+            for x in ("--" + name.replace("_", "-"), value)]
+
+
+# command -> (Params class, required values of a small instance,
+#             field -> (value, base values it needs changed))
+FIELD_CASES = {
+    "gen-cbe": (CbeParams, {"p": 3, "ell": 1, "k": 8, "n": 20, "seed": 1}, {
+        "p": (4, {}), "ell": (2, {}), "k": (6, {}), "n": (15, {}), "seed": (2, {}),
+        "epsilon": (0.03, {}), "big_k": (3.0, {}),
+        "mode": ("strict", {"k": 1, "n": 100, "epsilon": 0.4}),
+    }),
+    "gen-mbe": (MbeParams, {"ell": 2, "p": 1, "q": 2, "k": 6, "m": 4, "seed": 3}, {
+        "ell": (3, {}), "p": (2, {}), "q": (4, {"ell": 3}), "k": (8, {}),
+        "m": (6, {}), "seed": (4, {}), "epsilon": (0.1, {}), "t": (4, {"m": 2}),
+        "retention": (0.25, {}),
+        "point_mode": ("partition", {"ell": 1, "k": 1, "m": 128, "epsilon": 0.2}),
+    }),
+}
+
+
+@pytest.mark.parametrize("command, field", [
+    (command, f.name) for command, (cls, _, _) in FIELD_CASES.items()
+    for f in dataclasses.fields(cls)])
+def test_gen_option_by_flag_or_config_key(tmp_path, command, field):
+    _, base, cases = FIELD_CASES[command]
+    value, changes = cases[field]
+    values = {**base, **changes}
+    cfg = _write(tmp_path / "run.cfg", f"{field} = {value}\n")
+    assert run([command, *_argv({**values, field: value}),
+                "--out", tmp_path / "flag"]) == 0
+    values.pop(field, None)
+    assert run([command, *_argv(values), "--config", cfg,
+                "--out", tmp_path / "file"]) == 0
+    flag = json.loads((tmp_path / "flag.json").read_text())["config"]
+    assert flag == json.loads((tmp_path / "file.json").read_text())["config"]
+    assert flag["bigK" if field == "big_k" else field] == value
+
+
+@pytest.mark.parametrize("command, options", [
+    ("gen-cbe", "p ell k n seed epsilon big-k mode out config"),
+    ("gen-mbe", "ell p q k m seed epsilon t retention point-mode out config"),
+])
+def test_gen_options_are_the_params_fields(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    flags = re.findall(r"\[--([\w-]+)", capsys.readouterr().out)
+    assert sorted(flags) == sorted(options.split())
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("gen-cbe", "--mode", "mode must be 'sampled' or 'strict'"),
+    ("gen-mbe", "--point-mode", "point_mode must be 'antipodal' or 'partition'"),
+])
+def test_gen_invalid_mode_exits_2(tmp_path, capsys, command, flag, message):
+    _, base, _ = FIELD_CASES[command]
+    out = tmp_path / "g"
+    with pytest.raises(SystemExit) as exc:
+        run([command, *_argv(base), flag, "bogus", "--out", out])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+# ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 
@@ -230,6 +304,9 @@ BAD_INPUTS = {
         "g.edges:2: bad line '1 5'"),
     "not-utf8": (lambda d: ["analyze", _write(d / "g.edges", b"# n=3\n0 1\n\xff 2\n")],
                  "g.edges:3: line is not UTF-8"),
+    "contradicting-count": (
+        lambda d: ["analyze", _write(d / "g.edges", "# n=5\n0 1\n# n=2\n")],
+        "g.edges:3: '# n=2' contradicts '# n=5' on line 1"),
 }
 
 
@@ -240,6 +317,11 @@ def test_unreadable_or_malformed_input_exits_2(tmp_path, capsys, case):
         run(argv(tmp_path))
     assert exc.value.code == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
+    assert run(["analyze", _write(tmp_path / "g.edges", "# n=5\n0 1\n# n=5\n")]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("g.edges,5,")
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -254,6 +336,23 @@ def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "resource gate" in err and fragment in err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (lambda d: ["gen-cbe", "--p", 3, "--ell", 1, "--k", 16, "--n", 20, "--seed", 1,
+                "--mode", "strict", "--out", d / "g"],
+     "n=20 cells on S^31(R) certify diameter"),
+    (lambda d: ["gen-mbe", "--ell", 1, "--p", 1, "--q", 2, "--k", 6, "--m", 4,
+                "--seed", 1, "--point-mode", "partition", "--out", d / "g"],
+     "n=4 cells on S^6(R) certify diameter"),
+], ids=["gen-cbe-strict", "gen-mbe-partition"])
+def test_infeasible_partition_exits_2(tmp_path, capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        run(argv(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "infeasible partition" in err and fragment in err
+    assert not (tmp_path / "g.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +389,18 @@ def test_certify_rejects_flags_the_suite_ignores(tmp_path, capsys, argv, stray):
     assert exc.value.code == 2
     assert f"certify {argv[0]} takes no {stray}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_certify_rejects_trials_below_one(tmp_path, capsys, trials):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", "gofA-oracle", "--trials", trials, "--out", out])
+    assert exc.value.code == 2
+    assert f"--trials must be at least 1, not {trials}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        run_suite("gofA-oracle", trials=trials)
 
 
 def test_certify_flags_reach_the_suite(capsys):
