@@ -43,6 +43,8 @@ class CbeParams:
     mode: str = "sampled"
 
     def __post_init__(self):
+        # advisories use stacklevel=3: this method, the dataclass's generated
+        # __init__, then the line that built the params
         if self.p < 2:
             raise ValueError("p must be at least 2")
         if not 1 <= self.ell < self.p:
@@ -61,11 +63,11 @@ class CbeParams:
             warnings.warn(
                 f"parameter hierarchy advisory: 3 sqrt(mu)={3*math.sqrt(self.mu):.4f} "
                 f">= 4/p={4/self.p:.4f}; rotation composition is not guaranteed",
-                stacklevel=2)
+                stacklevel=3)
         if self.big_k * self.mu >= 1:
             warnings.warn(
                 f"parameter hierarchy advisory: big_k*mu={self.big_k*self.mu:.4f} >= 1",
-                stacklevel=2)
+                stacklevel=3)
 
     @property
     def mu(self) -> float:

@@ -4,9 +4,10 @@ suites, and emit machine-readable reports.
 Commands: gen-cbe, gen-mbe, analyze, certify, rho-star, sweep.
 Exit codes: 0 all assertions passed, 1 a certified bound or suite failed,
 2 usage, input or resource-gate error: a bad or missing flag, an invalid
-parameter, a malformed or mistyped config-file line, a bad sweep grid value
-or an axis the sweep target does not take, a certify flag the suite does
-not take, a --trials below 1, an unreadable config file, edge list or
+parameter, a malformed or mistyped config-file line or a config key that
+names no option of the command, a bad sweep grid value or an axis the
+sweep target does not take, a certify flag the suite does not take, a
+--trials below 1, an unreadable config file, edge list or
 header, a malformed, repeated or non-UTF-8 edge-list line or a `# n=` line
 that contradicts an earlier one (reported as path:line), an equal-measure
 partition that cannot meet its diameter (gen-cbe --mode strict, gen-mbe
@@ -239,9 +240,9 @@ def _write_csv(path, columns, rows, config: dict | None = None):
             fh.write(",".join(str(x) for x in row) + "\n")
 
 
-def _load_config_file(path, parser) -> dict:
-    """Flat key = value lines; '#' starts a comment.  Maps each key to its
-    (value, line number)."""
+def _load_config_file(path, parser, known) -> dict:
+    """Flat key = value lines; '#' starts a comment.  Maps each key, which
+    must be one of the known option names, to its (value, line number)."""
     out = {}
     try:
         with open(path) as fh:
@@ -255,8 +256,11 @@ def _load_config_file(path, parser) -> dict:
         if "=" not in line:
             parser.error(f"{path}:{lineno}: malformed config line {line!r}; "
                          "expected key = value")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = (value.strip(), lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = key.replace("-", "_")
+        if name not in known:
+            parser.error(f"{path}:{lineno}: unknown key {key!r}")
+        out[name] = (value, lineno)
     return out
 
 
@@ -284,8 +288,10 @@ def _merge_config(args, parser, params_cls):
     """(Params, output prefix) of a gen-* command line.  Config-file values
     fill in options the command line left unset."""
     merged = {}
-    file_values = _load_config_file(args.config, parser) if args.config else {}
-    for name, (typ, default) in _options(params_cls).items():
+    options = _options(params_cls)
+    file_values = (_load_config_file(args.config, parser, options)
+                   if args.config else {})
+    for name, (typ, default) in options.items():
         value = getattr(args, name)
         if value is None and name in file_values:
             text, lineno = file_values[name]
@@ -514,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, (typ, _) in _options(params_cls).items():
             pg.add_argument(_flag(name), type=typ)
         pg.add_argument("--config")
-        pg.set_defaults(func=func)
+        pg.set_defaults(func=func, parser=pg)
 
     pa = sub.add_parser("analyze", help="clique/density/independence stats "
                                         "for an edge list")
@@ -524,20 +530,20 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--cutoff", type=int)
     pa.add_argument("--exact-limit", dest="exact_limit", type=int, default=40)
     pa.add_argument("--out")
-    pa.set_defaults(func=cmd_analyze)
+    pa.set_defaults(func=cmd_analyze, parser=pa)
 
     pv = sub.add_parser("certify", help="run a certification suite")
     pv.add_argument("suite")
     for name in CERTIFY_FLAGS:
         pv.add_argument("--" + name, type=int)
     pv.add_argument("--out")
-    pv.set_defaults(func=cmd_certify)
+    pv.set_defaults(func=cmd_certify, parser=pv)
 
     pr = sub.add_parser("rho-star", help="print the conjectured density")
     pr.add_argument("--p", type=int, required=True)
     pr.add_argument("--q", type=int, required=True)
     pr.add_argument("--json", action="store_true")
-    pr.set_defaults(func=cmd_rho_star)
+    pr.set_defaults(func=cmd_rho_star, parser=pr)
 
     ps = sub.add_parser("sweep", help="cartesian parameter grid, one CSV row "
                                       "per cell")
@@ -545,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SWEEP_AXES:
         ps.add_argument(_flag(name))
     ps.add_argument("--out", required=True)
-    ps.set_defaults(func=cmd_sweep)
+    ps.set_defaults(func=cmd_sweep, parser=ps)
 
     return parser
 
@@ -553,12 +559,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # errors found after parsing print the command's own usage line
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except ResourceLimit as exc:
-        parser.error(f"resource gate: {exc}")
+        args.parser.error(f"resource gate: {exc}")
     except InfeasiblePartition as exc:
-        parser.error(f"infeasible partition: {exc}")
+        args.parser.error(f"infeasible partition: {exc}")
 
 
 if __name__ == "__main__":

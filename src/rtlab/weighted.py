@@ -464,31 +464,53 @@ def g_of_A(A) -> SimplexSolution:
 def g_of_A_numeric(A, seed: int = 0):
     """Multiplicative-update (replicator) ascent, 50 restarts of at most
     10,000 steps; returns (value, u).  The quadratic form is nonconcave, so
-    restarts hedge local maxima; the exact mode is authoritative."""
+    restarts hedge local maxima; the exact mode is authoritative.
+
+    Restart 0 starts at the barycentre, restart r > 0 at a Dirichlet(1) point
+    drawn from philox_rng(seed, 40, r).  The restarts advance together as the
+    rows of one (50 x m) array, each step u <- u * (Mu) / (u^T M u) on every
+    live row.  A row freezes, and keeps its u, once its value u^T M u is not
+    positive (before that step) or once the step moved no coordinate by 1e-15
+    or more (after it).  The value of each final u is recomputed, and the
+    first restart with the largest positive value wins; when none is
+    positive the result is (0.0, e_0).
+    """
     M = np.asarray(A, dtype=float)
     m = M.shape[0]
     if m == 0:
         return 0.0, np.zeros(0)
+    U = np.empty((50, m))
+    U[0] = 1.0 / m
+    for restart in range(1, 50):
+        U[restart] = sphere.philox_rng(seed, 40, restart).dirichlet(np.ones(m))
+    live = np.arange(50)                 # restart index of each row of X
+    X = U.copy()
+    for _ in range(10_000):
+        # stacks of matrix-vector and vector-vector products rather than the
+        # matrix product X @ M.T: numpy evaluates a stack item by item, so
+        # each row rounds as a lone restart's M @ u and u @ Mu would
+        MX = (M @ X[:, :, None])[:, :, 0]
+        vals = (X[:, None, :] @ MX[:, :, None])[:, 0, 0]
+        stopped = vals <= 0
+        if stopped.any():
+            U[live[stopped]] = X[stopped]
+            keep = ~stopped
+            live, X, MX, vals = live[keep], X[keep], MX[keep], vals[keep]
+        nxt = X * MX / vals[:, None]
+        stopped = np.abs(nxt - X).max(axis=1) < 1e-15
+        X = nxt
+        if stopped.any():
+            U[live[stopped]] = X[stopped]
+            keep = ~stopped
+            live, X = live[keep], X[keep]
+        if live.size == 0:
+            break
+    U[live] = X
     best_val, best_u = 0.0, None
-    for restart in range(50):
-        if restart == 0:
-            u = np.full(m, 1.0 / m)
-        else:
-            rng = sphere.philox_rng(seed, 40, restart)
-            u = rng.dirichlet(np.ones(m))
-        for _ in range(10_000):
-            Au = M @ u
-            val = float(u @ Au)
-            if val <= 0:
-                break
-            nxt = u * Au / val
-            if np.max(np.abs(nxt - u)) < 1e-15:
-                u = nxt
-                break
-            u = nxt
+    for u in U:
         val = float(u @ (M @ u))
         if val > best_val:
-            best_val, best_u = val, u.copy()
+            best_val, best_u = val, u
     if best_u is None:
         best_u = np.zeros(m)
         best_u[0] = 1.0

@@ -66,6 +66,17 @@ def test_params_hierarchy_advisory_warns():
         CbeParams(p=9, ell=1, k=2, n=4, epsilon=1.5, big_k=1.0, seed=0)
 
 
+def test_warnings_point_at_the_caller():
+    with pytest.warns(UserWarning, match="parameter hierarchy advisory") as record:
+        CbeParams(p=3, ell=1, k=1, n=2, epsilon=1.0, seed=0)
+    # both advisories: 3 sqrt(mu) >= 4/p and big_k*mu >= 1
+    assert len(record) == 2
+    assert all(w.filename == __file__ for w in record)
+    with pytest.warns(UserWarning, match="cross degree concentration") as record:
+        build_cbe(CbeParams(p=3, ell=1, k=32, n=4, seed=0))
+    assert [w.filename for w in record] == [__file__]
+
+
 # ---------------------------------------------------------------------------
 # rotation witnesses (rule B1)
 # ---------------------------------------------------------------------------

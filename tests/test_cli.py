@@ -124,6 +124,19 @@ def test_gen_cbe_config_malformed_line(tmp_path, capsys):
     assert "run.cfg:2: malformed config line 'p 3'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["epsilom = 0.1", "q = 4"],
+                         ids=["typo", "gen-mbe-key"])
+def test_gen_cbe_config_unknown_key(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p = 3\nell = 1\nk = 8\nn = 40\nseed = 9\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["gen-cbe", "--config", cfg, "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    key = line.split(" =")[0]
+    assert f"run.cfg:6: unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # gen-mbe
 # ---------------------------------------------------------------------------
@@ -353,6 +366,27 @@ def test_infeasible_partition_exits_2(tmp_path, capsys, argv, fragment):
     err = capsys.readouterr().err
     assert "infeasible partition" in err and fragment in err
     assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["gen-cbe", "--p", 3, "--ell", 1, "--k", 8, "--n", 20, "--seed", 1,
+               "--mode", "bogus", "--out", d / "g"],
+    lambda d: ["certify", "gofA-oracle", "--trials", 0],
+    lambda d: ["analyze", d / "missing.edges"],
+    lambda d: ["analyze", _write(d / "big.edges", "# n=5001\n0 1\n")],
+    lambda d: ["sweep", "gen-cbe", "--p", 3, "--ell", 1, "--k", "8,x", "--n", 20,
+               "--out", d / "s.csv"],
+], ids=["gen-cbe-mode", "certify-trials", "analyze-missing", "analyze-gate",
+        "sweep-grid"])
+def test_command_errors_print_the_command_usage(tmp_path, capsys, argv):
+    argv = argv(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: rtlab {argv[0]} ")
+    assert f"rtlab {argv[0]}: error: " in captured.err
 
 
 # ---------------------------------------------------------------------------

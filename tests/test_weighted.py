@@ -265,14 +265,19 @@ def test_g_of_a_uniform_complete():
         assert all(x == Fraction(1, m) for x in sol.u)
 
 
+def random_weight_matrix(rng):
+    """Symmetric m x m integer matrix, m in 2..6, zero diagonal, weights
+    0..4, drawn as cli.suite_gofa_oracle draws each trial's matrix."""
+    m = int(rng.integers(2, 7))
+    A = np.zeros((m, m), dtype=int)
+    iu = np.triu_indices(m, 1)
+    A[iu] = rng.integers(0, 5, size=len(iu[0]))
+    return A + A.T
+
+
 def test_g_of_a_row_sum_identity():
     for seed in range(20):
-        rng = S.philox_rng(seed, 61)
-        m = int(rng.integers(2, 7))
-        A = np.zeros((m, m), dtype=int)
-        iu = np.triu_indices(m, 1)
-        A[iu] = rng.integers(0, 5, size=len(iu[0]))
-        A = A + A.T
+        A = random_weight_matrix(S.philox_rng(seed, 61))
         sol = g_of_A(A.tolist())
         sums = sol.row_sums(A.tolist())
         for j in sol.support:
@@ -281,15 +286,82 @@ def test_g_of_a_row_sum_identity():
 
 def test_g_of_a_matches_numeric():
     for seed in range(40):
-        rng = S.philox_rng(seed, 62)
-        m = int(rng.integers(2, 7))
-        A = np.zeros((m, m), dtype=int)
-        iu = np.triu_indices(m, 1)
-        A[iu] = rng.integers(0, 5, size=len(iu[0]))
-        A = A + A.T
+        A = random_weight_matrix(S.philox_rng(seed, 62))
         exact = float(g_of_A(A.tolist()).value)
         approx, _ = g_of_A_numeric(A.tolist(), seed=seed)
         assert abs(exact - approx) <= 1e-3
+
+
+def sequential_g_of_A_numeric(A, seed=0):
+    """The numeric oracle with its restarts run one after another, one
+    vector at a time: the reference for g_of_A_numeric's batched rows."""
+    M = np.asarray(A, dtype=float)
+    m = M.shape[0]
+    if m == 0:
+        return 0.0, np.zeros(0)
+    best_val, best_u = 0.0, None
+    for restart in range(50):
+        if restart == 0:
+            u = np.full(m, 1.0 / m)
+        else:
+            rng = S.philox_rng(seed, 40, restart)
+            u = rng.dirichlet(np.ones(m))
+        for _ in range(10_000):
+            Au = M @ u
+            val = float(u @ Au)
+            if val <= 0:
+                break
+            nxt = u * Au / val
+            if np.max(np.abs(nxt - u)) < 1e-15:
+                u = nxt
+                break
+            u = nxt
+        val = float(u @ (M @ u))
+        if val > best_val:
+            best_val, best_u = val, u.copy()
+    if best_u is None:
+        best_u = np.zeros(m)
+        best_u[0] = 1.0
+    return best_val, best_u
+
+
+# (philox_rng arguments, oracle seed) of test_g_of_a_matches_numeric's 40
+# matrices, and of the gofA-oracle suite's trials 0-39 of seed 0
+ORACLE_CASES = {
+    "matches-numeric": [((seed, 62), seed) for seed in range(40)],
+    "gofa-suite": [((0, 70, trial), trial) for trial in range(40)],
+}
+
+
+@pytest.mark.parametrize("cases", ORACLE_CASES)
+def test_g_of_a_numeric_matches_sequential_restarts(cases):
+    for rng_args, seed in ORACLE_CASES[cases]:
+        A = random_weight_matrix(S.philox_rng(*rng_args))
+        val, u = g_of_A_numeric(A.tolist(), seed=seed)
+        ref_val, _ = sequential_g_of_A_numeric(A.tolist(), seed=seed)
+        assert abs(val - ref_val) <= 1e-12, (A, seed)
+        assert u.min() >= -1e-12 and abs(u.sum() - 1) <= 1e-12
+        assert abs(float(u @ A @ u) - val) <= 1e-12
+
+
+@pytest.mark.parametrize("A", [np.zeros((3, 3)), [[0]], [[3]], np.ones((4, 4)),
+                               []],
+                         ids=["zero", "1x1-zero", "1x1", "all-ones", "empty"])
+def test_g_of_a_numeric_edge_cases(A):
+    val, u = g_of_A_numeric(A, seed=5)
+    ref_val, ref_u = sequential_g_of_A_numeric(A, seed=5)
+    assert abs(val - ref_val) <= 1e-12
+    # every restart of the all-ones matrix is a maximiser; the first restart
+    # with the largest value wins, as in the sequential oracle
+    assert u.shape == ref_u.shape and np.allclose(u, ref_u, rtol=0, atol=1e-12)
+
+
+def test_g_of_a_numeric_nonpositive_returns_e0():
+    for A, e0 in ((np.zeros((3, 3)), [1.0, 0.0, 0.0]), ([[0]], [1.0])):
+        val, u = g_of_A_numeric(A)
+        assert val == 0.0 and u.tolist() == e0
+    val, u = g_of_A_numeric([])
+    assert val == 0.0 and u.shape == (0,)
 
 
 def test_g_of_a_validation():
