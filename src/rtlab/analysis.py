@@ -304,7 +304,6 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
 
 @dataclass(frozen=True)
 class DensityReport:
-    class_sizes: dict
     inner_edges: dict
     pair_densities: dict
     global_density: float
@@ -328,7 +327,7 @@ def density_report(g: LabeledGraph) -> DensityReport:
             pair[(a, b)] = cross / (len(classes[a]) * len(classes[b]))
     m = g.edge_count()
     dens = 0.0 if g.n < 2 else m / (g.n * (g.n - 1) / 2)
-    return DensityReport({k: len(v) for k, v in classes.items()}, inner, pair, dens, m)
+    return DensityReport(inner, pair, dens, m)
 
 
 def complete_join(graphs) -> LabeledGraph:

@@ -88,10 +88,8 @@ class CbeParams:
 
 def rotation_witness(u, v, params: CbeParams):
     """Smallest h in [p-1] with |u - rho^h v| <= sqrt(mu), or None."""
-    uu = np.asarray(u.coords if isinstance(u, sphere.ComplexUnitVector) else u,
-                    dtype=np.complex128)
-    vv = np.asarray(v.coords if isinstance(v, sphere.ComplexUnitVector) else v,
-                    dtype=np.complex128)
+    uu = np.asarray(u, dtype=np.complex128)
+    vv = np.asarray(v, dtype=np.complex128)
     if uu.shape != vv.shape:
         raise ValueError("dimension mismatch")
     ip = complex(np.sum(uu * np.conj(vv)))
@@ -103,28 +101,20 @@ def rotation_witness(u, v, params: CbeParams):
     return None
 
 
-def _cross_conditions(ip: complex, params: CbeParams):
-    """(strip condition, window condition) for a single inner product."""
+def cross_edge(w, z, params: CbeParams) -> bool:
+    """Cross rule: |Im(rho^h <w,z>)| >= K mu for all h, and
+    arg <w,z> in [0, 2 pi ell / p]."""
+    ww = np.asarray(w, dtype=np.complex128)
+    zz = np.asarray(z, dtype=np.complex128)
+    if ww.shape != zz.shape:
+        raise ValueError("dimension mismatch")
+    ip = complex(np.sum(ww * np.conj(zz)))
     kmu = params.big_k * params.mu
     strips = all(abs((params.rho ** h * ip).imag) >= kmu - GEOM_TOL
                  for h in range(params.p))
     window_hi = 2 * math.pi * params.ell / params.p
     ang = cmath.phase(ip) % (2 * math.pi)
     window = ang <= window_hi + GEOM_TOL or ang >= 2 * math.pi - GEOM_TOL
-    return strips, window
-
-
-def cross_edge(w, z, params: CbeParams) -> bool:
-    """Cross rule: |Im(rho^h <w,z>)| >= K mu for all h, and
-    arg <w,z> in [0, 2 pi ell / p]."""
-    ww = np.asarray(w.coords if isinstance(w, sphere.ComplexUnitVector) else w,
-                    dtype=np.complex128)
-    zz = np.asarray(z.coords if isinstance(z, sphere.ComplexUnitVector) else z,
-                    dtype=np.complex128)
-    if ww.shape != zz.shape:
-        raise ValueError("dimension mismatch")
-    ip = complex(np.sum(ww * np.conj(zz)))
-    strips, window = _cross_conditions(ip, params)
     return strips and window
 
 

@@ -169,8 +169,8 @@ def suite_dominance_axioms(seed: int = 0) -> dict:
                 counted += 1
                 t = max((g.w[i][j] for i in range(m) for j in range(i + 1, m)),
                         default=0)
-                res = in_G_p_q(g, p + t + m - 2)
-                if not (res.member and res.extension.verify(g)):
+                ext = in_G_p_q(g, p + t + m - 2)
+                if ext is None or not ext.verify(g):
                     membership_ok = False
     case("membership G in G_p(p+t+m-2), all positive m<=4 p<=4",
          membership_ok)

@@ -290,12 +290,11 @@ def build_base_hypergraph(params: MbeParams, points: np.ndarray | None = None) -
     if m ** params.ell > MAX_BASE_VERTICES:
         raise sphere.ResourceLimit(
             f"m^ell = {m ** params.ell} exceeds the desk bound {MAX_BASE_VERTICES}")
-    fam = BinaryStringFamily(params.ell)
+    vertices = [tuple(v) for v in itertools.product(range(m), repeat=params.ell)]
+    hg = GeometricHypergraph(params.ell, params.mu, P, vertices, [])
+    fam = hg.family
     gram = P @ P.T
     far = gram <= (1.0 - (2 - params.mu) ** 2 / 2.0) + GEOM_TOL
-
-    vertices = [tuple(v) for v in itertools.product(range(m), repeat=params.ell)]
-    vertex_index = {v: i for i, v in enumerate(vertices)}
 
     per_coord = [_coordinate_assignments(far, fam, h)
                  for h in range(1, params.ell + 1)]
@@ -306,15 +305,14 @@ def build_base_hypergraph(params: MbeParams, points: np.ndarray | None = None) -
             raise sphere.ResourceLimit("hyperedge combination count too large")
 
     seen = set()
-    hyperedges = []
     for combo in itertools.product(*per_coord):
-        edge = tuple(vertex_index[tuple(combo[h][i] for h in range(params.ell))]
+        edge = tuple(hg.vertex_index[tuple(combo[h][i] for h in range(params.ell))]
                      for i in range(fam.r))
         key = frozenset(edge)
         if key not in seen:
             seen.add(key)
-            hyperedges.append(edge)
-    return GeometricHypergraph(params.ell, params.mu, P, vertices, hyperedges)
+            hg.hyperedges.append(edge)
+    return hg
 
 
 # -- blow-up and sparsification ---------------------------------------------
@@ -406,7 +404,7 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
     for v in base.vertices:
         for combo in itertools.product(*(dup_ids(pid) for pid in v)):
             vertices.append(tuple(combo))
-    vertex_index = {v: i for i, v in enumerate(vertices)}
+    blown = GeometricHypergraph(ell, mu, dup_points, vertices, [], base_of=base_of)
 
     r = base.r
     copies_per_edge = t ** r
@@ -421,7 +419,7 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
         member_copies = []
         for vid in edge:
             v = base.vertices[vid]
-            member_copies.append([vertex_index[c] for c in
+            member_copies.append([blown.vertex_index[c] for c in
                                   itertools.product(*(dup_ids(pid) for pid in v))])
         for combo in itertools.product(*member_copies):
             if rng_keep.random() < retention:
@@ -436,8 +434,7 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
         kept.pop(bad[-1])
         deleted += 1
 
-    blown = GeometricHypergraph(ell, mu, dup_points, vertices, kept,
-                                base_of=base_of)
+    blown.hyperedges = kept
     report = BlowupReport(len(base.hyperedges), candidates, len(retained), deleted)
     return blown, report
 

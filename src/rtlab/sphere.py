@@ -1,11 +1,13 @@
 """Geometry of high dimensional real and complex unit spheres.
 
-Provides unit-vector types, the coordinate-interleaving isometry between
-S^{k-1}(C) and S^{2k-1}(R), spherical caps with closed-form measure bounds
-and Monte Carlo oracles, equal-measure partitions with certified diameter
-bounds, and an exhaustive search for rhombus configurations (two nearly
-antipodal pairs whose four cross distances are all at most sqrt(2)-mu),
-which cannot exist among genuine unit vectors.
+Points are plain arrays: an (n, k) complex128 array holds n points of
+S^{k-1}(C) and an (n, d) float64 array n points of S^{d-1}(R).  Provides
+the coordinate-interleaving isometry between S^{k-1}(C) and S^{2k-1}(R),
+closed-form cap-measure bounds and their Monte Carlo oracles, uniform
+sampling, equal-measure partitions with certified diameter bounds, and an
+exhaustive search for rhombus configurations (two nearly antipodal pairs
+whose four cross distances are all at most sqrt(2)-mu), which cannot exist
+among genuine unit vectors.
 
 All geometric predicates use closed comparisons with an absolute slack of
 GEOM_TOL so that boundary cases keep their mathematical truth value at
@@ -51,77 +53,13 @@ def philox_rng(seed: int, stream: int = 0, substream: int = 0) -> np.random.Gene
 
 
 # ---------------------------------------------------------------------------
-# Unit vectors and the interleaving isometry
+# The interleaving isometry and cap-measure bounds
 # ---------------------------------------------------------------------------
 
-class ComplexUnitVector:
-    """A point on S^{k-1}(C); renormalised to unit l2-norm on construction."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        z = np.asarray(coords, dtype=np.complex128).reshape(-1)
-        if z.size < 1:
-            raise ValueError("dimension must be at least 1")
-        nrm = float(np.linalg.norm(z))
-        if not math.isfinite(nrm) or nrm <= 0.0:
-            raise ValueError("cannot normalise a zero or non-finite vector")
-        z = z / nrm
-        z.flags.writeable = False
-        self.coords = z
-
-    @property
-    def k(self) -> int:
-        return self.coords.size
-
-    def __repr__(self):
-        return f"ComplexUnitVector(k={self.k})"
-
-
-class RealUnitVector:
-    """A point on S^{d-1}(R); renormalised to unit l2-norm on construction."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        x = np.asarray(coords, dtype=np.float64).reshape(-1)
-        if x.size < 1:
-            raise ValueError("dimension must be at least 1")
-        nrm = float(np.linalg.norm(x))
-        if not math.isfinite(nrm) or nrm <= 0.0:
-            raise ValueError("cannot normalise a zero or non-finite vector")
-        x = x / nrm
-        x.flags.writeable = False
-        self.coords = x
-
-    @property
-    def d(self) -> int:
-        return self.coords.size
-
-    def __repr__(self):
-        return f"RealUnitVector(d={self.d})"
-
-
-def as_complex_array(points) -> np.ndarray:
-    """Coerce ComplexUnitVector iterables or (n, k) arrays to a complex array."""
-    if isinstance(points, np.ndarray) and points.ndim == 2:
-        return np.asarray(points, dtype=np.complex128)
-    rows = [p.coords if isinstance(p, ComplexUnitVector) else np.asarray(p, dtype=np.complex128)
-            for p in points]
-    return np.asarray(rows, dtype=np.complex128)
-
-
-def as_real_array(points) -> np.ndarray:
-    """Coerce RealUnitVector iterables or (n, d) arrays to a float array."""
-    if isinstance(points, np.ndarray) and points.ndim == 2:
-        return np.asarray(points, dtype=np.float64)
-    rows = [p.coords if isinstance(p, RealUnitVector) else np.asarray(p, dtype=np.float64)
-            for p in points]
-    return np.asarray(rows, dtype=np.float64)
-
-
 def interleave(z: np.ndarray) -> np.ndarray:
-    """(x1+iy1,...,xk+iyk) -> (x1,y1,...,xk,yk), vectorised over rows."""
+    """(x1+iy1,...,xk+iyk) -> (x1,y1,...,xk,yk), vectorised over rows.
+
+    The distance-preserving map from S^{k-1}(C) to S^{2k-1}(R)."""
     z = np.asarray(z, dtype=np.complex128)
     out = np.empty(z.shape[:-1] + (2 * z.shape[-1],), dtype=np.float64)
     out[..., 0::2] = z.real
@@ -135,47 +73,6 @@ def uninterleave(x: np.ndarray) -> np.ndarray:
     if x.shape[-1] % 2:
         raise ValueError("real dimension must be even")
     return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-def complex_to_real(z: ComplexUnitVector) -> RealUnitVector:
-    """Distance-preserving map from S^{k-1}(C) to S^{2k-1}(R)."""
-    return RealUnitVector(interleave(z.coords))
-
-
-# ---------------------------------------------------------------------------
-# Spherical caps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SphericalCap:
-    """Cap {x : <x, center> >= alpha} (real inner product via the isometry).
-
-    height = 1 - alpha, diameter = 2 sqrt(1 - alpha^2).
-    """
-
-    center: object  # RealUnitVector or ComplexUnitVector
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
-
-    @property
-    def height(self) -> float:
-        return 1.0 - self.alpha
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * math.sqrt(1.0 - self.alpha * self.alpha)
-
-    def contains(self, points) -> np.ndarray:
-        if isinstance(self.center, ComplexUnitVector):
-            c = interleave(self.center.coords)
-            pts = interleave(as_complex_array(points))
-        else:
-            c = self.center.coords
-            pts = as_real_array(points)
-        return pts @ c >= self.alpha - GEOM_TOL
 
 
 def cap_measure_upper_bound(k: int, alpha: float) -> float:
@@ -267,12 +164,10 @@ def mc_cap_radius_measure(k: int, radius: float, samples: int, seed: int):
 
 def two_set_distance_check(A, B, nu: float) -> bool:
     """True iff max_{a in A, b in B} |a - b| >= 2 - nu (closed, GEOM_TOL slack)."""
-    a = as_complex_array(A)
-    b = as_complex_array(B)
-    if a.size == 0 or b.size == 0:
+    ra = interleave(A)
+    rb = interleave(B)
+    if ra.size == 0 or rb.size == 0:
         raise ValueError("A and B must be nonempty")
-    ra = interleave(a)
-    rb = interleave(b)
     # |a-b|^2 = 2 - 2 <a, b> on unit vectors
     min_ip = float(np.min(ra @ rb.T))
     dmax = math.sqrt(max(0.0, 2.0 - 2.0 * min_ip))
@@ -290,8 +185,8 @@ def rhombus_search(P, Q, mu: float):
     """
     if not 0.0 < mu < 0.25:
         raise ValueError("mu must lie in (0, 1/4)")
-    p = as_real_array(P)
-    q = as_real_array(Q)
+    p = np.asarray(P, dtype=np.float64)
+    q = np.asarray(Q, dtype=np.float64)
     far_ip = 1.0 - (2.0 - mu) ** 2 / 2.0          # <x,y> <= far_ip  <=>  |x-y| >= 2-mu
     near_ip = 1.0 - (math.sqrt(2.0) - mu) ** 2 / 2.0  # <x,y> >= near_ip <=> |x-y| <= sqrt2-mu
 
@@ -441,7 +336,7 @@ class RealSpherePartition:
         return x
 
     def _points_to_angles(self, pts: np.ndarray) -> np.ndarray:
-        pts = as_real_array(pts)
+        pts = np.asarray(pts, dtype=np.float64)
         nrm = np.linalg.norm(pts, axis=1, keepdims=True)
         pts = pts / nrm
         n = pts.shape[0]
@@ -468,7 +363,7 @@ class RealSpherePartition:
 
     def locate(self, points) -> np.ndarray:
         """Cell index for each point; total on the whole sphere."""
-        ang = self._points_to_angles(as_real_array(points))
+        ang = self._points_to_angles(points)
         out = np.empty(ang.shape[0], dtype=np.int64)
         stack = [(self.tree, np.arange(ang.shape[0]))]
         while stack:
@@ -584,7 +479,7 @@ class SpherePartition:
         self.representatives = uninterleave(real.representatives)
 
     def locate(self, points) -> np.ndarray:
-        return self.real.locate(interleave(as_complex_array(points)))
+        return self.real.locate(interleave(points))
 
     def sample_cell(self, i: int, count: int, substream: int = 0) -> np.ndarray:
         return uninterleave(self.real.sample_cell(i, count, substream))

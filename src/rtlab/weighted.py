@@ -32,9 +32,8 @@ from . import sphere
 from .analysis import rho_star
 from .sphere import ResourceLimit
 
-MAX_EXACT_GPQ = 10
 MAX_EXACT_SIMPLEX = 16
-MAX_HERCULEAN = 18
+MAX_EXTENSION_DP = 18
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +269,13 @@ def extension_value_table(g: PWeightedGraph, first: int = 0, base: int = 0):
     table.  Only masks containing first are filled; the defaults give every
     enumeration of every mask.  The feasible weight of a vertex depends only
     on the set of earlier vertices, so the maximum is a subset DP.
+
+    The tables have 2^m entries, so m is gated at MAX_EXTENSION_DP; every
+    caller (membership, herculean sets, the finder) meets the gate here.
     """
     m = g.m
+    if m > MAX_EXTENSION_DP:
+        raise ResourceLimit(f"extension DP gated at {MAX_EXTENSION_DP} vertices")
     NEG = -(10 ** 9)
     val = [NEG] * (1 << m)
     last = [-1] * (1 << m)
@@ -309,53 +313,23 @@ def _reconstruct(g: PWeightedGraph, last, mask: int, head=()):
     return DominatingExtension(tuple(order), weights, sum(weights))
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    extension: DominatingExtension | None
-    exhaustive: bool
+def in_G_p_q(g: PWeightedGraph, q: int) -> DominatingExtension | None:
+    """A dominating extension of size at least q, or None when g is not in
+    G_p(q).
 
-    @property
-    def member(self) -> bool:
-        return self.extension is not None
-
-
-def in_G_p_q(g: PWeightedGraph, q: int) -> MembershipResult:
-    """Search for a dominating extension of size at least q.
-
-    Exact (subset DP over all enumerations) up to MAX_EXACT_GPQ vertices;
-    beyond that a small set of greedy enumerations is tried and a miss is
-    reported as non-exhaustive.
+    Exact: the subset DP ranges over all enumerations of all vertices, so
+    None means no extension of size q exists.  The DP's MAX_EXTENSION_DP
+    gate is the only size limit (ResourceLimit beyond it).
     """
     if not g.is_positive():
-        return MembershipResult(None, True)
-    if g.m <= MAX_EXACT_GPQ:
-        val, last = extension_value_table(g)
-        full = (1 << g.m) - 1
-        if val[full] >= q:
-            ext = _reconstruct(g, last, full)
-            assert ext.verify(g)
-            return MembershipResult(ext, True)
-        return MembershipResult(None, True)
-    # heuristic: greedy orders seeded by each max-weight edge
-    best = None
-    edges = sorted(((g.w[i][j], i, j) for i in range(g.m)
-                    for j in range(i + 1, g.m)), reverse=True)
-    for _, i, j in edges[:5]:
-        order = [i, j]
-        remaining = set(range(g.m)) - {i, j}
-        while remaining:
-            u = max(remaining,
-                    key=lambda x: (max_feasible_weight(
-                        g.p, [g.w[x][o] for o in order]), -x))
-            order.append(u)
-            remaining.remove(u)
-        weights = maximal_dominating_extension(g, order)
-        ext = DominatingExtension(tuple(order), weights, sum(weights))
-        if best is None or ext.size > best.size:
-            best = ext
-    if best is not None and best.size >= q:
-        return MembershipResult(best, False)
-    return MembershipResult(None, False)
+        return None
+    val, last = extension_value_table(g)
+    full = (1 << g.m) - 1
+    if val[full] < q:
+        return None
+    ext = _reconstruct(g, last, full)
+    assert ext.verify(g)
+    return ext
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +568,6 @@ def find_herculean(g: PWeightedGraph) -> HerculeanCertificate:
     m = g.m
     if m < 1:
         raise ValueError("graph must have at least one vertex")
-    if m > MAX_HERCULEAN:
-        raise ResourceLimit(f"herculean search gated at {MAX_HERCULEAN}")
     val, last = extension_value_table(g)
     size = 1 << m
     p = g.p
@@ -673,8 +645,6 @@ def find_G_pq_subgraph(g: PWeightedGraph, t: int) -> SubgraphSearchResult:
         raise ValueError("t must be at least 1")
     if not g.is_positive():
         raise ValueError("graph must be positive")
-    if g.m > MAX_HERCULEAN:
-        raise ResourceLimit(f"search gated at {MAX_HERCULEAN}")
     target = p * t + 2
     cert = find_herculean(g)
     base_ext = cert.heroic_evidence[frozenset(cert.K)]
@@ -711,7 +681,6 @@ class WindowReport:
     p: int
     s: int
     t: int
-    m_range: tuple
     slacks: dict      # m -> (s+t-m)(m-1)/m - s(t-1)/t, must never be positive
     passed: bool
 
@@ -739,4 +708,4 @@ def verify_theorem15_window(p: int, s: int, t: int) -> WindowReport:
         slacks[m] = rhs - lhs
         if rhs > lhs:
             passed = False
-    return WindowReport(p, s, t, (2, m_hi), slacks, passed)
+    return WindowReport(p, s, t, slacks, passed)

@@ -113,7 +113,8 @@ def test_rotation_witness_random_pairs_none():
 
 
 def test_rotation_relation_symmetry():
-    pr = params(p=5, k=4, epsilon=0.3)
+    with pytest.warns(UserWarning, match="parameter hierarchy advisory"):
+        pr = params(p=5, k=4, epsilon=0.3)
     rng = S.philox_rng(8)
     v = S.sample_complex_sphere(4, 1, rng)[0]
     u = pr.rho ** 2 * v
@@ -177,7 +178,8 @@ def test_cross_edge_matches_oracle_on_random_pairs():
 # ---------------------------------------------------------------------------
 
 def test_build_edge_rules_sound():
-    pr = params(p=3, ell=1, k=6, n=40, epsilon=0.4, seed=3)
+    with pytest.warns(UserWarning, match="parameter hierarchy advisory"):
+        pr = params(p=3, ell=1, k=6, n=40, epsilon=0.4, seed=3)
     g = build_cbe(pr)
     n = pr.n
     for i in range(n):
@@ -273,8 +275,11 @@ def test_strict_mode_circle():
         pr = params(p=3, ell=1, k=1, n=100, epsilon=0.4, seed=2, mode="strict")
     g = build_cbe(pr)
     assert g.adjacency.shape == (200, 200)
+    with pytest.warns(UserWarning, match="parameter hierarchy advisory"):
+        tight = CbeParams(p=3, ell=1, k=1, n=50, epsilon=0.4, big_k=10.0, seed=2,
+                          mode="strict")
     with pytest.raises(InfeasiblePartition):
-        build_cbe(CbeParams(p=3, ell=1, k=1, n=50, epsilon=0.4, big_k=10.0, seed=2, mode="strict"))
+        build_cbe(tight)
 
 
 def test_edge_list_export(tmp_path):

@@ -11,14 +11,13 @@ from rtlab import sphere as S
 # isometry
 # ---------------------------------------------------------------------------
 
-def test_complex_to_real_identity_case():
-    z = S.ComplexUnitVector([1 + 0j, 0j])
-    assert np.allclose(S.complex_to_real(z).coords, [1, 0, 0, 0])
+def test_interleave_identity_case():
+    assert np.array_equal(S.interleave(np.array([1 + 0j, 0j])), [1, 0, 0, 0])
 
 
-def test_complex_to_real_interleaving():
-    z = S.ComplexUnitVector([0j, 1j])
-    assert np.allclose(S.complex_to_real(z).coords, [0, 0, 0, 1])
+def test_interleave_interleaving():
+    assert np.array_equal(S.interleave(np.array([0j, 1j])), [0, 0, 0, 1])
+    assert np.array_equal(S.interleave(np.array([[1 + 2j, 3 - 4j]])), [[1, 2, 3, -4]])
 
 
 def test_isometry_preserves_distances():
@@ -32,15 +31,6 @@ def test_isometry_preserves_distances():
         assert abs(d_complex - d_real) <= 1e-12
 
 
-def test_unit_vector_normalisation():
-    v = S.ComplexUnitVector([3 + 4j, 0])
-    assert abs(np.linalg.norm(v.coords) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        S.ComplexUnitVector([0, 0])
-    with pytest.raises(ValueError):
-        S.RealUnitVector([])
-
-
 def test_round_trip_real_complex():
     rng = S.philox_rng(7)
     z = S.sample_complex_sphere(4, 10, rng)
@@ -49,16 +39,8 @@ def test_round_trip_real_complex():
 
 
 # ---------------------------------------------------------------------------
-# spherical caps
+# cap measures
 # ---------------------------------------------------------------------------
-
-def test_cap_diameter_formula():
-    cap = S.SphericalCap(S.RealUnitVector([1, 0, 0]), 0.6)
-    assert math.isclose(cap.diameter, 2 * math.sqrt(1 - 0.36))
-    assert math.isclose(cap.height, 0.4)
-    with pytest.raises(ValueError):
-        S.SphericalCap(S.RealUnitVector([1, 0]), 1.0)
-
 
 def test_cap_upper_bound_values():
     assert S.cap_measure_upper_bound(5, 0.0) == 1.0

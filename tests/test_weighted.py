@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtlab import sphere as S
+from rtlab.sphere import ResourceLimit
 from rtlab.weighted import (
+    MAX_EXTENSION_DP,
     DominatingExtension,
     HerculeanCertificate,
     PWeightedGraph,
@@ -197,16 +199,15 @@ def brute_best_extension_size(g):
 
 def test_in_gpq_single_vertex():
     g = PWeightedGraph(3, [[0]])
-    res = in_G_p_q(g, 3)
-    assert res.member and res.exhaustive and res.extension.size == 3
-    assert not in_G_p_q(g, 4).member
+    ext = in_G_p_q(g, 3)
+    assert ext is not None and ext.size == 3
+    assert in_G_p_q(g, 4) is None
 
 
 def test_in_gpq_two_vertices():
     g = graph_from_upper(3, 2, [2])
-    assert in_G_p_q(g, 5).member          # size 3 + 2
-    res = in_G_p_q(g, 6)
-    assert not res.member and res.exhaustive
+    assert in_G_p_q(g, 5) is not None     # size 3 + 2
+    assert in_G_p_q(g, 6) is None
 
 
 @pytest.mark.parametrize("p,m,seed", [(3, 4, 7), (4, 4, 8), (3, 5, 9), (4, 5, 10)])
@@ -221,22 +222,34 @@ def test_in_gpq_eq_mq_membership():
     for seed in range(5):
         g = random_positive_graph(4, 4, seed + 20)
         t = max(g.w[i][j] for i in range(4) for j in range(i + 1, 4))
-        res = in_G_p_q(g, 4 + t + 4 - 2)
-        assert res.member
-        assert res.extension.verify(g)
+        ext = in_G_p_q(g, 4 + t + 4 - 2)
+        assert ext is not None
+        assert ext.verify(g)
 
 
 def test_in_gpq_nonpositive():
     g = graph_from_upper(3, 3, [1, 0, 1])
-    res = in_G_p_q(g, 3)
-    assert not res.member and res.exhaustive
+    assert in_G_p_q(g, 3) is None
 
 
-def test_in_gpq_heuristic_beyond_gate():
-    g = random_positive_graph(3, 12, seed=31)
-    res = in_G_p_q(g, 3 + 1 + 12 - 2)  # 12 > MAX_EXACT_GPQ = 10
-    assert res.member and not res.exhaustive
-    assert res.extension.verify(g)
+@pytest.mark.parametrize("p,m,seed,optimum", [(3, 11, 6, 18), (4, 12, 1, 25)])
+def test_in_gpq_member_at_exact_optimum(p, m, seed, optimum):
+    # beyond ten vertices, where a few greedy enumerations miss the optimum
+    g = random_positive_graph(p, m, seed)
+    ext = in_G_p_q(g, optimum)
+    assert ext is not None and ext.size == optimum and ext.verify(g)
+    assert in_G_p_q(g, optimum + 1) is None
+
+
+@pytest.mark.parametrize("search", [
+    lambda g: in_G_p_q(g, 3),
+    find_herculean,
+    lambda g: find_G_pq_subgraph(g, 1),
+], ids=["in_G_p_q", "find_herculean", "find_G_pq_subgraph"])
+def test_extension_dp_gate(search):
+    g = random_positive_graph(3, MAX_EXTENSION_DP + 1, seed=3)
+    with pytest.raises(ResourceLimit, match="extension DP gated at 18"):
+        search(g)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +467,6 @@ def test_dense_core_matches_bruteforce(chunk):
 
 
 def test_dense_core_gate():
-    from rtlab.sphere import ResourceLimit
     A = [[0 if i == j else 1 for j in range(17)] for i in range(17)]
     with pytest.raises(ResourceLimit):
         dense_core(A)
@@ -550,7 +562,6 @@ def test_herculean_verify_needs_every_subset():
 
 def test_herculean_gate():
     g = random_positive_graph(3, 19, seed=3)
-    from rtlab.sphere import ResourceLimit
     with pytest.raises(ResourceLimit):
         find_herculean(g)
 
@@ -672,7 +683,7 @@ def test_weighted_text_rejects_short_input():
 
 def test_extension_json():
     g = graph_from_upper(3, 2, [2])
-    ext = in_G_p_q(g, 5).extension
+    ext = in_G_p_q(g, 5)
     import json
     doc = json.loads(ext.to_json(g))
     assert doc["checks"]["dominating"]
