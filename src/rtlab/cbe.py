@@ -17,7 +17,9 @@ two points per cell), which is only feasible for very small mu or k = 1.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +31,19 @@ from .sphere import GEOM_TOL
 
 _STREAM_W = 10
 _STREAM_Z = 11
+
+
+def _caller_stacklevel() -> int:
+    """stacklevel that makes an advisory of CbeParams.__post_init__ name the
+    line that built the params: the first frame outside __post_init__, the
+    generated __init__ and the dataclasses module, whose replace() runs
+    __init__ from its own frames."""
+    level, frame = 2, sys._getframe(2)  # 1: __post_init__, 2: __init__
+    while frame.f_back is not None and (
+            frame.f_code is CbeParams.__init__.__code__
+            or frame.f_code.co_filename == dataclasses.__file__):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -43,8 +58,6 @@ class CbeParams:
     mode: str = "sampled"
 
     def __post_init__(self):
-        # advisories use stacklevel=3: this method, the dataclass's generated
-        # __init__, then the line that built the params
         if self.p < 2:
             raise ValueError("p must be at least 2")
         if not 1 <= self.ell < self.p:
@@ -63,11 +76,11 @@ class CbeParams:
             warnings.warn(
                 f"parameter hierarchy advisory: 3 sqrt(mu)={3*math.sqrt(self.mu):.4f} "
                 f">= 4/p={4/self.p:.4f}; rotation composition is not guaranteed",
-                stacklevel=3)
+                stacklevel=_caller_stacklevel())
         if self.big_k * self.mu >= 1:
             warnings.warn(
                 f"parameter hierarchy advisory: big_k*mu={self.big_k*self.mu:.4f} >= 1",
-                stacklevel=3)
+                stacklevel=_caller_stacklevel())
 
     @property
     def mu(self) -> float:

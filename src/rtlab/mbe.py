@@ -328,6 +328,10 @@ def find_dense_subconfig(hyperedges, zeta: float, r: int):
     Breadth-first over connected subsets (smallest violating configuration
     first); a disconnected violator always contains a connected one, so
     connected subsets suffice.  Returns a tuple of hyperedge indices or None.
+
+    This is the one definition of a violator: it verifies a finished
+    blow-up, and blowup_sparsify calls it for the configurations of three or
+    more hyperedges left after its pass over dense pairs.
     """
     max_vertices = r ** 3
     edge_sets = [frozenset(e) for e in hyperedges]
@@ -360,6 +364,38 @@ def find_dense_subconfig(hyperedges, zeta: float, r: int):
     return None
 
 
+def sparsify(hyperedges, zeta: float, r: int):
+    """Delete hyperedges until find_dense_subconfig finds no violator, as
+    blowup_sparsify describes: one ascending pass over dense pairs, then one
+    search per remaining deletion.  Partners in the pass come from per-vertex
+    incidence lists, so no E x E table is built.  Returns (kept, deleted),
+    kept in the input order."""
+    max_vertices = r ** 3
+    edge_sets = [frozenset(e) for e in hyperedges]
+    incident = {}
+    for j, es in enumerate(edge_sets):
+        for v in es:
+            incident.setdefault(v, []).append(j)
+    alive = [True] * len(edge_sets)
+    for i, es in enumerate(edge_sets):
+        if not alive[i]:
+            continue
+        partners = {j for v in es for j in incident[v] if j > i and alive[j]}
+        for j in partners:
+            verts = es | edge_sets[j]
+            if (len(verts) <= max_vertices
+                    and _bullet2_value(len(verts), 2, zeta, r) < r - GEOM_TOL):
+                alive[j] = False
+    kept = [e for e, a in zip(hyperedges, alive) if a]
+    deleted = len(hyperedges) - len(kept)
+    while True:
+        bad = find_dense_subconfig(kept, zeta, r)
+        if bad is None:
+            return kept, deleted
+        kept.pop(bad[-1])
+        deleted += 1
+
+
 @dataclass(frozen=True)
 class BlowupReport:
     base_edges: int
@@ -374,6 +410,21 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
     retain each blown-up hyperedge copy independently with the given
     probability, then delete hyperedges until no small dense subconfiguration
     remains.  Returns (B', report).
+
+    The deletions are those of a loop that asks find_dense_subconfig for the
+    smallest violator and drops its last hyperedge until none is left, made
+    in two stages with the same result:
+
+      * one ascending pass over dense pairs.  Deleting a hyperedge never
+        creates a violator, and while any pair violates, the search returns
+        the violating pair (i, j) with the least lower index i, deleting j.
+        That i stays least until every alive partner j > i that makes a
+        dense pair with it is gone, and deleting one partner does not change
+        whether another pair is dense.  So the loop deletes, for i ascending
+        and i alive, every alive j > i with |e_i u e_j| <= r^3, sharing a
+        vertex with e_i, and violating the bound with two hyperedges;
+      * the loop itself, on the survivors in their original order, for the
+        violators of three or more hyperedges.
 
     t = 1 is the identity blow-up: B is returned unchanged.
     """
@@ -425,16 +476,7 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
             if rng_keep.random() < retention:
                 retained.append(tuple(combo))
 
-    kept = list(retained)
-    deleted = 0
-    while True:
-        bad = find_dense_subconfig(kept, zeta, r)
-        if bad is None:
-            break
-        kept.pop(bad[-1])
-        deleted += 1
-
-    blown.hyperedges = kept
+    blown.hyperedges, deleted = sparsify(retained, zeta, r)
     report = BlowupReport(len(base.hyperedges), candidates, len(retained), deleted)
     return blown, report
 

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,11 @@ def test_warnings_point_at_the_caller():
     # both advisories: 3 sqrt(mu) >= 4/p and big_k*mu >= 1
     assert len(record) == 2
     assert all(w.filename == __file__ for w in record)
+    # through dataclasses.replace, whose frames lie in dataclasses.py
+    quiet = CbeParams(p=3, ell=1, k=8, n=4, seed=0)
+    with pytest.warns(UserWarning, match="parameter hierarchy advisory") as record:
+        replace(quiet, epsilon=1.0)
+    assert [w.filename for w in record] == [__file__]
     with pytest.warns(UserWarning, match="cross degree concentration") as record:
         build_cbe(CbeParams(p=3, ell=1, k=32, n=4, seed=0))
     assert [w.filename for w in record] == [__file__]

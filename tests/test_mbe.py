@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rtlab import mbe
 from rtlab import sphere as S
 from rtlab.analysis import max_clique, read_edge_list, write_edge_list
 from rtlab.mbe import (
@@ -16,6 +19,7 @@ from rtlab.mbe import (
     proper_edge_coloring,
     related_coordinates,
     shadow_graph,
+    sparsify,
 )
 
 
@@ -235,6 +239,81 @@ def test_blowup_bullet2_sparsity():
     assert report.deleted > 0  # copies of one base edge overlap heavily
     assert find_dense_subconfig(blown.hyperedges, pr.zeta, hg.r) is None
     # independent pairwise check: sharing >= 2 vertices violates the bound
+    sets = [frozenset(e) for e in blown.hyperedges]
+    for e1, e2 in itertools.combinations(sets, 2):
+        assert len(e1 & e2) <= 1
+
+
+def one_at_a_time_sparsify(hyperedges, zeta, r):
+    """Reference: one full dense search per deletion, dropping the last
+    hyperedge of the smallest violator until none is left."""
+    kept = list(hyperedges)
+    deleted = 0
+    while True:
+        bad = find_dense_subconfig(kept, zeta, r)
+        if bad is None:
+            return kept, deleted
+        kept.pop(bad[-1])
+        deleted += 1
+
+
+# (ell, p, q, k, m, t, retention, seed)
+SPARSIFY_CASES = [(2, 1, 2, 10, 2, 4, 0.25, seed) for seed in range(1, 9)]
+SPARSIFY_CASES.append((2, 1, 2, 4, 2, 4, 0.5, 3))
+
+
+@pytest.mark.parametrize("case", SPARSIFY_CASES,
+                         ids=lambda c: "-".join(str(x) for x in c))
+def test_sparsify_matches_one_at_a_time_loop(case, monkeypatch):
+    ell, p, q, k, m, t, retention, seed = case
+    pr = MbeParams(ell=ell, p=p, q=q, k=k, m=m, t=t, retention=retention,
+                   seed=seed)
+    base = build_base_hypergraph(pr)
+    searches = []
+
+    def counted_search(hyperedges, zeta, r):
+        searches.append(len(hyperedges))
+        return find_dense_subconfig(hyperedges, zeta, r)
+
+    monkeypatch.setattr(mbe, "find_dense_subconfig", counted_search)
+    blown, report = blowup_sparsify(base, t, pr.zeta, seed, retention)
+    loop_deletions = len(searches) - 1
+    # both stages delete: the pair pass and the search for larger violators
+    assert 0 < loop_deletions < report.deleted
+    monkeypatch.setattr(mbe, "sparsify", one_at_a_time_sparsify)
+    ref, ref_report = blowup_sparsify(base, t, pr.zeta, seed, retention)
+    assert blown.hyperedges == ref.hyperedges
+    assert report == ref_report
+
+
+@st.composite
+def overlapping_hypergraphs(draw):
+    """(r, hyperedges): up to 9 r-sets of r + 4 vertices, so most pairs
+    overlap and some violators are larger than pairs."""
+    r = draw(st.integers(2, 4))
+    edge = st.sets(st.integers(0, r + 3), min_size=r, max_size=r)
+    return r, draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=9))
+
+
+# a repeated 2-edge is a dense pair; a triangle of 2-edges violates as a
+# whole when zeta < 1/2, while none of its pairs does
+@example(hypergraph=(2, [(0, 1), (1, 2), (0, 2), (0, 1)]), zeta=0.25)
+@settings(max_examples=150, deadline=None)
+@given(hypergraph=overlapping_hypergraphs(), zeta=st.floats(0.05, 1.0))
+def test_sparsify_matches_loop_on_random_hypergraphs(hypergraph, zeta):
+    r, edges = hypergraph
+    assert sparsify(edges, zeta, r) == one_at_a_time_sparsify(edges, zeta, r)
+
+
+def test_blowup_full_retention():
+    # every one of the 1024 copies retained: the one-at-a-time loop takes
+    # minutes here and deletes 1000 of them
+    pr = MbeParams(ell=2, p=1, q=2, k=10, m=4, t=4, retention=1.0, seed=1)
+    base = build_base_hypergraph(pr)
+    blown, report = blowup_sparsify(base, pr.t, pr.zeta, pr.seed, pr.retention)
+    assert report.retained == report.candidate_copies == 1024
+    assert report.deleted == 1000
+    assert find_dense_subconfig(blown.hyperedges, pr.zeta, base.r) is None
     sets = [frozenset(e) for e in blown.hyperedges]
     for e1, e2 in itertools.combinations(sets, 2):
         assert len(e1 & e2) <= 1
