@@ -54,8 +54,7 @@ class LabeledGraph:
             raise ValueError("adjacency matrix must be square")
         if np.any(m != m.T) or np.any(np.diag(m)):
             raise ValueError("adjacency must be symmetric with empty diagonal")
-        rows = np.packbits(m, axis=1, bitorder="little")
-        adj = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        adj = _unpack_rows(np.packbits(m, axis=1, bitorder="little"))
         return cls(m.shape[0], adj, labels)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -76,16 +75,12 @@ class LabeledGraph:
                 rest ^= low
 
     def subgraph(self, vertices) -> "LabeledGraph":
+        """The subgraph induced on vertices, renumbered 0.. in the given order,
+        with their labels."""
         vs = list(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
-        adj = [0] * len(vs)
-        for i, v in enumerate(vs):
-            for j, w in enumerate(vs):
-                if i < j and self.has_edge(v, w):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+        rows = _induced_rows(_pack_rows(self.adj), vs)
         labels = [self.labels[v] for v in vs] if self.labels else None
-        return LabeledGraph(len(vs), adj, labels)
+        return LabeledGraph(len(vs), _unpack_rows(rows), labels)
 
     def classes(self) -> dict:
         if self.labels is None:
@@ -96,11 +91,36 @@ class LabeledGraph:
         return out
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _pack_rows(adj: list[int]) -> np.ndarray:
+    """The n bitset rows of a graph as an n x 8 ceil(n / 64) uint8 array, bit
+    w of row v at byte w // 8, bit w % 8: whole uint64 words per row."""
+    n = len(adj)
+    width = 8 * ((n + 63) // 64)
+    packed = np.empty((n, width), dtype=np.uint8)
+    for v, row in enumerate(adj):
+        packed[v] = np.frombuffer(row.to_bytes(width, "little"), dtype=np.uint8)
+    return packed
+
+
+def _unpack_rows(rows: np.ndarray) -> list[int]:
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _induced_rows(packed: np.ndarray, vs) -> np.ndarray:
+    """Packed rows of the subgraph induced on vs, in that order: bit j of row
+    i is set when vs[i] and vs[j] are adjacent."""
+    vs = np.asarray(vs, dtype=np.intp)
+    n, m = len(packed), len(vs)
+    out = np.zeros((m, 8 * ((m + 63) // 64)), dtype=np.uint8)
+    if m == 0:
+        return out
+    block = max(1, (1 << 16) // n)          # unpacked block of at most 64 KiB
+    for lo in range(0, m, block):
+        bits = np.unpackbits(packed[vs[lo:lo + block]], axis=1, count=n,
+                             bitorder="little")[:, vs]
+        row = np.packbits(bits, axis=1, bitorder="little")
+        out[lo:lo + block, :row.shape[1]] = row
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -115,30 +135,42 @@ class CliqueCertificate:
     upper_bound: int | None = None
 
 
-def _degeneracy_order(g: LabeledGraph) -> list[int]:
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
+def _degeneracy_order(packed: np.ndarray) -> list[int]:
+    """Repeatedly remove the vertex of least remaining degree, the lowest id
+    among ties: argmin returns the first minimum, and a removed vertex's key
+    stays above n - 1 however many of its neighbours leave after it."""
+    n = len(packed)
+    key = np.bitwise_count(packed.view(np.uint64)).sum(axis=1, dtype=np.int64)
     order = []
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
+    for _ in range(n):
+        v = int(key.argmin())
         order.append(v)
-        alive.remove(v)
-        for w in _bits(g.adj[v]):
-            if w in alive:
-                deg[w] -= 1
+        key[v] = 2 * n
+        key -= np.unpackbits(packed[v], count=n, bitorder="little")
     return order
 
 
-def _greedy_clique(adj: list[int], n: int) -> list[int]:
+def _greedy_clique(words: np.ndarray) -> list[int]:
+    """From each start, add the candidate with the most candidates among its
+    neighbours, the lowest id among ties (argmax returns the first maximum);
+    keep the first clique that no later start beats strictly."""
+    n = len(words)
+
+    def candidates(cand):
+        return np.flatnonzero(np.unpackbits(cand.view(np.uint8), count=n,
+                                            bitorder="little"))
+
     best: list[int] = []
     for start in range(n):
         clique = [start]
-        cand = adj[start]
-        while cand:
-            # pick the candidate with most remaining candidates
-            v = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
-            clique.append(v)
-            cand &= adj[v]
+        cand = words[start]
+        ids = candidates(cand)
+        while len(ids):
+            within = words[ids] & cand
+            i = np.bitwise_count(within).sum(axis=1).argmax()
+            clique.append(int(ids[i]))
+            cand = within[i]
+            ids = candidates(cand)
         if len(clique) > len(best):
             best = clique
     return best
@@ -150,6 +182,13 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
     Without a cutoff the certificate is exhaustive (size equals the clique
     number).  With cutoff c the search certifies either a clique of size
     c + 1 (witness returned) or that the clique number is at most c.
+
+    The set-up runs in numpy on rows packed into uint64 words: the degeneracy
+    order takes the least remaining degree with argmin (lowest id among
+    ties), the relabel permutes packed rows, and the greedy seed scores each
+    candidate by the popcount of its row within the candidates, taking the
+    lowest id among ties and the first clique that no later start beats.
+    The branch and bound then works on Python-int bitsets.
     """
     if g.n == 0:
         return CliqueCertificate(0, (), True, 0)
@@ -157,16 +196,12 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
         raise ResourceLimit(f"exact clique search capped at {MAX_EXACT_CLIQUE_VERTICES} vertices")
 
     # degeneracy order improves both colouring and branching
-    order = _degeneracy_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for w in _bits(g.adj[v]):
-            row |= 1 << pos[w]
-        adj[pos[v]] = row
-
-    greedy = _greedy_clique(adj, g.n)
+    packed = _pack_rows(g.adj)
+    order = _degeneracy_order(packed)
+    packed = _induced_rows(packed, order)
+    greedy = _greedy_clique(packed.view(np.uint64))
+    adj = _unpack_rows(packed)
+    del packed                  # the search needs only the Python-int rows
     best_size = len(greedy)
     best_witness = list(greedy)
     found_over_cutoff = cutoff is not None and best_size > cutoff
