@@ -78,6 +78,8 @@ class LabeledGraph:
         """The subgraph induced on vertices, renumbered 0.. in the given order,
         with their labels."""
         vs = list(vertices)
+        if any(not 0 <= v < self.n for v in vs):
+            raise ValueError("subgraph vertex out of range")
         rows = _induced_rows(_pack_rows(self.adj), vs)
         labels = [self.labels[v] for v in vs] if self.labels else None
         return LabeledGraph(len(vs), _unpack_rows(rows), labels)
@@ -114,12 +116,13 @@ def _induced_rows(packed: np.ndarray, vs) -> np.ndarray:
     out = np.zeros((m, 8 * ((m + 63) // 64)), dtype=np.uint8)
     if m == 0:
         return out
-    block = max(1, (1 << 16) // n)          # unpacked block of at most 64 KiB
+    # rows are unpacked in blocks of at most 64 KiB, so peak memory stays
+    # near the packed arrays' n^2 / 8 bytes
+    block = max(1, (1 << 16) // n)
     for lo in range(0, m, block):
         bits = np.unpackbits(packed[vs[lo:lo + block]], axis=1, count=n,
                              bitorder="little")[:, vs]
-        row = np.packbits(bits, axis=1, bitorder="little")
-        out[lo:lo + block, :row.shape[1]] = row
+        out[lo:lo + block, :(m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     return out
 
 

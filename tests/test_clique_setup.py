@@ -281,3 +281,9 @@ def test_subgraph_matches_pairwise_reference(n):
         assert (h.n, h.adj, h.labels) == (ref.n, ref.adj, ref.labels)
     unlabelled = LabeledGraph(n, g.adj)
     assert unlabelled.subgraph(range(n)).labels is None
+
+
+@pytest.mark.parametrize("vs", [[0, -1], [-1, 0], [0, 7], [7]])
+def test_subgraph_rejects_vertices_out_of_range(vs):
+    with pytest.raises(ValueError, match="out of range"):
+        cycle(7).subgraph(vs)
