@@ -228,15 +228,18 @@ def _sample_distinct(k: int, n: int, seed: int, stream: int) -> np.ndarray:
 def build_cbe(params: CbeParams) -> CbeGraph:
     """Construct the graph; deterministic for fixed params.
 
-    strict mode partitions the sphere into n cells of diameter mu/4 and takes
-    both class points from the same cell; InfeasiblePartition propagates when
-    n is too small for that.  sampled mode draws the two classes i.i.d.
+    strict mode partitions S^{2k-1}(R), the image of S^{k-1}(C) under the
+    interleaving isometry, into n cells of diameter mu/4 and takes both class
+    points from the same cell; InfeasiblePartition propagates when n is too
+    small for that.  sampled mode draws the two classes i.i.d.
     """
     if params.mode == "strict":
-        part = sphere.partition_sphere(params.k, params.n, params.mu / 4, params.seed)
-        pairs = [part.sample_cell(i, 2, substream=1) for i in range(params.n)]
-        W = np.array([p[0] for p in pairs])
-        Z = np.array([p[1] for p in pairs])
+        part = sphere.partition_real_sphere(2 * params.k, params.n, params.mu / 4,
+                                            params.seed)
+        pairs = np.array([part.sample_cell(i, 2, substream=1)
+                          for i in range(params.n)])
+        W = sphere.uninterleave(pairs[:, 0])
+        Z = sphere.uninterleave(pairs[:, 1])
     else:
         W = _sample_distinct(params.k, params.n, params.seed, _STREAM_W)
         Z = _sample_distinct(params.k, params.n, params.seed, _STREAM_Z)

@@ -8,7 +8,8 @@ parameter, a malformed or mistyped config-file line or a config key that
 names no option of the command, a bad sweep grid value or an axis the
 sweep target does not take, a certify flag the suite does not take, a
 --trials below 1, an unreadable config file, edge list or
-header, a malformed, repeated or non-UTF-8 edge-list line or a `# n=` line
+header, a header whose class sizes do not sum to the edge list's n, a
+malformed, repeated or non-UTF-8 edge-list line or a `# n=` line
 that contradicts an earlier one (reported as path:line), an equal-measure
 partition that cannot meet its diameter (gen-cbe --mode strict, gen-mbe
 --point-mode partition), or an exact search beyond its size gate.
@@ -82,7 +83,7 @@ def suite_smallp(p: int) -> dict:
                 continue
             checked += 1
             res = find_G_pq_subgraph(g, 1)
-            if not (res.found and res.extension.verify(g)
+            if not (res.extension is not None and res.extension.verify(g)
                     and res.extension.size >= p + 2):
                 failures += 1
                 if len(failing) < 10:
@@ -220,13 +221,13 @@ def _write_json(path, doc: dict):
         fh.write("\n")
 
 
-def _read_class_sizes(path) -> dict:
-    """Class name -> size from a gen-* JSON summary ({} when it has none)."""
+def _header_vertex_count(path) -> int:
+    """Sum of the class sizes in a gen-* JSON summary (0 when it has none)."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
             sizes = doc.get("class_sizes") or doc.get("header", {}).get("class_sizes")
-            return {name: int(size) for name, size in (sizes or {}).items()}
+            return sum(int(size) for size in (sizes or {}).values())
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a gen-* JSON summary: {exc}") from None
 
@@ -391,7 +392,7 @@ def cmd_gen_mbe(args, parser) -> int:
     config = params.to_dict()
     write_edge_list(f"{out}.edges", lg, comments=[_config_comment(config)],
                     classes=f"classes: {graph.classes} x {graph.class_size}")
-    graph.borsuk.hypergraph.write_hyperedges(f"{out}.hyper")
+    graph.hypergraph.write_hyperedges(f"{out}.hyper")
     summary = {
         "config": config,
         "header": graph.header_dict(),
@@ -410,12 +411,11 @@ def cmd_gen_mbe(args, parser) -> int:
 def cmd_analyze(args, parser) -> int:
     try:
         g = read_edge_list(args.edge_list)
-        sizes = _read_class_sizes(args.header) if args.header else {}
+        if args.header and (total := _header_vertex_count(args.header)) != g.n:
+            raise ValueError(f"{args.header}: class sizes sum to {total}, but the "
+                             f"edge list has n={g.n}")
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    labels = [name for name in sorted(sizes) for _ in range(sizes[name])]
-    if sizes and len(labels) == g.n:
-        g.labels = labels
     rep = density_report(g)
     cert = max_clique(g, cutoff=args.cutoff)
     lb, ub, exact = p_independence(g, args.p, exact_limit=args.exact_limit)
@@ -525,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="clique/density/independence stats "
                                         "for an edge list")
     pa.add_argument("edge_list")
-    pa.add_argument("--header", help="JSON header with class sizes")
+    pa.add_argument("--header", help="gen-* JSON summary; its class sizes must "
+                                     "sum to the edge list's n")
     pa.add_argument("--p", type=int, default=3)
     pa.add_argument("--cutoff", type=int)
     pa.add_argument("--exact-limit", dest="exact_limit", type=int, default=40)

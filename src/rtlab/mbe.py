@@ -293,8 +293,7 @@ def build_base_hypergraph(params: MbeParams, points: np.ndarray | None = None) -
     vertices = [tuple(v) for v in itertools.product(range(m), repeat=params.ell)]
     hg = GeometricHypergraph(params.ell, params.mu, P, vertices, [])
     fam = hg.family
-    gram = P @ P.T
-    far = gram <= (1.0 - (2 - params.mu) ** 2 / 2.0) + GEOM_TOL
+    far = sphere.almost_antipodal(P @ P.T, params.mu)
 
     per_coord = [_coordinate_assignments(far, fam, h)
                  for h in range(1, params.ell + 1)]
@@ -485,41 +484,28 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
 # step 4: shadow graph
 # ---------------------------------------------------------------------------
 
-class BorsukGraph:
-    """Shadow graph of a geometric hypergraph: u ~ v iff some hyperedge
+def shadow_graph(hypergraph: GeometricHypergraph) -> np.ndarray:
+    """N x N bool adjacency of the shadow graph: u ~ v iff some hyperedge
     contains both."""
-
-    def __init__(self, hypergraph: GeometricHypergraph):
-        self.hypergraph = hypergraph
-        n = len(hypergraph.vertices)
-        self.n = n
-        self.adjacency = np.zeros((n, n), dtype=bool)
-        for edge in hypergraph.hyperedges:
-            for a, b in itertools.combinations(sorted(set(edge)), 2):
-                self.adjacency[a, b] = self.adjacency[b, a] = True
-
-    def to_labeled_graph(self) -> LabeledGraph:
-        return LabeledGraph.from_adjacency(self.adjacency)
+    n = len(hypergraph.vertices)
+    adjacency = np.zeros((n, n), dtype=bool)
+    for edge in hypergraph.hyperedges:
+        for a, b in itertools.combinations(sorted(set(edge)), 2):
+            adjacency[a, b] = adjacency[b, a] = True
+    return adjacency
 
 
-def shadow_graph(hypergraph: GeometricHypergraph) -> BorsukGraph:
-    return BorsukGraph(hypergraph)
-
-
-def lengthy_coordinates(borsuk: BorsukGraph, vertex_ids, mu: float) -> set:
+def lengthy_coordinates(hg: GeometricHypergraph, vertex_ids, mu: float) -> set:
     """Coordinates h in [ell] witnessed by an almost antipodal pair
     (|v_h - v'_h| >= 2 - mu) within the given vertex set."""
     ids = list(vertex_ids)
-    hg = borsuk.hypergraph
+    if len(ids) < 2:
+        return set()
+    iu = np.triu_indices(len(ids), k=1)
     out = set()
     for h in range(1, hg.ell + 1):
         pts = hg.points[[hg.vertices[v][h - 1] for v in ids]]
-        if len(ids) < 2:
-            break
-        gram = pts @ pts.T
-        thr = 1.0 - (2 - mu) ** 2 / 2.0
-        iu = np.triu_indices(len(ids), k=1)
-        if np.any(gram[iu] <= thr + GEOM_TOL):
+        if np.any(sphere.almost_antipodal((pts @ pts.T)[iu], mu)):
             out.add(h)
     return out
 
@@ -529,26 +515,27 @@ def lengthy_coordinates(borsuk: BorsukGraph, vertex_ids, mu: float) -> set:
 # ---------------------------------------------------------------------------
 
 class MbeGraph:
-    """q classes, each a copy of B(ell); global ids are class * N + local."""
+    """q classes, each a copy of B(ell), the shadow graph of the hypergraph
+    B' given as its N x N adjacency; global ids are class * N + local."""
 
-    def __init__(self, params: MbeParams, borsuk: BorsukGraph, coloring: dict,
-                 blowup_report: BlowupReport):
+    def __init__(self, params: MbeParams, hypergraph: GeometricHypergraph,
+                 shadow: np.ndarray, coloring: dict, blowup_report: BlowupReport):
         self.params = params
-        self.borsuk = borsuk
+        self.hypergraph = hypergraph
+        self.shadow = shadow
         self.coloring = coloring
         self.blowup_report = blowup_report
-        N = borsuk.n
+        N = shadow.shape[0]
         q = params.q
         self.classes = q
         self.class_size = N
         self.n = N * q
         adjacency = np.zeros((self.n, self.n), dtype=bool)
         for i in range(q):
-            adjacency[i * N:(i + 1) * N, i * N:(i + 1) * N] = borsuk.adjacency
+            adjacency[i * N:(i + 1) * N, i * N:(i + 1) * N] = shadow
 
-        hg = borsuk.hypergraph
-        coord_ids = np.array([list(hg.vertices[v]) for v in range(N)])
-        gram = hg.points @ hg.points.T
+        coord_ids = np.array([list(v) for v in hypergraph.vertices])
+        gram = hypergraph.points @ hypergraph.points.T
         near = gram >= (math.sqrt(2) * params.mu - params.mu ** 2 / 2.0) - GEOM_TOL
         # |x - y| <= sqrt(2) - mu  <=>  <x,y> >= sqrt(2) mu - mu^2/2
 
@@ -591,6 +578,5 @@ def build_mbe(params: MbeParams) -> MbeGraph:
     base = build_base_hypergraph(params)
     blown, report = blowup_sparsify(base, params.t, params.zeta, params.seed,
                                     params.retention)
-    borsuk = shadow_graph(blown)
     coloring = proper_edge_coloring(params.q)
-    return MbeGraph(params, borsuk, coloring, report)
+    return MbeGraph(params, blown, shadow_graph(blown), coloring, report)

@@ -4,10 +4,11 @@ Points are plain arrays: an (n, k) complex128 array holds n points of
 S^{k-1}(C) and an (n, d) float64 array n points of S^{d-1}(R).  Provides
 the coordinate-interleaving isometry between S^{k-1}(C) and S^{2k-1}(R),
 closed-form cap-measure bounds and their Monte Carlo oracles, uniform
-sampling, equal-measure partitions with certified diameter bounds, and an
-exhaustive search for rhombus configurations (two nearly antipodal pairs
-whose four cross distances are all at most sqrt(2)-mu), which cannot exist
-among genuine unit vectors.
+sampling, equal-measure partitions of S^{d-1}(R) with certified diameter
+bounds (a partition of S^{k-1}(C) is one of S^{2k-1}(R) read through the
+isometry), the almost antipodal test, and an exhaustive search for rhombus
+configurations (two almost antipodal pairs whose four cross distances are
+all at most sqrt(2)-mu), which cannot exist among genuine unit vectors.
 
 All geometric predicates use closed comparisons with an absolute slack of
 GEOM_TOL so that boundary cases keep their mathematical truth value at
@@ -16,7 +17,6 @@ double precision.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -174,6 +174,13 @@ def two_set_distance_check(A, B, nu: float) -> bool:
     return dmax >= (2.0 - nu) - GEOM_TOL
 
 
+def almost_antipodal(ip, mu: float):
+    """Where unit vectors with inner products ip are almost antipodal:
+    |x - y| >= 2 - mu, i.e. <x,y> <= 1 - (2 - mu)^2 / 2 (closed, GEOM_TOL
+    slack)."""
+    return ip <= (1.0 - (2.0 - mu) ** 2 / 2.0) + GEOM_TOL
+
+
 def rhombus_search(P, Q, mu: float):
     """Search for p1, p2 in P and q1, q2 in Q with |p1-p2| >= 2-mu,
     |q1-q2| >= 2-mu and all four cross distances <= sqrt(2)-mu.
@@ -187,12 +194,10 @@ def rhombus_search(P, Q, mu: float):
         raise ValueError("mu must lie in (0, 1/4)")
     p = np.asarray(P, dtype=np.float64)
     q = np.asarray(Q, dtype=np.float64)
-    far_ip = 1.0 - (2.0 - mu) ** 2 / 2.0          # <x,y> <= far_ip  <=>  |x-y| >= 2-mu
     near_ip = 1.0 - (math.sqrt(2.0) - mu) ** 2 / 2.0  # <x,y> >= near_ip <=> |x-y| <= sqrt2-mu
 
     def far_pairs(x):
-        g = x @ x.T
-        idx = np.argwhere(np.triu(g <= far_ip + GEOM_TOL, k=1))
+        idx = np.argwhere(np.triu(almost_antipodal(x @ x.T, mu), k=1))
         return [tuple(ij) for ij in idx]
 
     fp = far_pairs(p)
@@ -466,45 +471,12 @@ def partition_real_sphere(d: int, n: int, delta: float, seed: int) -> RealSphere
     return RealSpherePartition(d, n, cells, tree, max_diam, seed)
 
 
-class SpherePartition:
-    """Equal-measure partition of S^{k-1}(C) via the interleaving isometry."""
-
-    def __init__(self, k: int, real: RealSpherePartition):
-        if real.d != 2 * k:
-            raise ValueError("real partition dimension must be 2k")
-        self.k = k
-        self.real = real
-        self.n = real.n
-        self.max_diameter = real.max_diameter
-        self.representatives = uninterleave(real.representatives)
-
-    def locate(self, points) -> np.ndarray:
-        return self.real.locate(interleave(points))
-
-    def sample_cell(self, i: int, count: int, substream: int = 0) -> np.ndarray:
-        return uninterleave(self.real.sample_cell(i, count, substream))
-
-    def to_json(self) -> str:
-        reps = [[[float(z.real), float(z.imag)] for z in row]
-                for row in self.representatives]
-        return json.dumps({"k": self.k, "n": self.n,
-                           "max_diameter": self.max_diameter,
-                           "representatives": reps}, sort_keys=True)
-
-
-def partition_sphere(k: int, n: int, delta: float, seed: int) -> SpherePartition:
-    """Partition S^{k-1}(C) into n equal-measure cells of diameter <= delta."""
-    if k < 1:
-        raise ValueError("complex dimension must be at least 1")
-    return SpherePartition(k, partition_real_sphere(2 * k, n, delta, seed))
-
-
-def monte_carlo_cell_counts(partition, samples: int, seed: int) -> np.ndarray:
+def monte_carlo_cell_counts(partition: RealSpherePartition, samples: int,
+                            seed: int) -> np.ndarray:
     """Hit counts per cell for uniform sphere samples (counter-keyed chunks)."""
-    real = partition.real if isinstance(partition, SpherePartition) else partition
 
     def count(rng, size):
-        pts = sample_real_sphere(real.d, size, rng)
-        return np.bincount(real.locate(pts), minlength=real.n)
+        pts = sample_real_sphere(partition.d, size, rng)
+        return np.bincount(partition.locate(pts), minlength=partition.n)
 
     return _chunked_count(samples, seed, _STREAM_SAMPLE, 0, count)

@@ -22,7 +22,6 @@ constructive subgraph finder used by the p in {3, 4} density bounds.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -221,13 +220,6 @@ class DominatingExtension:
         return (self.size == sum(self.weights)
                 and is_dominating_extension(g, self.order, self.weights))
 
-    def to_json(self, g: PWeightedGraph | None = None) -> str:
-        doc = {"order": list(self.order), "weights": list(self.weights),
-               "size": self.size}
-        if g is not None:
-            doc["checks"] = {"dominating": self.verify(g)}
-        return json.dumps(doc, sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # extension-size dynamic program over vertex subsets
@@ -319,7 +311,8 @@ def in_G_p_q(g: PWeightedGraph, q: int) -> DominatingExtension | None:
 
     Exact: the subset DP ranges over all enumerations of all vertices, so
     None means no extension of size q exists.  The DP's MAX_EXTENSION_DP
-    gate is the only size limit (ResourceLimit beyond it).
+    gate is the only size limit (ResourceLimit beyond it).  The extension is
+    not re-checked here: DominatingExtension.verify is the independent check.
     """
     if not g.is_positive():
         return None
@@ -327,9 +320,7 @@ def in_G_p_q(g: PWeightedGraph, q: int) -> DominatingExtension | None:
     full = (1 << g.m) - 1
     if val[full] < q:
         return None
-    ext = _reconstruct(g, last, full)
-    assert ext.verify(g)
-    return ext
+    return _reconstruct(g, last, full)
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +612,7 @@ def find_herculean(g: PWeightedGraph) -> HerculeanCertificate:
 
 @dataclass(frozen=True)
 class SubgraphSearchResult:
-    found: bool
-    vertices: tuple | None
-    extension: DominatingExtension | None
+    extension: DominatingExtension | None     # None when the search failed
     used_fallback: bool
     herculean: HerculeanCertificate
     failure: dict | None
@@ -636,7 +625,8 @@ def find_G_pq_subgraph(g: PWeightedGraph, t: int) -> SubgraphSearchResult:
     extension, then search the best augmentation appending outside vertices
     (the extension DP seeded with K); on a miss, falls back to the
     exhaustive subset optimum (the unseeded DP) before reporting failure
-    with the violated minimum-degree condition.
+    with the violated minimum-degree condition.  As with in_G_p_q, the
+    caller verifies the extension.
     """
     p = g.p
     if p not in (3, 4):
@@ -655,9 +645,7 @@ def find_G_pq_subgraph(g: PWeightedGraph, t: int) -> SubgraphSearchResult:
         val, last = extension_value_table(g, first, base)
         best = max(_supersets(first, g.m), key=val.__getitem__)
         if val[best] >= target:
-            ext = _reconstruct(g, last, best, head)
-            assert ext.verify(g) and ext.size >= target
-            return SubgraphSearchResult(True, tuple(sorted(ext.order)), ext,
+            return SubgraphSearchResult(_reconstruct(g, last, best, head),
                                         bool(used_fallback), cert, None)
         best_size = max(best_size, val[best])
 
@@ -669,7 +657,7 @@ def find_G_pq_subgraph(g: PWeightedGraph, t: int) -> SubgraphSearchResult:
         "degree_threshold": threshold,
         "hypothesis_met": Fraction(g.delta()) > threshold,
     }
-    return SubgraphSearchResult(False, None, None, False, cert, failure)
+    return SubgraphSearchResult(None, False, cert, failure)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from rtlab import weighted
 from rtlab.cbe import CbeParams
 from rtlab.cli import main, run_suite
 from rtlab.mbe import MbeParams
@@ -301,6 +302,10 @@ BAD_INPUTS = {
     "header-shape": (lambda d: ["analyze", _write(d / "ok.edges", "# n=3\n0 1\n"),
                                 "--header", _write(d / "h.json", '{"header": 3}')],
                      "h.json: not a gen-* JSON summary"),
+    "header-count": (lambda d: ["analyze", _write(d / "ok.edges", "# n=3\n0 1\n"),
+                                "--header",
+                                _write(d / "h.json", '{"class_sizes": {"W": 2, "Z": 3}}')],
+                     "h.json: class sizes sum to 5, but the edge list has n=3"),
     "non-integer": (lambda d: ["analyze", _write(d / "g.edges", "# n=3\n1 x\n")],
                     "g.edges:2: bad line '1 x'"),
     "three-ids": (lambda d: ["analyze", _write(d / "g.edges", "# n=3\n0 1 2\n")],
@@ -403,6 +408,16 @@ def test_certify_smallp_p4(tmp_path, capsys):
     assert run(["certify", "smallp-p4-t1", "--out", report_path]) == 0
     doc = json.loads(report_path.read_text())
     assert doc["passed"] and doc["counters"]["failures"] == 0
+
+
+@pytest.mark.parametrize("suite", ["smallp-p4-t1", "dominance-axioms"])
+def test_suites_catch_an_unsound_extension_producer(monkeypatch, suite):
+    # the producers do not check their own extensions; the suites' Fraction
+    # verifier must catch a feasible weight that is one too large
+    real = weighted._weight_of_two_smallest
+    monkeypatch.setattr(weighted, "_weight_of_two_smallest",
+                        lambda p, min1, min2: real(p, min1, min2) + 1)
+    assert not run_suite(suite)["passed"]
 
 
 def test_certify_gofa_small(capsys):

@@ -73,6 +73,36 @@ GOLDEN = {
                 "2d20b7c56f6572589dfaee725abc9c413363d6c526c36b09142756a6e1884fac",
         },
     ),
+    # strict mode: two points per cell of an equal-measure partition; no
+    # advisory, and inner edges exist (max inner degree 42, omega 3)
+    "gen-cbe-strict": (
+        ["gen-cbe --p 3 --ell 1 --k 1 --n 140 --epsilon 0.27 --seed 2 "
+         "--mode strict --out strict"],
+        [0],
+        {
+            "strict.csv":
+                "190398a253867377e5698b3c962f64bd0719c61a82944b5ab6f420e0d441f49c",
+            "strict.edges":
+                "811ab29cabb2dd908b00706670bcd26c13cceb27076e537b94c91fa3df89d85e",
+            "strict.json":
+                "377fbfae7e424bf6eeb178074d44012f85d4dcaf5d780c82622beac6074e5654",
+        },
+    ),
+    "gen-mbe-partition": (
+        ["gen-mbe --ell 1 --p 1 --q 2 --k 1 --m 128 --epsilon 0.2 --seed 1 "
+         "--point-mode partition --out part"],
+        [0],
+        {
+            "part.csv":
+                "55a3b3a29982704cdc12295904aeabf50708178395990f1c6c5c8b8fc5616d9e",
+            "part.edges":
+                "d001e6bda144cf6721b961135ea53ece736de7379e12f7a94b7d7c64a4e7495c",
+            "part.hyper":
+                "bfb7895a302858ee7b5c27f624f8044ef5253ac1994fceb14d5b45af7480325d",
+            "part.json":
+                "85c0a615cc400a92e986220b2f8800853b9c69a68e608a2d8de56bf1a56081f3",
+        },
+    ),
     "sweep-cbe": (
         ["sweep gen-cbe --p 3 --ell 1 --k 8,16 --n 20,30 --seed 1 --out s.csv"],
         [0],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rtlab import mbe
 from rtlab import sphere as S
-from rtlab.analysis import max_clique, read_edge_list, write_edge_list
+from rtlab.analysis import LabeledGraph, max_clique, read_edge_list, write_edge_list
 from rtlab.mbe import (
     BinaryStringFamily,
     MbeParams,
@@ -352,28 +352,26 @@ def test_blowup_rejects_bad_t():
 def test_shadow_single_hyperedge_is_complete():
     pr = mbe_params(ell=2, p=1, q=2, k=4, m=2)
     hg = build_base_hypergraph(pr, points=antipodal_points(4, 1, seed=11))
-    bg = shadow_graph(hg)
-    cert = max_clique(bg.to_labeled_graph())
+    cert = max_clique(LabeledGraph.from_adjacency(shadow_graph(hg)))
     assert cert.size == hg.r  # K_r
 
 
 def test_shadow_empty():
     pr = mbe_params(ell=1, p=1, q=2, k=3, m=2)
     P = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
-    bg = shadow_graph(build_base_hypergraph(pr, points=P))
-    assert not bg.adjacency.any()
+    assert not shadow_graph(build_base_hypergraph(pr, points=P)).any()
 
 
 def test_shadow_clique_bound_and_hyperedge_containment():
     pr = mbe_params(ell=2, p=1, q=2, k=6, m=8)
-    bg = shadow_graph(build_base_hypergraph(pr, points=antipodal_points(6, 4, seed=12)))
-    g = bg.to_labeled_graph()
+    hg = build_base_hypergraph(pr, points=antipodal_points(6, 4, seed=12))
+    g = LabeledGraph.from_adjacency(shadow_graph(hg))
     cert = max_clique(g)
-    assert cert.exhaustive and cert.size <= bg.hypergraph.r
+    assert cert.exhaustive and cert.size <= hg.r
     # every maximal clique lies inside a single hyperedge
     import networkx as nx
     G = nx.Graph(list(g.edges()))
-    edge_sets = [frozenset(e) for e in bg.hypergraph.hyperedges]
+    edge_sets = [frozenset(e) for e in hg.hyperedges]
     for clique in nx.find_cliques(G):
         assert any(set(clique) <= es for es in edge_sets)
 
@@ -387,13 +385,13 @@ def test_lengthy_trivial_cases():
     a = np.array([1.0, 0, 0, 0])
     b = np.array([0, 1.0, 0, 0])
     P = np.vstack([a, b, -a, -b])
-    bg = shadow_graph(build_base_hypergraph(pr, points=P))
-    assert lengthy_coordinates(bg, [], pr.mu) == set()
-    assert lengthy_coordinates(bg, [0], pr.mu) == set()
+    hg = build_base_hypergraph(pr, points=P)
+    assert lengthy_coordinates(hg, [], pr.mu) == set()
+    assert lengthy_coordinates(hg, [0], pr.mu) == set()
     # two vertices antipodal in coordinate 1 only: (a, b) vs (-a, b)
-    v1 = bg.hypergraph.vertex_index[(0, 1)]
-    v2 = bg.hypergraph.vertex_index[(2, 1)]
-    assert lengthy_coordinates(bg, [v1, v2], pr.mu) == {1}
+    v1 = hg.vertex_index[(0, 1)]
+    v2 = hg.vertex_index[(2, 1)]
+    assert lengthy_coordinates(hg, [v1, v2], pr.mu) == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +452,14 @@ def test_mbe_clique_budget_lemmas():
         total_lengthy = 0
         for i in range(pr.q):
             local = [v - i * N for v in clique if i * N <= v < (i + 1) * N]
-            lengthy = lengthy_coordinates(g.borsuk, local, pr.mu)
+            lengthy = lengthy_coordinates(g.hypergraph, local, pr.mu)
             total_lengthy += len(lengthy)
             assert len(local) <= 2 ** len(lengthy)
         if total_lengthy > pr.ell + pr.p:
             # a budget violation would mean four sphere points forming the
             # impossible rhombus configuration; localize before failing
             from rtlab.sphere import rhombus_search
-            pts = g.borsuk.hypergraph.points
+            pts = g.hypergraph.points
             witness = rhombus_search(pts, pts, pr.mu)
             raise AssertionError(
                 f"lengthy budget violated; rhombus witness: {witness}")
@@ -479,11 +477,11 @@ def test_mbe_exports(tmp_path):
     g = build_mbe(pr)
     lg = g.to_labeled_graph()
     write_edge_list(tmp_path / "g.edges", lg, classes=f"classes: 2 x {g.class_size}")
-    g.borsuk.hypergraph.write_hyperedges(tmp_path / "g.hyper")
+    g.hypergraph.write_hyperedges(tmp_path / "g.hyper")
     back = read_edge_list(tmp_path / "g.edges")
     assert back.n == g.n and back.adj == lg.adj
     lines = [l for l in (tmp_path / "g.hyper").read_text().splitlines()
              if not l.startswith("#")]
-    assert all(len(l.split()) == g.borsuk.hypergraph.r for l in lines)
+    assert all(len(l.split()) == g.hypergraph.r for l in lines)
     header = g.header_dict()
     assert header["params"]["r"] == 4

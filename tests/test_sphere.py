@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -154,69 +153,85 @@ def test_rhombus_structured_antipodal_pairs():
     assert S.rhombus_search(P, Q, mu=0.05) is None
 
 
+def test_almost_antipodal_is_the_distance_test():
+    mu = 0.2
+    rng = S.philox_rng(31)
+    x = S.sample_real_sphere(3, 4000, rng)
+    y = -x + 1.5 * S.sample_real_sphere(3, 4000, rng)
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    dist = np.linalg.norm(x - y, axis=1)
+    clear = np.abs(dist - (2 - mu)) > 1e-6
+    got = S.almost_antipodal(np.sum(x * y, axis=1), mu)
+    assert np.array_equal(got[clear], dist[clear] >= 2 - mu)
+    assert got[clear].any() and not got[clear].all()
+    # closed at the boundary: |x - y| = 2 - mu exactly, and no slack beyond it
+    theta = 2 * math.asin((2 - mu) / 2)
+    assert S.almost_antipodal(math.cos(theta), mu)
+    assert not S.almost_antipodal(math.cos(theta) + 1e-6, mu)
+
+
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
 
 def test_circle_partition_quarters():
     # S^0(C) ~ the circle: four quarter arcs, each of measure 1/4, diameter sqrt 2
-    part = S.partition_sphere(1, 4, delta=1.5, seed=0)
+    part = S.partition_real_sphere(2, 4, delta=1.5, seed=0)
     assert part.n == 4
     assert math.isclose(part.max_diameter, math.sqrt(2), rel_tol=1e-12)
     for i in range(4):
-        assert math.isclose(part.real.cell_measure(i), 0.25, abs_tol=1e-12)
+        assert math.isclose(part.cell_measure(i), 0.25, abs_tol=1e-12)
 
 
 def test_single_cell_partition():
-    part = S.partition_sphere(2, 1, delta=2.0, seed=0)
+    part = S.partition_real_sphere(4, 1, delta=2.0, seed=0)
     assert part.n == 1
     assert part.max_diameter == 2.0
     with pytest.raises(S.InfeasiblePartition):
-        S.partition_sphere(2, 1, delta=0.5, seed=0)
+        S.partition_real_sphere(4, 1, delta=0.5, seed=0)
 
 
 def test_partition_rejects_undersized_n():
     # a diameter-0.4 set on S^5(R) has measure below 1/5000, so no equal
     # partition of that size can meet the bound; the scheme must refuse
     with pytest.raises(S.InfeasiblePartition):
-        S.partition_sphere(3, 5000, delta=0.4, seed=1)
+        S.partition_real_sphere(6, 5000, delta=0.4, seed=1)
 
 
 def test_partition_input_validation():
     with pytest.raises(ValueError):
-        S.partition_sphere(0, 4, 1.0, 0)
+        S.partition_real_sphere(0, 4, 1.0, 0)
     with pytest.raises(ValueError):
-        S.partition_sphere(2, 0, 1.0, 0)
+        S.partition_real_sphere(4, 0, 1.0, 0)
     with pytest.raises(ValueError):
-        S.partition_sphere(2, 4, 2.5, 0)
+        S.partition_real_sphere(4, 4, 2.5, 0)
 
 
 def test_partition_representatives_and_coverage():
-    part = S.partition_sphere(3, 5000, delta=1.3, seed=1)
-    real = part.real
+    part = S.partition_real_sphere(6, 5000, delta=1.3, seed=1)
     # every representative lies in its own cell
-    assert np.array_equal(real.locate(real.representatives), np.arange(part.n))
+    assert np.array_equal(part.locate(part.representatives), np.arange(part.n))
     # locate is total on random points
     rng = S.philox_rng(20)
-    pts = S.sample_real_sphere(real.d, 100_000, rng)
-    idx = real.locate(pts)
+    pts = S.sample_real_sphere(part.d, 100_000, rng)
+    idx = part.locate(pts)
     assert idx.min() >= 0 and idx.max() < part.n
     # measures are exactly 1/n by construction
-    meas = np.array([real.cell_measure(i) for i in range(part.n)])
+    meas = np.array([part.cell_measure(i) for i in range(part.n)])
     assert np.max(np.abs(meas - 1 / part.n)) < 1e-15
     # sampled points stay inside their cell and within the diameter bound
     for i in (0, 123, part.n - 1):
-        q = real.sample_cell(i, 100, substream=9)
-        assert np.all(real.locate(q) == i)
+        q = part.sample_cell(i, 100, substream=9)
+        assert np.all(part.locate(q) == i)
         g = q @ q.T
         diam_emp = math.sqrt(max(0.0, 2 - 2 * g.min()))
-        assert diam_emp <= real.cell_diameter_bound(i) + 1e-9
+        assert diam_emp <= part.cell_diameter_bound(i) + 1e-9
 
 
 def test_partition_equal_measure_monte_carlo():
     # chi^2-style check: every cell's hit count within 4 binomial sigmas
     n, samples = 5000, 10**6
-    part = S.partition_sphere(3, n, delta=1.3, seed=1)
+    part = S.partition_real_sphere(6, n, delta=1.3, seed=1)
     counts = S.monte_carlo_cell_counts(part, samples, seed=2)
     assert counts.sum() == samples
     expected = samples / n
@@ -225,7 +240,7 @@ def test_partition_equal_measure_monte_carlo():
 
 
 def test_partition_mc_seed_determinism():
-    part = S.partition_sphere(2, 32, delta=2.0, seed=3)
+    part = S.partition_real_sphere(4, 32, delta=2.0, seed=3)
     samples = S._MC_CHUNK + 17_232             # two chunks, the last partial
     c1 = S.monte_carlo_cell_counts(part, samples, seed=4)
     c2 = S.monte_carlo_cell_counts(part, samples, seed=4)
@@ -236,25 +251,14 @@ def test_partition_mc_seed_determinism():
 
 
 def test_mc_rejects_no_samples():
-    part = S.partition_sphere(2, 6, delta=2.0, seed=1)
+    part = S.partition_real_sphere(4, 6, delta=2.0, seed=1)
     with pytest.raises(ValueError, match="samples"):
         S.monte_carlo_cell_counts(part, 0, seed=1)
     with pytest.raises(ValueError, match="samples"):
         S.mc_cap_height_measure(10, 0.2, samples=0, seed=1)
 
 
-def test_partition_json_export():
-    part = S.partition_sphere(2, 6, delta=2.0, seed=5)
-    doc = json.loads(part.to_json())
-    assert doc["k"] == 2 and doc["n"] == 6
-    assert doc["max_diameter"] == part.max_diameter
-    reps = np.array(doc["representatives"])
-    assert reps.shape == (6, 2, 2)
-    z = reps[..., 0] + 1j * reps[..., 1]
-    assert np.allclose(z, part.representatives)
-
-
 def test_partition_determinism():
-    a = S.partition_sphere(2, 10, delta=2.0, seed=9)
-    b = S.partition_sphere(2, 10, delta=2.0, seed=9)
+    a = S.partition_real_sphere(4, 10, delta=2.0, seed=9)
+    b = S.partition_real_sphere(4, 10, delta=2.0, seed=9)
     assert np.array_equal(a.representatives, b.representatives)
