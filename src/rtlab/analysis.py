@@ -1,7 +1,7 @@
 """Finite graph analytics shared by the sphere constructions.
 
 Exact maximum-clique search (branch and bound with greedy colouring bounds),
-p-independence estimation, partition density statistics, a complete-join
+p-independence estimation, global density statistics, a complete-join
 combinator, and the exact rational density formulas for the Ramsey-Turan
 families.  Graphs are stored as bitmask adjacency rows, which keeps the
 search kernels allocation-free.
@@ -24,19 +24,16 @@ MAX_EXACT_CLIQUE_VERTICES = 5000
 # ---------------------------------------------------------------------------
 
 class LabeledGraph:
-    """Simple undirected graph with optional vertex class labels."""
+    """Simple undirected graph on vertices 0..n-1, one bitset row per vertex."""
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: list[int], labels=None):
+    def __init__(self, n: int, adj: list[int]):
         self.n = n
         self.adj = adj
-        self.labels = list(labels) if labels is not None else None
-        if labels is not None and len(self.labels) != n:
-            raise ValueError("labels length must equal vertex count")
 
     @classmethod
-    def from_edges(cls, n: int, edges, labels=None) -> "LabeledGraph":
+    def from_edges(cls, n: int, edges) -> "LabeledGraph":
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -45,17 +42,17 @@ class LabeledGraph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, adj, labels)
+        return cls(n, adj)
 
     @classmethod
-    def from_adjacency(cls, matrix, labels=None) -> "LabeledGraph":
+    def from_adjacency(cls, matrix) -> "LabeledGraph":
         m = np.asarray(matrix, dtype=bool)
         if m.shape[0] != m.shape[1]:
             raise ValueError("adjacency matrix must be square")
         if np.any(m != m.T) or np.any(np.diag(m)):
             raise ValueError("adjacency must be symmetric with empty diagonal")
         adj = _unpack_rows(np.packbits(m, axis=1, bitorder="little"))
-        return cls(m.shape[0], adj, labels)
+        return cls(m.shape[0], adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -75,22 +72,12 @@ class LabeledGraph:
                 rest ^= low
 
     def subgraph(self, vertices) -> "LabeledGraph":
-        """The subgraph induced on vertices, renumbered 0.. in the given order,
-        with their labels."""
+        """The subgraph induced on vertices, renumbered 0.. in the given order."""
         vs = list(vertices)
         if any(not 0 <= v < self.n for v in vs):
             raise ValueError("subgraph vertex out of range")
         rows = _induced_rows(_pack_rows(self.adj), vs)
-        labels = [self.labels[v] for v in vs] if self.labels else None
-        return LabeledGraph(len(vs), _unpack_rows(rows), labels)
-
-    def classes(self) -> dict:
-        if self.labels is None:
-            return {"all": list(range(self.n))}
-        out: dict = {}
-        for v, lab in enumerate(self.labels):
-            out.setdefault(lab, []).append(v)
-        return out
+        return LabeledGraph(len(vs), _unpack_rows(rows))
 
 
 def _pack_rows(adj: list[int]) -> np.ndarray:
@@ -207,7 +194,6 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
     del packed                  # the search needs only the Python-int rows
     best_size = len(greedy)
     best_witness = list(greedy)
-    found_over_cutoff = cutoff is not None and best_size > cutoff
 
     def color_sort(P: int):
         order_out, bounds = [], []
@@ -227,10 +213,10 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
     stack_R: list[int] = []
 
     def expand(P: int):
-        nonlocal best_size, best_witness, found_over_cutoff
+        nonlocal best_size, best_witness
         order_out, bounds = color_sort(P)
         for i in range(len(order_out) - 1, -1, -1):
-            if cutoff is not None and found_over_cutoff:
+            if cutoff is not None and best_size > cutoff:
                 return
             if len(stack_R) + bounds[i] <= max(best_size, cutoff or 0):
                 return
@@ -242,8 +228,6 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
             elif len(stack_R) > best_size:
                 best_size = len(stack_R)
                 best_witness = list(stack_R)
-                if cutoff is not None and best_size > cutoff:
-                    found_over_cutoff = True
             stack_R.pop()
             P &= ~(1 << v)
 
@@ -252,7 +236,7 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
     witness = tuple(sorted(order[i] for i in best_witness))
     if cutoff is None:
         return CliqueCertificate(best_size, witness, True, best_size)
-    if found_over_cutoff or best_size > cutoff:
+    if best_size > cutoff:
         return CliqueCertificate(best_size, witness, False, None)
     return CliqueCertificate(best_size, witness, False, cutoff)
 
@@ -342,30 +326,15 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
 
 @dataclass(frozen=True)
 class DensityReport:
-    inner_edges: dict
-    pair_densities: dict
     global_density: float
     edge_count: int
 
 
 def density_report(g: LabeledGraph) -> DensityReport:
-    """Exact per-class and per-pair densities; vertices without labels form a
-    single class."""
-    classes = g.classes()
-    names = sorted(classes)
-    masks = {name: sum(1 << v for v in classes[name]) for name in names}
-    inner = {}
-    pair = {}
-    for i, a in enumerate(names):
-        ma = masks[a]
-        inner[a] = sum((g.adj[v] & ma).bit_count() for v in classes[a]) // 2
-        for b in names[i + 1:]:
-            mb = masks[b]
-            cross = sum((g.adj[v] & mb).bit_count() for v in classes[a])
-            pair[(a, b)] = cross / (len(classes[a]) * len(classes[b]))
+    """Edge count and the fraction of vertex pairs that are edges."""
     m = g.edge_count()
     dens = 0.0 if g.n < 2 else m / (g.n * (g.n - 1) / 2)
-    return DensityReport(inner, pair, dens, m)
+    return DensityReport(dens, m)
 
 
 def complete_join(graphs) -> LabeledGraph:
@@ -377,7 +346,6 @@ def complete_join(graphs) -> LabeledGraph:
         offsets.append(total)
         total += g.n
     adj = [0] * total
-    labels = []
     full = (1 << total) - 1
     for gi, g in enumerate(graphs):
         off = offsets[gi]
@@ -385,11 +353,7 @@ def complete_join(graphs) -> LabeledGraph:
         for v in range(g.n):
             row = (full & ~block) | (g.adj[v] << off)
             adj[off + v] = row
-        if g.labels is not None:
-            labels.extend(f"g{gi}.{lab}" for lab in g.labels)
-        else:
-            labels.extend(f"g{gi}" for _ in range(g.n))
-    return LabeledGraph(total, adj, labels)
+    return LabeledGraph(total, adj)
 
 
 # ---------------------------------------------------------------------------

@@ -131,24 +131,17 @@ def cross_edge(w, z, params: CbeParams) -> bool:
     return strips and window
 
 
-def _inner_adjacency(points: np.ndarray, params: CbeParams):
-    """Bit adjacency and smallest-witness labels for one class."""
-    n = points.shape[0]
+def _inner_adjacency(points: np.ndarray, params: CbeParams) -> np.ndarray:
+    """Bool adjacency of one class: u ~ v iff u is an h-rotation of v for
+    some h in [p-1]."""
     gram = points @ points.conj().T
-    witness = np.zeros((n, n), dtype=np.int64)
+    hit = np.zeros(gram.shape, dtype=bool)
     for h in range(1, params.p):
-        dist_sq = 2.0 - 2.0 * (params.rho ** (-h) * gram).real
-        hit = (dist_sq <= params.mu + GEOM_TOL) & (witness == 0)
-        np.fill_diagonal(hit, False)
-        witness[hit] = h
-    # u h-rotation of v iff v (p-h)-rotation of u; keep the i<j orientation
-    labels = {}
-    adjacency = np.zeros((n, n), dtype=bool)
-    for i, j in zip(*np.nonzero(witness)):
-        if i < j:
-            adjacency[i, j] = adjacency[j, i] = True
-            labels[(int(i), int(j))] = int(witness[i, j])
-    return adjacency, labels
+        hit |= 2.0 - 2.0 * (params.rho ** (-h) * gram).real <= params.mu + GEOM_TOL
+    # u h-rotation of v iff v (p-h)-rotation of u, but in floating point the
+    # two tests can disagree at the threshold: the i<j test decides
+    upper = np.triu(hit, 1)
+    return upper | upper.T
 
 
 def _cross_adjacency(W: np.ndarray, Z: np.ndarray, params: CbeParams):
@@ -172,18 +165,14 @@ class CbeGraph:
         self.params = params
         self.W = W
         self.Z = Z
-        adj_w, labels_w = _inner_adjacency(W, params)
-        adj_z, labels_z = _inner_adjacency(Z, params)
         cross = _cross_adjacency(W, Z, params)
         n = params.n
         adjacency = np.zeros((2 * n, 2 * n), dtype=bool)
-        adjacency[:n, :n] = adj_w
-        adjacency[n:, n:] = adj_z
+        adjacency[:n, :n] = _inner_adjacency(W, params)
+        adjacency[n:, n:] = _inner_adjacency(Z, params)
         adjacency[:n, n:] = cross
         adjacency[n:, :n] = cross.T
         self.adjacency = adjacency
-        self.rotation_labels = dict(labels_w)
-        self.rotation_labels.update({(i + n, j + n): h for (i, j), h in labels_z.items()})
 
     @property
     def n(self) -> int:
@@ -207,8 +196,7 @@ class CbeGraph:
                        self.adjacency[n:, n:].sum(axis=1).max(initial=0)))
 
     def to_labeled_graph(self) -> LabeledGraph:
-        labels = ["W"] * self.n + ["Z"] * self.n
-        return LabeledGraph.from_adjacency(self.adjacency, labels)
+        return LabeledGraph.from_adjacency(self.adjacency)
 
 
 def _sample_distinct(k: int, n: int, seed: int, stream: int) -> np.ndarray:

@@ -7,12 +7,13 @@ Exit codes: 0 all assertions passed, 1 a certified bound or suite failed,
 parameter, a malformed or mistyped config-file line or a config key that
 names no option of the command, a bad sweep grid value or an axis the
 sweep target does not take, a certify flag the suite does not take, a
---trials below 1, an unreadable config file, edge list or
-header, a header whose class sizes do not sum to the edge list's n, a
-malformed, repeated or non-UTF-8 edge-list line or a `# n=` line
-that contradicts an earlier one (reported as path:line), an equal-measure
+--trials below 1, an analyze --p below 2, an unreadable config file, edge
+list or header, a header whose class sizes do not sum to the edge list's n,
+a malformed, repeated or non-UTF-8 edge-list line or a `# n=` line that
+contradicts an earlier one (reported as path:line), an equal-measure
 partition that cannot meet its diameter (gen-cbe --mode strict, gen-mbe
---point-mode partition), or an exact search beyond its size gate.
+--point-mode partition), or an exact search or enumeration beyond its size
+gate (gen-mbe --ell above 6, among others).
 Every output embeds the originating configuration; reruns of the same
 configuration are byte-identical (seeds are explicit, never wall-clock).
 The options of gen-cbe and gen-mbe, and the sweep axes' defaults, are the
@@ -355,8 +356,7 @@ def evaluate_mbe(params: MbeParams):
 def cmd_gen_cbe(args, parser) -> int:
     params, out = _merge_config(args, parser, CbeParams)
     graph, lg, cert, results = evaluate_cbe(params)
-    n = graph.n
-    rep = density_report(lg)
+    n, a = graph.n, graph.adjacency
     config = params.to_dict()
     write_edge_list(f"{out}.edges", lg, comments=[_config_comment(config)],
                     classes=f"classes W=[0,{n}) Z=[{n},{2*n})")
@@ -364,9 +364,10 @@ def cmd_gen_cbe(args, parser) -> int:
     summary = {
         "config": config,
         "class_sizes": {"W": n, "Z": n},
-        "edge_count": rep.edge_count,
+        "edge_count": lg.edge_count(),
         "cross_density": graph.cross_density(),
-        "inner_edges": rep.inner_edges,
+        "inner_edges": {"W": int(a[:n, :n].sum()) // 2,
+                        "Z": int(a[n:, n:].sum()) // 2},
         "max_inner_degree": graph.max_inner_degree(),
         "cross_degree_range": [int(degs.min()), int(degs.max())],
         "clique": {"size": cert.size, "witness": list(cert.witness),
@@ -409,6 +410,8 @@ def cmd_gen_mbe(args, parser) -> int:
 
 
 def cmd_analyze(args, parser) -> int:
+    if args.p < 2:
+        parser.error(f"--p must be at least 2, not {args.p}")
     try:
         g = read_edge_list(args.edge_list)
         if args.header and (total := _header_vertex_count(args.header)) != g.n:

@@ -113,8 +113,11 @@ class BinaryStringFamily:
     """The r = 2^ell binary strings with the bipartite splits Q_h, h in [ell]."""
 
     def __init__(self, ell: int):
-        if not 1 <= ell <= MAX_Q_FAMILY_ELL:
-            raise ValueError(f"ell must lie in [1, {MAX_Q_FAMILY_ELL}]")
+        if ell < 1:
+            raise ValueError("ell must be at least 1")
+        if ell > MAX_Q_FAMILY_ELL:
+            raise sphere.ResourceLimit(
+                f"binary string family capped at ell <= {MAX_Q_FAMILY_ELL}")
         self.ell = ell
         self.r = 2 ** ell
         self.strings = [tuple((i >> (ell - 1 - b)) & 1 for b in range(ell))
@@ -241,13 +244,13 @@ def default_points(params: MbeParams) -> np.ndarray:
     antipodal: m/2 uniform points plus their exact antipodes (indices
     i and i + m/2 are antipodal), so almost antipodal pairs exist and the
     Borsuk structure is non-degenerate at desk scale.
-    partition: representatives of an equal-measure partition with diameter
-    mu/4 (usually infeasible below astronomical m).
+    partition: one uniform point from each cell of an equal-measure
+    partition with diameter mu/4 (usually infeasible below astronomical m).
     """
     if params.point_mode == "partition":
         part = sphere.partition_real_sphere(params.k + 1, params.m,
                                             params.mu / 4, params.seed)
-        return part.representatives
+        return np.vstack([part.sample_cell(i, 1) for i in range(params.m)])
     rng = sphere.philox_rng(params.seed, _STREAM_POINTS)
     half = sphere.sample_real_sphere(params.k + 1, params.m // 2, rng)
     return np.vstack([half, -half])
@@ -522,7 +525,6 @@ class MbeGraph:
                  shadow: np.ndarray, coloring: dict, blowup_report: BlowupReport):
         self.params = params
         self.hypergraph = hypergraph
-        self.shadow = shadow
         self.coloring = coloring
         self.blowup_report = blowup_report
         N = shadow.shape[0]
@@ -553,8 +555,7 @@ class MbeGraph:
         return 2 ** self.params.ell + 2 ** self.params.p + self.params.q - 2
 
     def to_labeled_graph(self) -> LabeledGraph:
-        labels = [f"V{1 + v // self.class_size}" for v in range(self.n)]
-        return LabeledGraph.from_adjacency(self.adjacency, labels)
+        return LabeledGraph.from_adjacency(self.adjacency)
 
     def pair_density(self, i: int, ip: int) -> float:
         N = self.class_size

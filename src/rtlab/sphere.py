@@ -313,8 +313,6 @@ class RealSpherePartition:
         self.max_diameter = max_diameter
         self.seed = seed
         self._axes = [_Axis(d, j) for j in range(d - 1)]
-        self.representatives = np.vstack(
-            [self.sample_cell(i, 1, substream=0) for i in range(n)])
 
     # -- geometry -----------------------------------------------------------
 

@@ -482,20 +482,6 @@ def g_of_A_numeric(A, seed: int = 0):
     return best_val, best_u
 
 
-def g_of_A_grid(A, step: float = 0.001):
-    """Brute-force grid oracle over the simplex; 2x2 matrices only."""
-    M = np.asarray(A, dtype=float)
-    if M.shape != (2, 2):
-        raise ValueError("grid oracle is for 2x2 matrices")
-    best = 0.0
-    ticks = int(round(1 / step))
-    for i in range(ticks + 1):
-        u0 = i * step
-        u = np.array([u0, 1 - u0])
-        best = max(best, float(u @ M @ u))
-    return best
-
-
 def dense_core(A):
     """Minimal index set J with g(A[J]) = g(A), first in size-then-
     combinations order, and the solution on A[J] (support range(|J|)); the

@@ -192,8 +192,6 @@ def test_build_edge_rules_sound():
         for j in range(i + 1, n):
             w = rotation_witness(g.W[i], g.W[j], pr)
             assert (w is not None) == g.adjacency[i, j]
-            if w is not None:
-                assert g.rotation_labels[(i, j)] == w
             zw = rotation_witness(g.Z[i], g.Z[j], pr)
             assert (zw is not None) == g.adjacency[n + i, n + j]
     for i in range(n):
@@ -229,10 +227,10 @@ def test_rotation_composition_on_triangles():
     ]
     assert triangles  # the rotation family forces inner triangles
     for i, j, t in triangles:
-        h_i = g.rotation_labels[(i, t)]
-        h_j = g.rotation_labels[(j, t)]
+        h_i = rotation_witness(g.W[i], g.W[t], pr)
+        h_j = rotation_witness(g.W[j], g.W[t], pr)
         assert h_i != h_j
-        assert g.rotation_labels[(i, j)] == (h_i - h_j) % pr.p
+        assert rotation_witness(g.W[i], g.W[j], pr) == (h_i - h_j) % pr.p
 
 
 def test_inner_graphs_kp1_free():
@@ -271,7 +269,6 @@ def test_build_determinism():
     g2 = build_cbe(pr)
     assert np.array_equal(g1.W, g2.W)
     assert np.array_equal(g1.adjacency, g2.adjacency)
-    assert g1.rotation_labels == g2.rotation_labels
 
 
 def test_strict_mode_circle():

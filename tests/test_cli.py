@@ -285,6 +285,22 @@ def test_analyze_stdout(tmp_path, capsys):
     assert "graph_id" in capsys.readouterr().out
 
 
+def test_gen_cbe_strict_counts_match_edge_list(tmp_path):
+    # the golden strict configuration, whose classes have inner edges
+    run(["gen-cbe", "--p", 3, "--ell", 1, "--k", 1, "--n", 140, "--epsilon", 0.27,
+         "--seed", 2, "--mode", "strict", "--out", tmp_path / "g"])
+    summary = json.loads((tmp_path / "g.json").read_text())
+    assert summary["max_inner_degree"] == 42
+    n = summary["class_sizes"]["W"]
+    edges = [tuple(map(int, line.split()))
+             for line in (tmp_path / "g.edges").read_text().splitlines()
+             if not line.startswith("#")]
+    assert summary["edge_count"] == len(edges)
+    assert summary["inner_edges"] == {
+        "W": sum(v < n for u, v in edges),
+        "Z": sum(u >= n for u, v in edges)}
+
+
 def _write(path, text):
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return path
@@ -352,13 +368,18 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
                 "--seed", 1, "--out", d / "g"], "m^ell = 1004004 exceeds"),
     (lambda d: ["analyze", _write(d / "big.edges", "# n=5001\n0 1\n")],
      "capped at 5000 vertices"),
-], ids=["gen-mbe-hyperedges", "analyze-clique"])
+    (lambda d: ["gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4, "--m", 2,
+                "--seed", 1, "--out", d / "g"], "capped at ell <= 6"),
+    (lambda d: ["sweep", "gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4,
+                "--m", 2, "--seed", 1, "--out", d / "s.csv"], "capped at ell <= 6"),
+], ids=["gen-mbe-hyperedges", "analyze-clique", "gen-mbe-ell", "sweep-mbe-ell"])
 def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
         run(argv(tmp_path))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "resource gate" in err and fragment in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -386,8 +407,9 @@ def test_infeasible_partition_exits_2(tmp_path, capsys, argv, fragment):
     lambda d: ["analyze", _write(d / "big.edges", "# n=5001\n0 1\n")],
     lambda d: ["sweep", "gen-cbe", "--p", 3, "--ell", 1, "--k", "8,x", "--n", 20,
                "--out", d / "s.csv"],
+    lambda d: ["analyze", _write(d / "g.edges", "# n=3\n0 1\n"), "--p", 1],
 ], ids=["gen-cbe-mode", "certify-trials", "analyze-missing", "analyze-gate",
-        "sweep-grid"])
+        "sweep-grid", "analyze-p"])
 def test_command_errors_print_the_command_usage(tmp_path, capsys, argv):
     argv = argv(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -397,6 +419,7 @@ def test_command_errors_print_the_command_usage(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"usage: rtlab {argv[0]} ")
     assert f"rtlab {argv[0]}: error: " in captured.err
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_q_family_alpha_formula(ell):
 
 
 def test_q_family_gate():
-    with pytest.raises(ValueError):
+    with pytest.raises(S.ResourceLimit):
         BinaryStringFamily(7)
     with pytest.raises(ValueError):
         BinaryStringFamily(0)

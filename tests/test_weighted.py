@@ -20,7 +20,6 @@ from rtlab.weighted import (
     find_G_pq_subgraph,
     find_herculean,
     g_of_A,
-    g_of_A_grid,
     g_of_A_numeric,
     in_G_p_q,
     is_dominating_extension,
@@ -259,6 +258,20 @@ def test_extension_dp_gate(search):
 def test_g_of_a_empty():
     sol = g_of_A([])
     assert sol.value == 0
+
+
+def g_of_A_grid(A, step: float = 0.001):
+    """Brute-force grid oracle over the simplex; 2x2 matrices only."""
+    M = np.asarray(A, dtype=float)
+    if M.shape != (2, 2):
+        raise ValueError("grid oracle is for 2x2 matrices")
+    best = 0.0
+    ticks = int(round(1 / step))
+    for i in range(ticks + 1):
+        u0 = i * step
+        u = np.array([u0, 1 - u0])
+        best = max(best, float(u @ M @ u))
+    return best
 
 
 def test_g_of_a_single_edge():
