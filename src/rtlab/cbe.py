@@ -199,20 +199,6 @@ class CbeGraph:
         return LabeledGraph.from_adjacency(self.adjacency)
 
 
-def _sample_distinct(k: int, n: int, seed: int, stream: int) -> np.ndarray:
-    rng = sphere.philox_rng(seed, stream)
-    pts = sphere.sample_complex_sphere(k, n, rng)
-    # duplicates have probability zero; resample defensively anyway
-    while True:
-        gram = pts @ pts.conj().T
-        np.fill_diagonal(gram, 0)
-        dup = np.argwhere(np.abs(gram - 1.0) < 1e-15)
-        if dup.size == 0:
-            return pts
-        for i, _ in dup:
-            pts[i] = sphere.sample_complex_sphere(k, 1, rng)[0]
-
-
 def build_cbe(params: CbeParams) -> CbeGraph:
     """Construct the graph; deterministic for fixed params.
 
@@ -229,8 +215,11 @@ def build_cbe(params: CbeParams) -> CbeGraph:
         W = sphere.uninterleave(pairs[:, 0])
         Z = sphere.uninterleave(pairs[:, 1])
     else:
-        W = _sample_distinct(params.k, params.n, params.seed, _STREAM_W)
-        Z = _sample_distinct(params.k, params.n, params.seed, _STREAM_Z)
+        # an exact repeat has probability 0, and would add no edge anyway
+        W = sphere.sample_complex_sphere(params.k, params.n,
+                                         sphere.philox_rng(params.seed, _STREAM_W))
+        Z = sphere.sample_complex_sphere(params.k, params.n,
+                                         sphere.philox_rng(params.seed, _STREAM_Z))
     graph = CbeGraph(params, W, Z)
     if params.k >= 32:
         lo = (params.ell / params.p - 0.2) * params.n

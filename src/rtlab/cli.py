@@ -12,8 +12,9 @@ list or header, a header whose class sizes do not sum to the edge list's n,
 a malformed, repeated or non-UTF-8 edge-list line or a `# n=` line that
 contradicts an earlier one (reported as path:line), an equal-measure
 partition that cannot meet its diameter (gen-cbe --mode strict, gen-mbe
---point-mode partition), or an exact search or enumeration beyond its size
-gate (gen-mbe --ell above 6, among others).
+--point-mode partition), an exact search or enumeration beyond its size
+gate (gen-mbe --ell above 6, among others), or an allocation that runs out
+of memory.
 Every output embeds the originating configuration; reruns of the same
 configuration are byte-identical (seeds are explicit, never wall-clock).
 The options of gen-cbe and gen-mbe, and the sweep axes' defaults, are the
@@ -570,6 +571,8 @@ def main(argv=None) -> int:
         args.parser.error(f"resource gate: {exc}")
     except InfeasiblePartition as exc:
         args.parser.error(f"infeasible partition: {exc}")
+    except MemoryError as exc:
+        args.parser.error(f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -198,22 +198,20 @@ def related_coordinates(i: int, ip: int, params: MbeParams, coloring: dict) -> s
 class GeometricHypergraph:
     """r-uniform hypergraph on ell-tuples of sphere points.
 
-    Vertices are tuples of point ids (one per coordinate h in [ell]) into
-    `points`; hyperedges are stored as ordered r-tuples of vertex ids,
-    labelled by the binary strings, and satisfy: whenever strings b_i, b_j
-    differ in coordinate h, the h-th projections are almost antipodal
-    (|x - y| >= 2 - mu).
+    `vertices` is an (N, ell) int array: row v holds the point ids into
+    `points` of vertex v, one per coordinate h in [ell].  Hyperedges are
+    ordered r-tuples of vertex ids, labelled by the binary strings, and
+    satisfy: whenever strings b_i, b_j differ in coordinate h, the h-th
+    projections are almost antipodal (|x - y| >= 2 - mu).
     """
 
     def __init__(self, ell: int, mu: float, points: np.ndarray,
-                 vertices: list, hyperedges: list, base_of=None):
+                 vertices: np.ndarray, hyperedges: list):
         self.ell = ell
         self.mu = mu
         self.points = points
         self.vertices = vertices
-        self.vertex_index = {v: i for i, v in enumerate(vertices)}
         self.hyperedges = hyperedges
-        self.base_of = base_of  # point id -> base point id after blow-up
         self.family = BinaryStringFamily(ell)
 
     @property
@@ -225,8 +223,8 @@ class GeometricHypergraph:
         fam = self.family
         for h in range(1, self.ell + 1):
             for a, b in fam.q_edges(h):
-                xa = self.points[self.vertices[edge[a]][h - 1]]
-                xb = self.points[self.vertices[edge[b]][h - 1]]
+                xa = self.points[self.vertices[edge[a], h - 1]]
+                xb = self.points[self.vertices[edge[b], h - 1]]
                 if np.linalg.norm(xa - xb) < (2 - self.mu) - GEOM_TOL:
                     return False
         return True
@@ -236,6 +234,13 @@ class GeometricHypergraph:
             fh.write(f"# r={self.r} vertices={len(self.vertices)}\n")
             for edge in self.hyperedges:
                 fh.write(" ".join(str(v) for v in edge) + "\n")
+
+
+def _digits(base: int, n_digits: int) -> np.ndarray:
+    """(base^n_digits, n_digits) array whose row c holds the base-`base`
+    digits of c, most significant first."""
+    c = np.arange(base ** n_digits)
+    return c[:, None] // base ** np.arange(n_digits - 1, -1, -1) % base
 
 
 def default_points(params: MbeParams) -> np.ndarray:
@@ -256,71 +261,94 @@ def default_points(params: MbeParams) -> np.ndarray:
     return np.vstack([half, -half])
 
 
-def _coordinate_assignments(far: np.ndarray, fam: BinaryStringFamily, h: int):
-    """All maps string-index -> point id with far(x_i, x_j) whenever the
-    strings differ in coordinate h.  DFS with cross-side pruning."""
-    r = fam.r
-    side = [fam.strings[i][h - 1] for i in range(r)]
-    m = far.shape[0]
-    out = []
-    assign = [0] * r
+def _coordinate_assignments(far: np.ndarray, fam: BinaryStringFamily, h: int) -> np.ndarray:
+    """(count, r) int array of every map string index -> point id with
+    far[x_i, x_j] for i > j whenever strings i and j differ in coordinate h,
+    rows in lexicographic order.
 
-    def dfs(i):
-        if len(out) > MAX_ASSIGNMENTS:
+    Built level by level, assigning the strings alternately from the two
+    sides of Q_h; the first two levels together are np.nonzero(far.T).  The
+    rows are then lexsorted back into string order.  far is symmetric, so
+    once both sides have a point every partial assignment extends (repeat
+    its side's first point, which is far from every point of the other
+    side), and no level holds fewer rows than the one before.  Gating each
+    level at MAX_ASSIGNMENTS therefore raises exactly when the finished
+    count exceeds it.  The first candidate mask is a copy of far.T; a later
+    one has rows x m bools with rows <= MAX_ASSIGNMENTS, and exists only for
+    ell >= 2, where build_base_hypergraph's vertex gate keeps m <= 1000: at
+    most 10^8 bools (100 MB).
+    """
+    side = np.array(fam.strings)[:, h - 1]
+    order = np.stack([np.flatnonzero(side == 0), np.flatnonzero(side == 1)], 1).ravel()
+    rows = np.arange(far.shape[0])[:, None]
+    for c in range(1, fam.r):
+        s = order[c]
+        mask = np.ones((len(rows), far.shape[0]), dtype=bool)
+        for j in range(1 - c % 2, c, 2):        # the other side's columns
+            mask &= (far.T if s > order[j] else far)[rows[:, j]]
+        if np.count_nonzero(mask) > MAX_ASSIGNMENTS:
             raise sphere.ResourceLimit("hyperedge assignment enumeration too large")
-        if i == r:
-            out.append(tuple(assign))
-            return
-        for pt in range(m):
-            ok = all(far[pt, assign[j]] for j in range(i) if side[j] != side[i])
-            if ok:
-                assign[i] = pt
-                dfs(i + 1)
-
-    dfs(0)
-    return out
+        picked, pt = np.nonzero(mask)
+        rows = np.column_stack([rows[picked], pt])
+    out = np.empty_like(rows)
+    out[:, order] = rows
+    return out[np.lexsort(out.T[::-1])]
 
 
 def build_base_hypergraph(params: MbeParams, points: np.ndarray | None = None) -> GeometricHypergraph:
-    """Hypergraph B on the full vertex set P^ell.
+    """Hypergraph B on the full vertex set P^ell; vertex v is the tuple of
+    base-m digits of v.
 
     Hyperedges are enumerated per coordinate from the almost-antipodal pair
-    structure of P and combined across coordinates; this never brute-forces
-    all m^(ell r) labelled tuples.
+    structure of P and combined across coordinates by broadcasting, in
+    itertools.product order; this never brute-forces all m^(ell r)
+    labelled tuples.  A hyperedge is kept at its first labelling.
     """
     P = default_points(params) if points is None else np.asarray(points, dtype=float)
     m = P.shape[0]
     if m ** params.ell > MAX_BASE_VERTICES:
         raise sphere.ResourceLimit(
             f"m^ell = {m ** params.ell} exceeds the desk bound {MAX_BASE_VERTICES}")
-    vertices = [tuple(v) for v in itertools.product(range(m), repeat=params.ell)]
-    hg = GeometricHypergraph(params.ell, params.mu, P, vertices, [])
-    fam = hg.family
+    fam = BinaryStringFamily(params.ell)
     far = sphere.almost_antipodal(P @ P.T, params.mu)
 
     per_coord = [_coordinate_assignments(far, fam, h)
                  for h in range(1, params.ell + 1)]
-    total = 1
+    if math.prod(len(a) for a in per_coord) > MAX_ASSIGNMENTS:
+        raise sphere.ResourceLimit("hyperedge combination count too large")
+    ids = np.zeros((1, fam.r), dtype=np.int64)
     for a in per_coord:
-        total *= len(a)
-        if total > MAX_ASSIGNMENTS:
-            raise sphere.ResourceLimit("hyperedge combination count too large")
-
-    seen = set()
-    for combo in itertools.product(*per_coord):
-        edge = tuple(hg.vertex_index[tuple(combo[h][i] for h in range(params.ell))]
-                     for i in range(fam.r))
-        key = frozenset(edge)
-        if key not in seen:
-            seen.add(key)
-            hg.hyperedges.append(edge)
-    return hg
+        ids = (ids[:, None, :] * m + a).reshape(-1, fam.r)
+    # the sorted row names the vertex set; a vertex repeats within a row only
+    # when mu is so large that a point is far from itself, and then each
+    # repeat becomes -1, so rows with the same set share one key
+    key = np.sort(ids, axis=1)
+    key[:, 1:][key[:, 1:] == key[:, :-1]] = -1
+    key.sort(axis=1)
+    first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+    return GeometricHypergraph(params.ell, params.mu, P, _digits(m, params.ell),
+                               [tuple(e) for e in ids[first].tolist()])
 
 
 # -- blow-up and sparsification ---------------------------------------------
 
-def _bullet2_value(n_vertices: int, n_edges: int, zeta: float, r: int) -> float:
-    return n_vertices + (1 + zeta - r) * (n_edges - 1)
+def _dense(n_vertices: int, n_edges: int, zeta: float, r: int) -> bool:
+    """The sparsity condition's violation, for configurations of at most r^3
+    vertices: |V| + (1 + zeta - r)(|E| - 1) < r."""
+    return (n_vertices <= r ** 3
+            and n_vertices + (1 + zeta - r) * (n_edges - 1) < r - GEOM_TOL)
+
+
+def _overlaps(edge_sets) -> list:
+    """Per hyperedge, the set of other hyperedges sharing a vertex with it,
+    read from a per-vertex incidence index.  Each set is filled in
+    ascending order, which fixes its iteration order."""
+    incident = {}
+    for j, es in enumerate(edge_sets):
+        for v in es:
+            incident.setdefault(v, []).append(j)
+    return [set(sorted({j for v in es for j in incident[v]} - {i}))
+            for i, es in enumerate(edge_sets)]
 
 
 def find_dense_subconfig(hyperedges, zeta: float, r: int):
@@ -335,26 +363,17 @@ def find_dense_subconfig(hyperedges, zeta: float, r: int):
     blow-up, and blowup_sparsify calls it for the configurations of three or
     more hyperedges left after its pass over dense pairs.
     """
-    max_vertices = r ** 3
     edge_sets = [frozenset(e) for e in hyperedges]
-    n = len(edge_sets)
-    neighbors = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if edge_sets[i] & edge_sets[j]:
-                neighbors[i].add(j)
-                neighbors[j].add(i)
-
-    frontier = [frozenset((i,)) for i in range(n)]
+    neighbors = _overlaps(edge_sets)
+    frontier = [frozenset((i,)) for i in range(len(edge_sets))]
     seen = set(frontier)
     while frontier:
         nxt = []
         for chosen in frontier:
             verts = frozenset.union(*(edge_sets[i] for i in chosen))
-            if len(chosen) >= 2 and len(verts) <= max_vertices:
-                if _bullet2_value(len(verts), len(chosen), zeta, r) < r - GEOM_TOL:
-                    return tuple(sorted(chosen))
-            if len(chosen) >= 8 or len(verts) > max_vertices:
+            if len(chosen) >= 2 and _dense(len(verts), len(chosen), zeta, r):
+                return tuple(sorted(chosen))
+            if len(chosen) >= 8 or len(verts) > r ** 3:
                 continue
             grow = set().union(*(neighbors[i] for i in chosen)) - chosen
             for j in grow:
@@ -369,25 +388,17 @@ def find_dense_subconfig(hyperedges, zeta: float, r: int):
 def sparsify(hyperedges, zeta: float, r: int):
     """Delete hyperedges until find_dense_subconfig finds no violator, as
     blowup_sparsify describes: one ascending pass over dense pairs, then one
-    search per remaining deletion.  Partners in the pass come from per-vertex
-    incidence lists, so no E x E table is built.  Returns (kept, deleted),
-    kept in the input order."""
-    max_vertices = r ** 3
+    search per remaining deletion.  Partners in the pass come from the same
+    incidence index as the search's, so no E x E table is built.  Returns
+    (kept, deleted), kept in the input order."""
     edge_sets = [frozenset(e) for e in hyperedges]
-    incident = {}
-    for j, es in enumerate(edge_sets):
-        for v in es:
-            incident.setdefault(v, []).append(j)
     alive = [True] * len(edge_sets)
-    for i, es in enumerate(edge_sets):
-        if not alive[i]:
-            continue
-        partners = {j for v in es for j in incident[v] if j > i and alive[j]}
-        for j in partners:
-            verts = es | edge_sets[j]
-            if (len(verts) <= max_vertices
-                    and _bullet2_value(len(verts), 2, zeta, r) < r - GEOM_TOL):
-                alive[j] = False
+    for i, partners in enumerate(_overlaps(edge_sets)):
+        if alive[i]:
+            for j in partners:
+                if j > i and alive[j] and _dense(len(edge_sets[i] | edge_sets[j]),
+                                                 2, zeta, r):
+                    alive[j] = False
     kept = [e for e, a in zip(hyperedges, alive) if a]
     deleted = len(hyperedges) - len(kept)
     while True:
@@ -428,9 +439,14 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
       * the loop itself, on the survivors in their original order, for the
         violators of three or more hyperedges.
 
-    t = 1 is the identity blow-up: B is returned unchanged.
+    t = 1 is the identity blow-up: B is returned unchanged.  Otherwise copy
+    c in [t] of base vertex v, c read as ell base-t^(1/ell) digits c_h, is
+    vertex v t + c with point ids v_h t^(1/ell) + c_h; copy c in [t^r] of a
+    base hyperedge (v_1..v_r), c read as r base-t digits, is
+    (v_1 t + c_1, ..., v_r t + c_r).  Copies are drawn for retention in base
+    hyperedge order, then copy order.
     """
-    ell = base.ell
+    ell, r = base.ell, base.r
     t_root = round(t ** (1 / ell))
     if t_root ** ell != t:
         raise ValueError("t must be a perfect ell-th power")
@@ -438,49 +454,30 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
         report = BlowupReport(len(base.hyperedges), len(base.hyperedges),
                               len(base.hyperedges), 0)
         return base, report
+    candidates = len(base.hyperedges) * t ** r
+    if candidates > MAX_BLOWUP_EDGES:
+        raise sphere.ResourceLimit(
+            f"blow-up would enumerate {candidates} hyperedge copies")
 
     m, dim = base.points.shape
     mu = base.mu
     rng = sphere.philox_rng(seed, _STREAM_DUPS)
     dup_points = np.empty((m * t_root, dim))
-    base_of = np.repeat(np.arange(m), t_root)
     for pid in range(m):
         for c in range(t_root):
             noise = rng.standard_normal(dim)
             x = base.points[pid] + (mu / 100) * noise / np.linalg.norm(noise)
             dup_points[pid * t_root + c] = x / np.linalg.norm(x)
+    vertices = (base.vertices[:, None, :] * t_root + _digits(t_root, ell)).reshape(-1, ell)
 
-    def dup_ids(pid):
-        return range(pid * t_root, (pid + 1) * t_root)
-
-    vertices = []
-    for v in base.vertices:
-        for combo in itertools.product(*(dup_ids(pid) for pid in v)):
-            vertices.append(tuple(combo))
-    blown = GeometricHypergraph(ell, mu, dup_points, vertices, [], base_of=base_of)
-
-    r = base.r
-    copies_per_edge = t ** r
-    candidates = len(base.hyperedges) * copies_per_edge
-    if candidates > MAX_BLOWUP_EDGES:
-        raise sphere.ResourceLimit(
-            f"blow-up would enumerate {candidates} hyperedge copies")
-
-    rng_keep = sphere.philox_rng(seed, _STREAM_RETAIN)
-    retained = []
-    for edge in base.hyperedges:
-        member_copies = []
-        for vid in edge:
-            v = base.vertices[vid]
-            member_copies.append([blown.vertex_index[c] for c in
-                                  itertools.product(*(dup_ids(pid) for pid in v))])
-        for combo in itertools.product(*member_copies):
-            if rng_keep.random() < retention:
-                retained.append(tuple(combo))
-
-    blown.hyperedges, deleted = sparsify(retained, zeta, r)
+    edges = np.array(base.hyperedges, dtype=np.int64).reshape(-1, 1, r)
+    # with no base hyperedge t^r is unbounded, and there is nothing to copy
+    copies = (edges * t + (_digits(t, r) if candidates else 0)).reshape(-1, r)
+    keep = sphere.philox_rng(seed, _STREAM_RETAIN).random(candidates) < retention
+    retained = [tuple(e) for e in copies[keep].tolist()]
+    kept, deleted = sparsify(retained, zeta, r)
     report = BlowupReport(len(base.hyperedges), candidates, len(retained), deleted)
-    return blown, report
+    return GeometricHypergraph(ell, mu, dup_points, vertices, kept), report
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +504,7 @@ def lengthy_coordinates(hg: GeometricHypergraph, vertex_ids, mu: float) -> set:
     iu = np.triu_indices(len(ids), k=1)
     out = set()
     for h in range(1, hg.ell + 1):
-        pts = hg.points[[hg.vertices[v][h - 1] for v in ids]]
+        pts = hg.points[hg.vertices[ids, h - 1]]
         if np.any(sphere.almost_antipodal((pts @ pts.T)[iu], mu)):
             out.add(h)
     return out
@@ -519,14 +516,18 @@ def lengthy_coordinates(hg: GeometricHypergraph, vertex_ids, mu: float) -> set:
 
 class MbeGraph:
     """q classes, each a copy of B(ell), the shadow graph of the hypergraph
-    B' given as its N x N adjacency; global ids are class * N + local."""
+    B'; global ids are class * N + local.  Each diagonal N x N block of
+    `adjacency` is shadow_graph(hypergraph), and an off-diagonal block joins
+    u and v when every related coordinate pair (h, h') has
+    |u_h - v_h'| <= sqrt(2) - mu."""
 
     def __init__(self, params: MbeParams, hypergraph: GeometricHypergraph,
-                 shadow: np.ndarray, coloring: dict, blowup_report: BlowupReport):
+                 coloring: dict, blowup_report: BlowupReport):
         self.params = params
         self.hypergraph = hypergraph
         self.coloring = coloring
         self.blowup_report = blowup_report
+        shadow = shadow_graph(hypergraph)
         N = shadow.shape[0]
         q = params.q
         self.classes = q
@@ -536,7 +537,7 @@ class MbeGraph:
         for i in range(q):
             adjacency[i * N:(i + 1) * N, i * N:(i + 1) * N] = shadow
 
-        coord_ids = np.array([list(v) for v in hypergraph.vertices])
+        ids = hypergraph.vertices
         gram = hypergraph.points @ hypergraph.points.T
         near = gram >= (math.sqrt(2) * params.mu - params.mu ** 2 / 2.0) - GEOM_TOL
         # |x - y| <= sqrt(2) - mu  <=>  <x,y> >= sqrt(2) mu - mu^2/2
@@ -546,7 +547,7 @@ class MbeGraph:
                 rel = related_coordinates(i, ip, params, coloring)
                 block = np.ones((N, N), dtype=bool)
                 for h, hp in sorted(rel):
-                    block &= near[np.ix_(coord_ids[:, h - 1], coord_ids[:, hp - 1])]
+                    block &= near[np.ix_(ids[:, h - 1], ids[:, hp - 1])]
                 adjacency[i * N:(i + 1) * N, ip * N:(ip + 1) * N] = block
                 adjacency[ip * N:(ip + 1) * N, i * N:(i + 1) * N] = block.T
         self.adjacency = adjacency
@@ -580,4 +581,4 @@ def build_mbe(params: MbeParams) -> MbeGraph:
     blown, report = blowup_sparsify(base, params.t, params.zeta, params.seed,
                                     params.retention)
     coloring = proper_edge_coloring(params.q)
-    return MbeGraph(params, blown, shadow_graph(blown), coloring, report)
+    return MbeGraph(params, blown, coloring, report)

@@ -28,9 +28,11 @@ GEOM_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
 
 # Stream ids so different consumers of the same seed never share a Philox key.
+# sample_cell's substream s draws from stream _STREAM_CELL + s; the library
+# uses s = 0 (mbe partition points) and s = 1 (strict cbe), so 2 and 3.
 _STREAM_MC = 1
 _STREAM_CELL = 2
-_STREAM_SAMPLE = 3
+_STREAM_SAMPLE = 4
 
 
 class InfeasiblePartition(ValueError):

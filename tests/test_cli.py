@@ -1,11 +1,15 @@
 import contextlib
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from rtlab import weighted
+import rtlab
+from rtlab import cli, weighted
 from rtlab.cbe import CbeParams
 from rtlab.cli import main, run_suite
 from rtlab.mbe import MbeParams
@@ -165,6 +169,55 @@ def test_gen_mbe_partition_points(tmp_path):
     assert summary["clique"] == {"found": 4, "bound": 4, "bound_satisfied": True}
     for name in ("g.edges", "g.hyper", "g.json", "g.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def run_subprocess(argv, timeout=60):
+    """Run the CLI in a child process, so a search that hangs fails the test
+    within the timeout instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(rtlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "rtlab", *map(str, argv)],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def test_gen_mbe_long_strings_finish(tmp_path):
+    # ell = 6: each Q_h assignment has 64 strings, 32 on either side
+    proc = run_subprocess(["gen-mbe", "--ell", 6, "--p", 1, "--q", 2, "--k", 4,
+                           "--m", 2, "--seed", 1, "--out", tmp_path / "g"])
+    assert proc.returncode == 0, proc.stderr
+    clique = json.loads((tmp_path / "g.json").read_text())["clique"]
+    assert clique["bound_satisfied"] and clique["found"] <= clique["bound"] == 66
+
+
+def test_gen_mbe_assignment_gate_is_quick(tmp_path):
+    # 1000 points with one antipode each: about 10^6 hyperedge combinations
+    proc = run_subprocess(["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 10,
+                           "--m", 1000, "--seed", 1, "--out", tmp_path / "g"])
+    assert proc.returncode == 2
+    assert "resource gate" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("command, evaluate, argv", [
+    ("gen-mbe", "evaluate_mbe", ["--ell", 2, "--p", 1, "--q", 2, "--k", 10,
+                                 "--m", 200, "--seed", 1]),
+    ("gen-cbe", "evaluate_cbe", ["--p", 3, "--ell", 1, "--k", 8, "--n", 20,
+                                 "--seed", 1]),
+])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, evaluate, argv):
+    def exhausted(params):
+        raise MemoryError("Unable to allocate 298. GiB for an array with shape "
+                          "(400000, 400000) and data type bool")
+
+    monkeypatch.setattr(cli, evaluate, exhausted)
+    with pytest.raises(SystemExit) as exc:
+        run([command, *argv, "--out", tmp_path / "g"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: rtlab {command} ")
+    assert "out of memory: Unable to allocate 298. GiB" in err
+    assert "Traceback" not in err
 
 
 def test_gen_mbe_rejects_odd_q(tmp_path):

@@ -201,10 +201,121 @@ def test_base_hyperedge_two_exact_antipodal_pairs():
     b = np.array([0, 1.0, 0, 0])
     P = np.vstack([a, b, -a, -b])
     hg = build_base_hypergraph(pr, points=P)
-    # vertices combining the pair {a,-a} in coordinate 1 with {b,-b} in 2
-    target = frozenset(hg.vertex_index[v] for v in
-                       [(0, 1), (0, 3), (2, 1), (2, 3)])
+    # vertices combining the pair {a,-a} in coordinate 1 with {b,-b} in 2;
+    # vertex (x, y) has id x m + y
+    target = frozenset(x * 4 + y for x, y in [(0, 1), (0, 3), (2, 1), (2, 3)])
     assert target in {frozenset(e) for e in hg.hyperedges}
+
+
+def reference_coordinate_assignments(far, fam, h):
+    """Reference: the recursive search the level-by-level build replaced.
+    Its gate is checked on entry to each call, so it can return
+    MAX_ASSIGNMENTS + 1 assignments when the last one ends the search."""
+    r = fam.r
+    side = [fam.strings[i][h - 1] for i in range(r)]
+    m = far.shape[0]
+    out = []
+    assign = [0] * r
+
+    def dfs(i):
+        if len(out) > mbe.MAX_ASSIGNMENTS:
+            raise S.ResourceLimit("hyperedge assignment enumeration too large")
+        if i == r:
+            out.append(tuple(assign))
+            return
+        for pt in range(m):
+            ok = all(far[pt, assign[j]] for j in range(i) if side[j] != side[i])
+            if ok:
+                assign[i] = pt
+                dfs(i + 1)
+
+    dfs(0)
+    return out
+
+
+def random_symmetric_far(rng, m, density):
+    upper = np.triu(rng.random((m, m)) < density)
+    return upper | upper.T
+
+
+# (ell, m, density, gate): gate None keeps MAX_ASSIGNMENTS
+ASSIGNMENT_CASES = [(ell, m, density, None) for ell in (1, 2, 3)
+                    for m in (1, 2, 5, 8) for density in (0.0, 0.3, 0.6, 1.0)
+                    if ell < 3 or density < 0.5 or m < 5]
+ASSIGNMENT_CASES += [(ell, m, density, gate) for ell in (1, 2, 3)
+                     for m in (3, 8) for density in (0.3, 0.6, 1.0)
+                     for gate in (3, 40)]
+
+
+@pytest.mark.parametrize("case", ASSIGNMENT_CASES,
+                         ids=lambda c: "-".join(str(x) for x in c))
+def test_coordinate_assignments_match_recursive_search(case, monkeypatch):
+    ell, m, density, gate = case
+    if gate is not None:
+        monkeypatch.setattr(mbe, "MAX_ASSIGNMENTS", gate)
+    fam = BinaryStringFamily(ell)
+    rng = S.philox_rng(m * 100 + ell, 56, int(density * 10))
+    for _ in range(3):
+        far = random_symmetric_far(rng, m, density)
+        for h in range(1, ell + 1):
+            try:
+                ref = reference_coordinate_assignments(far, fam, h)
+            except S.ResourceLimit:
+                ref = None
+            if ref is None or len(ref) > mbe.MAX_ASSIGNMENTS:
+                # the build gates every count above MAX_ASSIGNMENTS
+                with pytest.raises(S.ResourceLimit, match="enumeration"):
+                    mbe._coordinate_assignments(far, fam, h)
+                continue
+            got = mbe._coordinate_assignments(far, fam, h)
+            assert np.array_equal(got, np.array(ref, dtype=int).reshape(-1, fam.r))
+            if ref:
+                # a gate at the finished count passes; one below it raises
+                with monkeypatch.context() as patch:
+                    patch.setattr(mbe, "MAX_ASSIGNMENTS", len(ref))
+                    assert np.array_equal(mbe._coordinate_assignments(far, fam, h), got)
+                    patch.setattr(mbe, "MAX_ASSIGNMENTS", len(ref) - 1)
+                    with pytest.raises(S.ResourceLimit, match="enumeration"):
+                        mbe._coordinate_assignments(far, fam, h)
+
+
+def reference_hyperedges(P, ell, mu):
+    """Reference: the recursive search, then itertools.product over the
+    coordinates, keeping each vertex set at its first labelling."""
+    fam = BinaryStringFamily(ell)
+    m = P.shape[0]
+    far = S.almost_antipodal(P @ P.T, mu)
+    per_coord = [reference_coordinate_assignments(far, fam, h)
+                 for h in range(1, ell + 1)]
+    seen, edges = set(), []
+    for combo in itertools.product(*per_coord):
+        edge = tuple(sum(combo[h][i] * m ** (ell - 1 - h) for h in range(ell))
+                     for i in range(fam.r))
+        if frozenset(edge) not in seen:
+            seen.add(frozenset(edge))
+            edges.append(edge)
+    return edges
+
+
+# (ell, k, m, epsilon, seed); epsilon 40 makes every pair almost antipodal,
+# a point included, so hyperedges repeat vertices
+HYPEREDGE_CASES = [(1, 3, 6, 0.05, 1), (2, 6, 4, 0.05, 2), (2, 10, 8, 0.05, 3),
+                   (3, 4, 4, 0.05, 4), (2, 1, 2, 2.0, 1), (2, 4, 3, 40.0, 5),
+                   (3, 4, 2, 40.0, 6)]
+
+
+@pytest.mark.parametrize("case", HYPEREDGE_CASES,
+                         ids=lambda c: "-".join(str(x) for x in c))
+def test_base_hyperedges_match_recursive_build(case):
+    ell, k, m, epsilon, seed = case
+    pr = mbe_params(ell=ell, k=k, epsilon=epsilon, seed=seed)   # m comes from P
+    P = S.sample_real_sphere(k + 1, m, S.philox_rng(seed, 57))
+    if m % 2 == 0:
+        P[m // 2:] = -P[:m // 2]
+    hg = build_base_hypergraph(pr, points=P)
+    assert hg.hyperedges == reference_hyperedges(P, ell, pr.mu)
+    assert all(type(v) is int for e in hg.hyperedges for v in e)
+    assert np.array_equal(hg.vertices, list(itertools.product(range(m), repeat=ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +339,38 @@ def test_blowup_copies_and_geometry():
     # blown-up hyperedges keep the antipodality constraints (mu slack)
     for edge in blown.hyperedges[:20]:
         assert blown.hyperedge_valid(edge)
+
+
+def reference_blowup(base, t, seed, retention):
+    """Reference: the per-copy loops the broadcasting replaced.  Returns the
+    blown-up vertex tuples and the retained copies, before sparsification."""
+    t_root = round(t ** (1 / base.ell))
+
+    def copies(vid):
+        return itertools.product(*(range(p * t_root, (p + 1) * t_root)
+                                   for p in base.vertices[vid].tolist()))
+
+    vertices = [c for vid in range(len(base.vertices)) for c in copies(vid)]
+    index = {v: i for i, v in enumerate(vertices)}
+    rng = S.philox_rng(seed, mbe._STREAM_RETAIN)
+    retained = []
+    for edge in base.hyperedges:
+        members = [[index[c] for c in copies(vid)] for vid in edge]
+        retained += [combo for combo in itertools.product(*members)
+                     if rng.random() < retention]
+    return vertices, retained
+
+
+@pytest.mark.parametrize("ell, m, t", [(1, 4, 4), (1, 4, 9), (2, 2, 4), (2, 2, 9), (2, 4, 4)])
+def test_blowup_copies_match_per_copy_loops(ell, m, t, monkeypatch):
+    pr = mbe_params(ell=ell, p=1, q=2, k=10, m=m, t=t)
+    base = build_base_hypergraph(pr)
+    assert base.hyperedges
+    monkeypatch.setattr(mbe, "sparsify", lambda edges, zeta, r: (edges, 0))
+    blown, report = blowup_sparsify(base, t, pr.zeta, seed=3, retention=0.5)
+    vertices, retained = reference_blowup(base, t, 3, 0.5)
+    assert blown.vertices.tolist() == [list(v) for v in vertices]
+    assert blown.hyperedges == retained and report.retained == len(retained)
 
 
 def test_blowup_bullet2_sparsity():
@@ -305,6 +448,46 @@ def test_sparsify_matches_loop_on_random_hypergraphs(hypergraph, zeta):
     assert sparsify(edges, zeta, r) == one_at_a_time_sparsify(edges, zeta, r)
 
 
+def reference_find_dense_subconfig(hyperedges, zeta, r):
+    """Reference: the search with its neighbours from the pairwise E x E
+    loop that the incidence index replaced."""
+    edge_sets = [frozenset(e) for e in hyperedges]
+    n = len(edge_sets)
+    neighbors = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if edge_sets[i] & edge_sets[j]:
+                neighbors[i].add(j)
+                neighbors[j].add(i)
+    frontier = [frozenset((i,)) for i in range(n)]
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for chosen in frontier:
+            verts = frozenset.union(*(edge_sets[i] for i in chosen))
+            if len(chosen) >= 2 and len(verts) <= r ** 3:
+                if len(verts) + (1 + zeta - r) * (len(chosen) - 1) < r - S.GEOM_TOL:
+                    return tuple(sorted(chosen))
+            if len(chosen) >= 8 or len(verts) > r ** 3:
+                continue
+            for j in set().union(*(neighbors[i] for i in chosen)) - chosen:
+                cand = chosen | {j}
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return None
+
+
+@example(hypergraph=(2, [(0, 1), (1, 2), (0, 2), (0, 1)]), zeta=0.25)
+@settings(max_examples=150, deadline=None)
+@given(hypergraph=overlapping_hypergraphs(), zeta=st.floats(0.05, 1.0))
+def test_dense_search_matches_pairwise_reference(hypergraph, zeta):
+    r, edges = hypergraph
+    assert (find_dense_subconfig(edges, zeta, r)
+            == reference_find_dense_subconfig(edges, zeta, r))
+
+
 def test_blowup_full_retention():
     # every one of the 1024 copies retained: the one-at-a-time loop takes
     # minutes here and deletes 1000 of them
@@ -326,8 +509,7 @@ def test_blowup_covering_property():
     blown, _ = blowup_sparsify(hg, 4, pr.zeta, seed=4, retention=0.5)
     kept_base = set()
     for edge in blown.hyperedges:
-        base = frozenset(int(blown.base_of[blown.vertices[v][0]])
-                         for v in edge)
+        base = frozenset(v // 4 for v in edge)    # copy v of base vertex v // t
         kept_base.add(base)
     rng = S.philox_rng(10, 1)
     hits = 0
@@ -389,8 +571,8 @@ def test_lengthy_trivial_cases():
     assert lengthy_coordinates(hg, [], pr.mu) == set()
     assert lengthy_coordinates(hg, [0], pr.mu) == set()
     # two vertices antipodal in coordinate 1 only: (a, b) vs (-a, b)
-    v1 = hg.vertex_index[(0, 1)]
-    v2 = hg.vertex_index[(2, 1)]
+    v1 = 0 * 4 + 1
+    v2 = 2 * 4 + 1
     assert lengthy_coordinates(hg, [v1, v2], pr.mu) == {1}
 
 

@@ -230,14 +230,20 @@ def test_partition_representatives_and_coverage():
 
 
 def test_partition_equal_measure_monte_carlo():
-    # chi^2-style check: every cell's hit count within 4 binomial sigmas
+    # Both checks have a false-alarm probability of 1e-4 for an exact
+    # equal-measure partition.  The largest of 5000 per-cell deviations
+    # passes 4 binomial sigmas about one time in four, so a per-cell bound
+    # must cover all cells at once; the chi^2 sum over all cells catches a
+    # bias spread over many cells that no single cell shows.
+    from scipy import stats
     n, samples = 5000, 10**6
     part = S.partition_real_sphere(6, n, delta=1.3, seed=1)
     counts = S.monte_carlo_cell_counts(part, samples, seed=2)
     assert counts.sum() == samples
     expected = samples / n
-    four_sigma = 4 * math.sqrt(samples * (1 / n) * (1 - 1 / n))
-    assert np.max(np.abs(counts - expected)) <= four_sigma
+    sigma = math.sqrt(samples * (1 / n) * (1 - 1 / n))
+    assert np.max(np.abs(counts - expected)) <= stats.norm.isf(1e-4 / (2 * n)) * sigma
+    assert np.sum((counts - expected) ** 2 / expected) <= stats.chi2.isf(1e-4, n - 1)
 
 
 def test_partition_mc_seed_determinism():
@@ -264,3 +270,13 @@ def test_partition_determinism():
     b = S.partition_real_sphere(4, 10, delta=2.0, seed=9)
     for i in range(a.n):
         assert np.array_equal(a.sample_cell(i, 1), b.sample_cell(i, 1))
+
+
+def test_stream_ids_are_distinct():
+    # sample_cell draws from _STREAM_CELL + substream, and the library uses
+    # substreams 0 and 1; no two consumers of one seed may share a stream
+    from rtlab import cbe, mbe
+    streams = [S._STREAM_MC, S._STREAM_CELL, S._STREAM_CELL + 1, S._STREAM_SAMPLE,
+               cbe._STREAM_W, cbe._STREAM_Z,
+               mbe._STREAM_POINTS, mbe._STREAM_DUPS, mbe._STREAM_RETAIN]
+    assert len(set(streams)) == len(streams)
