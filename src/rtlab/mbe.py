@@ -339,16 +339,13 @@ def _dense(n_vertices: int, n_edges: int, zeta: float, r: int) -> bool:
             and n_vertices + (1 + zeta - r) * (n_edges - 1) < r - GEOM_TOL)
 
 
-def _overlaps(edge_sets) -> list:
-    """Per hyperedge, the set of other hyperedges sharing a vertex with it,
-    read from a per-vertex incidence index.  Each set is filled in
-    ascending order, which fixes its iteration order."""
+def _incidence(edge_sets) -> dict:
+    """Per vertex, the ascending indices of the hyperedges containing it."""
     incident = {}
     for j, es in enumerate(edge_sets):
         for v in es:
             incident.setdefault(v, []).append(j)
-    return [set(sorted({j for v in es for j in incident[v]} - {i}))
-            for i, es in enumerate(edge_sets)]
+    return incident
 
 
 def find_dense_subconfig(hyperedges, zeta: float, r: int):
@@ -364,7 +361,10 @@ def find_dense_subconfig(hyperedges, zeta: float, r: int):
     more hyperedges left after its pass over dense pairs.
     """
     edge_sets = [frozenset(e) for e in hyperedges]
-    neighbors = _overlaps(edge_sets)
+    incident = _incidence(edge_sets)
+    # each set filled in ascending order, which fixes the search's order
+    neighbors = [set(sorted({j for v in es for j in incident[v]} - {i}))
+                 for i, es in enumerate(edge_sets)]
     frontier = [frozenset((i,)) for i in range(len(edge_sets))]
     seen = set(frontier)
     while frontier:
@@ -388,17 +388,19 @@ def find_dense_subconfig(hyperedges, zeta: float, r: int):
 def sparsify(hyperedges, zeta: float, r: int):
     """Delete hyperedges until find_dense_subconfig finds no violator, as
     blowup_sparsify describes: one ascending pass over dense pairs, then one
-    search per remaining deletion.  Partners in the pass come from the same
-    incidence index as the search's, so no E x E table is built.  Returns
-    (kept, deleted), kept in the input order."""
+    search per remaining deletion.  Partners in the pass are read per live
+    hyperedge from the same incidence index as the search's, so no E x E
+    table is built.  Returns (kept, deleted), kept in the input order."""
     edge_sets = [frozenset(e) for e in hyperedges]
+    incident = _incidence(edge_sets)
     alive = [True] * len(edge_sets)
-    for i, partners in enumerate(_overlaps(edge_sets)):
-        if alive[i]:
-            for j in partners:
-                if j > i and alive[j] and _dense(len(edge_sets[i] | edge_sets[j]),
-                                                 2, zeta, r):
-                    alive[j] = False
+    for i, es in enumerate(edge_sets):
+        if not alive[i]:
+            continue
+        partners = {j for v in es for j in incident[v] if j > i and alive[j]}
+        for j in partners:
+            if _dense(len(es | edge_sets[j]), 2, zeta, r):
+                alive[j] = False
     kept = [e for e, a in zip(hyperedges, alive) if a]
     deleted = len(hyperedges) - len(kept)
     while True:

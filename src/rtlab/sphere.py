@@ -32,7 +32,7 @@ _TWO_PI = 2.0 * math.pi
 # uses s = 0 (mbe partition points) and s = 1 (strict cbe), so 2 and 3.
 _STREAM_MC = 1
 _STREAM_CELL = 2
-_STREAM_SAMPLE = 4
+_STREAM_SAMPLE = 30  # beside cbe's 10s and mbe's 20s, clear of s = 0..7
 
 
 class InfeasiblePartition(ValueError):

@@ -230,19 +230,17 @@ def test_partition_representatives_and_coverage():
 
 
 def test_partition_equal_measure_monte_carlo():
-    # Both checks have a false-alarm probability of 1e-4 for an exact
-    # equal-measure partition.  The largest of 5000 per-cell deviations
-    # passes 4 binomial sigmas about one time in four, so a per-cell bound
-    # must cover all cells at once; the chi^2 sum over all cells catches a
-    # bias spread over many cells that no single cell shows.
+    # chi^2-style check: every cell's hit count within 4 binomial sigmas,
+    # and the chi^2 sum over all cells within its 1e-4 upper quantile, which
+    # catches a bias spread over many cells that no single cell shows
     from scipy import stats
     n, samples = 5000, 10**6
     part = S.partition_real_sphere(6, n, delta=1.3, seed=1)
     counts = S.monte_carlo_cell_counts(part, samples, seed=2)
     assert counts.sum() == samples
     expected = samples / n
-    sigma = math.sqrt(samples * (1 / n) * (1 - 1 / n))
-    assert np.max(np.abs(counts - expected)) <= stats.norm.isf(1e-4 / (2 * n)) * sigma
+    four_sigma = 4 * math.sqrt(samples * (1 / n) * (1 - 1 / n))
+    assert np.max(np.abs(counts - expected)) <= four_sigma
     assert np.sum((counts - expected) ** 2 / expected) <= stats.chi2.isf(1e-4, n - 1)
 
 
@@ -273,10 +271,11 @@ def test_partition_determinism():
 
 
 def test_stream_ids_are_distinct():
-    # sample_cell draws from _STREAM_CELL + substream, and the library uses
-    # substreams 0 and 1; no two consumers of one seed may share a stream
+    # sample_cell draws from _STREAM_CELL + substream; the library uses
+    # substreams 0 and 1, and any substream up to 7 must stay clear of every
+    # other consumer of the same seed
     from rtlab import cbe, mbe
-    streams = [S._STREAM_MC, S._STREAM_CELL, S._STREAM_CELL + 1, S._STREAM_SAMPLE,
+    streams = [S._STREAM_MC, *(S._STREAM_CELL + s for s in range(8)), S._STREAM_SAMPLE,
                cbe._STREAM_W, cbe._STREAM_Z,
                mbe._STREAM_POINTS, mbe._STREAM_DUPS, mbe._STREAM_RETAIN]
     assert len(set(streams)) == len(streams)
