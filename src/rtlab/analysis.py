@@ -140,10 +140,29 @@ def _degeneracy_order(packed: np.ndarray) -> list[int]:
     return order
 
 
-def _greedy_clique(words: np.ndarray) -> list[int]:
+def _colour_bound(adj: list[int], order) -> int:
+    """Colours used by first-fit colouring in reverse order ("smallest-last"
+    when order is a degeneracy order, Matula & Beck 1983): each vertex takes
+    the first colour class holding none of its neighbours.  The classes are
+    independent sets, so the count is an upper bound on the clique number."""
+    classes: list[int] = []
+    for v in reversed(order):
+        row = adj[v]
+        for c, members in enumerate(classes):
+            if not row & members:
+                classes[c] = members | (1 << v)
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
+def _greedy_clique(words: np.ndarray, bound: int) -> list[int]:
     """From each start, add the candidate with the most candidates among its
     neighbours, the lowest id among ties (argmax returns the first maximum);
-    keep the first clique that no later start beats strictly."""
+    keep the first clique that no later start beats strictly.  bound is an
+    upper bound on the clique number: a clique that reaches it cannot be
+    beaten strictly, so the starts stop there with the same clique."""
     n = len(words)
 
     def candidates(cand):
@@ -163,6 +182,8 @@ def _greedy_clique(words: np.ndarray) -> list[int]:
             ids = candidates(cand)
         if len(clique) > len(best):
             best = clique
+            if len(best) >= bound:
+                break
     return best
 
 
@@ -179,6 +200,15 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
     candidate by the popcount of its row within the candidates, taking the
     lowest id among ties and the first clique that no later start beats.
     The branch and bound then works on Python-int bitsets.
+
+    A first-fit colouring in reverse degeneracy order (smallest-last) bounds
+    the clique number from above.  The greedy seed stops at the first start
+    whose clique reaches that bound, and the branch and bound is skipped when
+    the seed reaches it, with or without a cutoff.  Neither changes the
+    certificate: no later start and no branch can beat such a clique
+    strictly, and both replace their best clique only on a strict
+    improvement.  A seed below the bound always runs the branch and bound,
+    which, under a cutoff, may still raise the size up to the cutoff.
     """
     if g.n == 0:
         return CliqueCertificate(0, (), True, 0)
@@ -188,8 +218,9 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
     # degeneracy order improves both colouring and branching
     packed = _pack_rows(g.adj)
     order = _degeneracy_order(packed)
+    bound = _colour_bound(g.adj, order)
     packed = _induced_rows(packed, order)
-    greedy = _greedy_clique(packed.view(np.uint64))
+    greedy = _greedy_clique(packed.view(np.uint64), bound)
     adj = _unpack_rows(packed)
     del packed                  # the search needs only the Python-int rows
     best_size = len(greedy)
@@ -231,7 +262,8 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
             stack_R.pop()
             P &= ~(1 << v)
 
-    expand((1 << g.n) - 1)
+    if best_size < bound:
+        expand((1 << g.n) - 1)
 
     witness = tuple(sorted(order[i] for i in best_witness))
     if cutoff is None:
@@ -276,10 +308,18 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
     Returns (lower_bound, upper_bound, exact).  Exhaustive search is used up
     to exact_limit vertices; beyond that a greedy lower bound and a disjoint
     K_p packing upper bound are reported.
+
+    When the smallest-last colouring bound on the clique number (see
+    max_clique) is below p, the graph is K_p-free, so every vertex set is
+    K_p-free and (n, n, n <= exact_limit) is returned at once: the
+    exhaustive search, the greedy (which then keeps every vertex) and the
+    packing (which then finds no K_p) all give n.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
     adj = g.adj
+    if _colour_bound(adj, _degeneracy_order(_pack_rows(adj))) < p:
+        return g.n, g.n, g.n <= exact_limit
     if g.n <= exact_limit:
         order = sorted(range(g.n), key=lambda v: -g.degree(v))
         best = 0

@@ -40,6 +40,7 @@ MAX_Q_FAMILY_ELL = 6
 MAX_BASE_VERTICES = 10 ** 6
 MAX_ASSIGNMENTS = 10 ** 5
 MAX_BLOWUP_EDGES = 2 * 10 ** 5
+MAX_ADJACENCY_BYTES = 2 ** 28   # the dense bool adjacency: n <= 16,384 vertices
 
 _STREAM_POINTS = 20
 _STREAM_DUPS = 21
@@ -529,12 +530,16 @@ class MbeGraph:
         self.hypergraph = hypergraph
         self.coloring = coloring
         self.blowup_report = blowup_report
-        shadow = shadow_graph(hypergraph)
-        N = shadow.shape[0]
+        N = len(hypergraph.vertices)
         q = params.q
         self.classes = q
         self.class_size = N
         self.n = N * q
+        if self.n ** 2 > MAX_ADJACENCY_BYTES:
+            raise sphere.ResourceLimit(
+                f"the {self.n} x {self.n} bool adjacency needs {self.n ** 2} bytes, "
+                f"over the desk bound {MAX_ADJACENCY_BYTES}")
+        shadow = shadow_graph(hypergraph)
         adjacency = np.zeros((self.n, self.n), dtype=bool)
         for i in range(q):
             adjacency[i * N:(i + 1) * N, i * N:(i + 1) * N] = shadow

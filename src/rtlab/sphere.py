@@ -29,9 +29,11 @@ _TWO_PI = 2.0 * math.pi
 
 # Stream ids so different consumers of the same seed never share a Philox key.
 # sample_cell's substream s draws from stream _STREAM_CELL + s; the library
-# uses s = 0 (mbe partition points) and s = 1 (strict cbe), so 2 and 3.
+# uses s = 0 (mbe partition points) and s = 1 (strict cbe), so 2 and 3, and
+# s is held below _CELL_SUBSTREAMS so the cell streams stop short of cbe's 10.
 _STREAM_MC = 1
 _STREAM_CELL = 2
+_CELL_SUBSTREAMS = 8
 _STREAM_SAMPLE = 30  # beside cbe's 10s and mbe's 20s, clear of s = 0..7
 
 
@@ -355,7 +357,11 @@ class RealSpherePartition:
     # -- sampling and location ----------------------------------------------
 
     def sample_cell(self, i: int, count: int, substream: int = 0) -> np.ndarray:
-        """Uniform points inside cell i, deterministic per (seed, i, substream)."""
+        """Uniform points inside cell i, deterministic per (seed, i, substream);
+        substream must lie in 0.._CELL_SUBSTREAMS - 1."""
+        if not 0 <= substream < _CELL_SUBSTREAMS:
+            raise ValueError(f"substream must lie in 0..{_CELL_SUBSTREAMS - 1}, "
+                             f"not {substream}")
         lo, hi = self.cells[i]
         rng = philox_rng(self.seed, _STREAM_CELL + substream, i)
         u = rng.random((count, self.d - 1))

@@ -8,6 +8,10 @@ import pytest
 from rtlab import sphere as S
 from rtlab.analysis import (
     LabeledGraph,
+    _colour_bound,
+    _degeneracy_order,
+    _find_clique,
+    _pack_rows,
     complete_join,
     density_report,
     max_clique,
@@ -17,6 +21,7 @@ from rtlab.analysis import (
     theorem13_density,
     write_edge_list,
 )
+from rtlab.cbe import CbeParams, build_cbe
 from rtlab.sphere import ResourceLimit
 
 
@@ -81,6 +86,51 @@ def reference_packing_bound(g: LabeledGraph, p: int) -> int:
         for v in clique:
             mask &= ~(1 << v)
     return g.n - packed
+
+
+def reference_p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
+    """p_independence as it was before the K_p-free shortcut: exhaustive
+    search up to exact_limit vertices, else greedy and packing bounds."""
+    adj = g.adj
+    if g.n <= exact_limit:
+        order = sorted(range(g.n), key=lambda v: -g.degree(v))
+        best = 0
+
+        def dfs(idx: int, chosen: int, count: int):
+            nonlocal best
+            if count + (g.n - idx) <= best:
+                return
+            if idx == g.n:
+                best = max(best, count)
+                return
+            v = order[idx]
+            if _find_clique(adj, adj[v] & chosen, p - 1) is None:
+                dfs(idx + 1, chosen | (1 << v), count + 1)
+            dfs(idx + 1, chosen, count)
+
+        dfs(0, 0, 0)
+        return best, best, True
+
+    chosen = 0
+    count = 0
+    for v in sorted(range(g.n), key=lambda u: g.degree(u)):
+        if _find_clique(adj, adj[v] & chosen, p - 1) is None:
+            chosen |= 1 << v
+            count += 1
+    mask = (1 << g.n) - 1
+    packed = 0
+    while True:
+        clique = _find_clique(adj, mask, p)
+        if clique is None:
+            break
+        packed += 1
+        for v in clique:
+            mask &= ~(1 << v)
+    return count, g.n - packed, False
+
+
+def colour_bound(g: LabeledGraph) -> int:
+    return _colour_bound(g.adj, _degeneracy_order(_pack_rows(g.adj)))
 
 
 def random_graph(n, density, seed):
@@ -182,6 +232,57 @@ def test_p_independence_packing_matches_unpruned_reference(seed):
     g = random_graph(28, 0.25 + 0.1 * seed, seed=seed + 40)
     for p in (2, 3, 4):
         assert p_independence(g, p, exact_limit=0)[1] == reference_packing_bound(g, p)
+
+
+def cycle(n):
+    return LabeledGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def random_bipartite(a, b, density, seed):
+    rng = S.philox_rng(seed, 78)
+    return LabeledGraph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)
+                                           if rng.random() < density])
+
+
+K_P_FREE = {
+    # (graph, p) with the colouring bound below p, so the shortcut fires
+    "cbe-32": (build_cbe(CbeParams(p=3, ell=1, k=16, n=16, seed=1)).to_labeled_graph(), 3),
+    "cbe-200": (build_cbe(CbeParams(p=3, ell=1, k=16, n=100, seed=1)).to_labeled_graph(), 3),
+    "cycle-12": (cycle(12), 3),
+    "cycle-13": (cycle(13), 4),
+    "cycle-65": (cycle(65), 4),
+    "cycle-128": (cycle(128), 3),
+    "bipartite-15-20": (random_bipartite(15, 20, 0.5, 1), 3),
+    "bipartite-40-50": (random_bipartite(40, 50, 0.3, 2), 3),
+    "complete-6": (complete_graph(6), 7),
+    "empty-9": (LabeledGraph.from_edges(9, []), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(K_P_FREE))
+@pytest.mark.parametrize("exact_limit", [0, 40, 200])
+def test_p_independence_shortcut_on_kp_free_graphs(name, exact_limit):
+    g, p = K_P_FREE[name]
+    assert colour_bound(g) < p
+    expected = (g.n, g.n, g.n <= exact_limit)
+    assert reference_p_independence(g, p, exact_limit) == expected
+    assert p_independence(g, p, exact_limit) == expected
+
+
+@pytest.mark.parametrize("graph, p", [
+    (cycle(3), 3),
+    (cycle(13), 3),             # odd cycle: K_3-free, but the bound is 3
+    (complete_graph(7), 4),
+    (random_graph(18, 0.4, seed=9), 3),
+    (random_graph(30, 0.3, seed=11), 3),
+    (random_graph(60, 0.2, seed=12), 3),
+    (random_graph(60, 0.5, seed=13), 4),
+], ids=["cycle-3", "cycle-13", "complete-7", "g18", "g30", "g60-sparse", "g60-dense"])
+@pytest.mark.parametrize("exact_limit", [0, 40])
+def test_p_independence_matches_reference_without_shortcut(graph, p, exact_limit):
+    assert colour_bound(graph) >= p
+    expected = reference_p_independence(graph, p, exact_limit)
+    assert p_independence(graph, p, exact_limit) == expected
 
 
 def test_p_independence_validation():

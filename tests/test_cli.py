@@ -419,13 +419,15 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
 @pytest.mark.parametrize("argv, fragment", [
     (lambda d: ["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 4, "--m", 1002,
                 "--seed", 1, "--out", d / "g"], "m^ell = 1004004 exceeds"),
+    (lambda d: ["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 10, "--m", 200,
+                "--seed", 1, "--out", d / "g"], "80000 x 80000 bool adjacency"),
     (lambda d: ["analyze", _write(d / "big.edges", "# n=5001\n0 1\n")],
      "capped at 5000 vertices"),
     (lambda d: ["gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4, "--m", 2,
                 "--seed", 1, "--out", d / "g"], "capped at ell <= 6"),
     (lambda d: ["sweep", "gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4,
                 "--m", 2, "--seed", 1, "--out", d / "s.csv"], "capped at ell <= 6"),
-], ids=["gen-mbe-hyperedges", "analyze-clique", "gen-mbe-ell", "sweep-mbe-ell"])
+], ids=["gen-mbe-hyperedges", "gen-mbe-adjacency", "analyze-clique", "gen-mbe-ell", "sweep-mbe-ell"])
 def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
         run(argv(tmp_path))

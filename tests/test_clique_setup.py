@@ -1,9 +1,11 @@
 """max_clique's numpy set-up against the per-bit code it replaced.
 
 The reference functions below are the earlier pure-Python degeneracy order,
-bit-by-bit relabel, greedy seed and the whole search built on them.  The numpy
-kernels must give the same order, the same relabelled rows, the same greedy
-seed and an equal CliqueCertificate, ties included.
+bit-by-bit relabel, greedy seed and the whole search built on them, with
+neither the colouring bound nor the early stops it allows.  The numpy kernels
+must give the same order, the same relabelled rows, the same greedy seed and
+an equal CliqueCertificate, ties included, and the smallest-last colouring
+count must be at least the size of every certified clique.
 """
 
 import itertools
@@ -17,6 +19,7 @@ from rtlab import sphere as S
 from rtlab.analysis import (
     CliqueCertificate,
     LabeledGraph,
+    _colour_bound,
     _degeneracy_order,
     _greedy_clique,
     _induced_rows,
@@ -193,12 +196,17 @@ def assert_setup_matches(g: LabeledGraph):
     rows = _induced_rows(packed, order)
     adj = _unpack_rows(rows)
     assert adj == reference_relabel(g, order)
-    assert _greedy_clique(rows.view(np.uint64)) == reference_greedy_clique(adj, g.n)
+    bound = _colour_bound(g.adj, order)
+    assert _greedy_clique(rows.view(np.uint64), bound) == reference_greedy_clique(adj, g.n)
 
 
 def assert_certificates_match(g: LabeledGraph, cutoffs):
+    bound = _colour_bound(g.adj, reference_degeneracy_order(g))
     for cutoff in cutoffs:
-        assert max_clique(g, cutoff) == reference_max_clique(g, cutoff), cutoff
+        ref = reference_max_clique(g, cutoff)
+        assert max_clique(g, cutoff) == ref, cutoff
+        # every certificate's size is that of a clique, so at most omega
+        assert bound >= ref.size, cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +230,7 @@ def test_setup_matches_reference_on_random_graphs(seed):
 def test_certificate_matches_reference_on_random_graphs(n, density, seed, cutoff):
     g = random_graph(n, density if cutoff is not None or n <= 30 else density / 2, seed)
     assert_setup_matches(g)
-    assert max_clique(g, cutoff) == reference_max_clique(g, cutoff)
+    assert_certificates_match(g, [cutoff])
 
 
 @pytest.mark.parametrize("name", sorted(TIE_HEAVY))
@@ -255,17 +263,21 @@ def test_cbe_benchmark_graph_matches_reference():
     g = build_cbe(CbeParams(p=3, ell=1, k=16, n=800, seed=1)).to_labeled_graph()
     assert_setup_matches(g)
     assert_certificates_match(g, [None, 4])
+    # the bound equals omega, so the greedy stops after one start and the
+    # branch and bound does not run
+    assert _colour_bound(g.adj, _degeneracy_order(_pack_rows(g.adj))) == 2
 
 
-@pytest.mark.parametrize("params", [
-    MbeParams(ell=2, p=2, q=2, k=10, m=20, seed=1),
-    MbeParams(ell=2, p=1, q=2, k=10, m=4, t=4, retention=0.25, seed=1),
+@pytest.mark.parametrize("params, bound", [
+    (MbeParams(ell=2, p=2, q=2, k=10, m=20, seed=1), 8),
+    (MbeParams(ell=2, p=1, q=2, k=10, m=4, t=4, retention=0.25, seed=1), 4),
 ], ids=["dense-m20", "blowup-t4"])
-def test_mbe_benchmark_graphs_match_reference(params):
+def test_mbe_benchmark_graphs_match_reference(params, bound):
     graph = build_mbe(params)
     g = graph.to_labeled_graph()
     assert_setup_matches(g)
-    assert_certificates_match(g, [graph.omega_bound()])
+    assert_certificates_match(g, [None, graph.omega_bound()])
+    assert _colour_bound(g.adj, _degeneracy_order(_pack_rows(g.adj))) == bound
 
 
 @pytest.mark.parametrize("n", [0, *BOUNDARY_SIZES])

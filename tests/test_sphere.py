@@ -222,7 +222,7 @@ def test_partition_representatives_and_coverage():
     assert np.max(np.abs(meas - 1 / part.n)) < 1e-15
     # sampled points stay inside their cell and within the diameter bound
     for i in (0, 123, part.n - 1):
-        q = part.sample_cell(i, 100, substream=9)
+        q = part.sample_cell(i, 100, substream=7)
         assert np.all(part.locate(q) == i)
         g = q @ q.T
         diam_emp = math.sqrt(max(0.0, 2 - 2 * g.min()))
@@ -272,10 +272,18 @@ def test_partition_determinism():
 
 def test_stream_ids_are_distinct():
     # sample_cell draws from _STREAM_CELL + substream; the library uses
-    # substreams 0 and 1, and any substream up to 7 must stay clear of every
-    # other consumer of the same seed
+    # substreams 0 and 1, and every substream it accepts must stay clear of
+    # every other consumer of the same seed
     from rtlab import cbe, mbe
-    streams = [S._STREAM_MC, *(S._STREAM_CELL + s for s in range(8)), S._STREAM_SAMPLE,
+    streams = [S._STREAM_MC, *(S._STREAM_CELL + s for s in range(S._CELL_SUBSTREAMS)),
+               S._STREAM_SAMPLE,
                cbe._STREAM_W, cbe._STREAM_Z,
                mbe._STREAM_POINTS, mbe._STREAM_DUPS, mbe._STREAM_RETAIN]
     assert len(set(streams)) == len(streams)
+
+
+@pytest.mark.parametrize("substream", [-1, S._CELL_SUBSTREAMS, 9, 18])
+def test_sample_cell_rejects_substreams_outside_the_cell_range(substream):
+    part = S.partition_real_sphere(4, 10, delta=2.0, seed=9)
+    with pytest.raises(ValueError, match="substream"):
+        part.sample_cell(0, 1, substream=substream)
