@@ -3,8 +3,8 @@
 Exact maximum-clique search (branch and bound with greedy colouring bounds),
 p-independence estimation, global density statistics, a complete-join
 combinator, and the exact rational density formulas for the Ramsey-Turan
-families.  Graphs are stored as bitmask adjacency rows, which keeps the
-search kernels allocation-free.
+families.  A graph is stored once, as adjacency rows packed into uint64
+words; only the two searches unpack them into Python-int bitsets.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from .sphere import ResourceLimit
 
 MAX_EXACT_CLIQUE_VERTICES = 5000
+MAX_ROW_BYTES = 2 ** 28          # packed rows of up to n = 46,340 vertices
 
 
 # ---------------------------------------------------------------------------
@@ -24,25 +25,30 @@ MAX_EXACT_CLIQUE_VERTICES = 5000
 # ---------------------------------------------------------------------------
 
 class LabeledGraph:
-    """Simple undirected graph on vertices 0..n-1, one bitset row per vertex."""
+    """Simple undirected graph on vertices 0..n-1.  rows is the n x 8 ceil(n / 64)
+    uint8 array in which row v has bit w (byte w // 8, bit w % 8) set when vw
+    is an edge: whole uint64 words per row, the diagonal and the bits past n
+    zero."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, adj: list[int]):
+    def __init__(self, n: int, rows: np.ndarray):
         self.n = n
-        self.adj = adj
+        self.rows = rows
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "LabeledGraph":
-        adj = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError("loops are not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(n, adj)
+        """The graph with the given (u, v) pairs, a sequence or a k x 2 array."""
+        ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        bad = (ends[:, 0] == ends[:, 1]) | (ends.min(axis=1) < 0) | (ends.max(axis=1) >= n)
+        if bad.any():
+            u, v = ends[bad.argmax()].tolist()
+            raise ValueError("loops are not allowed" if u == v else f"edge ({u},{v}) out of range")
+        rows = _zero_rows(n)
+        # (u, v) then (v, u) for each edge: row, byte and bit of both entries
+        dst = ends[:, ::-1].ravel()
+        np.bitwise_or.at(rows, (ends.ravel(), dst >> 3), np.left_shift(1, dst & 7).astype(np.uint8))
+        return cls(n, rows)
 
     @classmethod
     def from_adjacency(cls, matrix) -> "LabeledGraph":
@@ -51,44 +57,39 @@ class LabeledGraph:
             raise ValueError("adjacency matrix must be square")
         if np.any(m != m.T) or np.any(np.diag(m)):
             raise ValueError("adjacency must be symmetric with empty diagonal")
-        adj = _unpack_rows(np.packbits(m, axis=1, bitorder="little"))
-        return cls(m.shape[0], adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        n = m.shape[0]
+        rows = _zero_rows(n)
+        rows[:, :(n + 7) // 8] = np.packbits(m, axis=1, bitorder="little")
+        return cls(n, rows)
 
     def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self.adj) // 2
+        return int(np.bitwise_count(self.rows).sum(dtype=np.int64)) // 2
 
     def edges(self):
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            while rest:
-                low = rest & -rest
-                yield u, u + 1 + low.bit_length() - 1
-                rest ^= low
+        """The edges (u, v), u < v, in ascending order, as k x 2 arrays of a
+        few rows' edges each: a block unpacks at most 8 KiB of rows."""
+        n = self.n
+        block = max(1, (1 << 13) // max(n, 1))
+        for lo in range(0, n, block):
+            bits = np.unpackbits(self.rows[lo:lo + block], axis=1, count=n,
+                                 bitorder="little")
+            yield np.argwhere(np.triu(bits, lo + 1)) + (lo, 0)
 
     def subgraph(self, vertices) -> "LabeledGraph":
         """The subgraph induced on vertices, renumbered 0.. in the given order."""
         vs = list(vertices)
         if any(not 0 <= v < self.n for v in vs):
             raise ValueError("subgraph vertex out of range")
-        rows = _induced_rows(_pack_rows(self.adj), vs)
-        return LabeledGraph(len(vs), _unpack_rows(rows))
+        return LabeledGraph(len(vs), _induced_rows(self.rows, vs))
 
 
-def _pack_rows(adj: list[int]) -> np.ndarray:
-    """The n bitset rows of a graph as an n x 8 ceil(n / 64) uint8 array, bit
-    w of row v at byte w // 8, bit w % 8: whole uint64 words per row."""
-    n = len(adj)
+def _zero_rows(n: int) -> np.ndarray:
+    """Empty packed rows for n vertices, within the MAX_ROW_BYTES gate."""
     width = 8 * ((n + 63) // 64)
-    packed = np.empty((n, width), dtype=np.uint8)
-    for v, row in enumerate(adj):
-        packed[v] = np.frombuffer(row.to_bytes(width, "little"), dtype=np.uint8)
-    return packed
+    if n * width > MAX_ROW_BYTES:
+        raise ResourceLimit(f"the packed rows of n={n} vertices need {n * width} "
+                            f"bytes, over the {MAX_ROW_BYTES}-byte cap")
+    return np.zeros((n, width), dtype=np.uint8)
 
 
 def _unpack_rows(rows: np.ndarray) -> list[int]:
@@ -100,12 +101,10 @@ def _induced_rows(packed: np.ndarray, vs) -> np.ndarray:
     i is set when vs[i] and vs[j] are adjacent."""
     vs = np.asarray(vs, dtype=np.intp)
     n, m = len(packed), len(vs)
-    out = np.zeros((m, 8 * ((m + 63) // 64)), dtype=np.uint8)
-    if m == 0:
-        return out
+    out = _zero_rows(m)
     # rows are unpacked in blocks of at most 64 KiB, so peak memory stays
     # near the packed arrays' n^2 / 8 bytes
-    block = max(1, (1 << 16) // n)
+    block = max(1, (1 << 16) // max(n, 1))
     for lo in range(0, m, block):
         bits = np.unpackbits(packed[vs[lo:lo + block]], axis=1, count=n,
                              bitorder="little")[:, vs]
@@ -194,21 +193,23 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
     number).  With cutoff c the search certifies either a clique of size
     c + 1 (witness returned) or that the clique number is at most c.
 
-    The set-up runs in numpy on rows packed into uint64 words: the degeneracy
-    order takes the least remaining degree with argmin (lowest id among
-    ties), the relabel permutes packed rows, and the greedy seed scores each
-    candidate by the popcount of its row within the candidates, taking the
-    lowest id among ties and the first clique that no later start beats.
-    The branch and bound then works on Python-int bitsets.
+    The set-up runs in numpy on the graph's packed rows: the degeneracy order
+    takes the least remaining degree with argmin (lowest id among ties), the
+    relabel permutes packed rows, and the greedy seed scores each candidate
+    by the popcount of its row within the candidates, taking the lowest id
+    among ties and the first clique that no later start beats.  The colour
+    bound and the branch and bound run on Python-int bitsets unpacked from
+    the relabelled rows.
 
-    A first-fit colouring in reverse degeneracy order (smallest-last) bounds
-    the clique number from above.  The greedy seed stops at the first start
-    whose clique reaches that bound, and the branch and bound is skipped when
-    the seed reaches it, with or without a cutoff.  Neither changes the
-    certificate: no later start and no branch can beat such a clique
-    strictly, and both replace their best clique only on a strict
-    improvement.  A seed below the bound always runs the branch and bound,
-    which, under a cutoff, may still raise the size up to the cutoff.
+    A first-fit colouring in reverse degeneracy order (smallest-last), that
+    is of the relabelled vertices n-1..0, bounds the clique number from
+    above.  The greedy seed stops at the first start whose clique reaches
+    that bound, and the branch and bound is skipped when the seed reaches
+    it, with or without a cutoff.  Neither changes the certificate: no later
+    start and no branch can beat such a clique strictly, and both replace
+    their best clique only on a strict improvement.  A seed below the bound
+    always runs the branch and bound, which, under a cutoff, may still raise
+    the size up to the cutoff.
     """
     if g.n == 0:
         return CliqueCertificate(0, (), True, 0)
@@ -216,12 +217,11 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
         raise ResourceLimit(f"exact clique search capped at {MAX_EXACT_CLIQUE_VERTICES} vertices")
 
     # degeneracy order improves both colouring and branching
-    packed = _pack_rows(g.adj)
-    order = _degeneracy_order(packed)
-    bound = _colour_bound(g.adj, order)
-    packed = _induced_rows(packed, order)
-    greedy = _greedy_clique(packed.view(np.uint64), bound)
+    order = _degeneracy_order(g.rows)
+    packed = _induced_rows(g.rows, order)
     adj = _unpack_rows(packed)
+    bound = _colour_bound(adj, range(g.n))
+    greedy = _greedy_clique(packed.view(np.uint64), bound)
     del packed                  # the search needs only the Python-int rows
     best_size = len(greedy)
     best_witness = list(greedy)
@@ -307,7 +307,8 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
 
     Returns (lower_bound, upper_bound, exact).  Exhaustive search is used up
     to exact_limit vertices; beyond that a greedy lower bound and a disjoint
-    K_p packing upper bound are reported.
+    K_p packing upper bound are reported.  All three search Python-int
+    bitsets unpacked from the graph's rows.
 
     When the smallest-last colouring bound on the clique number (see
     max_clique) is below p, the graph is K_p-free, so every vertex set is
@@ -317,11 +318,11 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
     """
     if p < 2:
         raise ValueError("p must be at least 2")
-    adj = g.adj
-    if _colour_bound(adj, _degeneracy_order(_pack_rows(adj))) < p:
+    adj = _unpack_rows(g.rows)
+    if _colour_bound(adj, _degeneracy_order(g.rows)) < p:
         return g.n, g.n, g.n <= exact_limit
     if g.n <= exact_limit:
-        order = sorted(range(g.n), key=lambda v: -g.degree(v))
+        order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
         best = 0
 
         def dfs(idx: int, chosen: int, count: int):
@@ -342,7 +343,7 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
     # greedy lower bound
     chosen = 0
     count = 0
-    for v in sorted(range(g.n), key=lambda u: g.degree(u)):
+    for v in sorted(range(g.n), key=lambda u: adj[u].bit_count()):
         if _find_clique(adj, adj[v] & chosen, p - 1) is None:
             chosen |= 1 << v
             count += 1
@@ -380,20 +381,14 @@ def density_report(g: LabeledGraph) -> DensityReport:
 def complete_join(graphs) -> LabeledGraph:
     """Disjoint union plus all cross edges between distinct inputs."""
     graphs = list(graphs)
-    offsets = []
-    total = 0
+    total = sum(g.n for g in graphs)
+    matrix = np.ones((total, total), dtype=bool)
+    off = 0
     for g in graphs:
-        offsets.append(total)
-        total += g.n
-    adj = [0] * total
-    full = (1 << total) - 1
-    for gi, g in enumerate(graphs):
-        off = offsets[gi]
-        block = ((1 << g.n) - 1) << off
-        for v in range(g.n):
-            row = (full & ~block) | (g.adj[v] << off)
-            adj[off + v] = row
-    return LabeledGraph(total, adj)
+        matrix[off:off + g.n, off:off + g.n] = np.unpackbits(
+            g.rows, axis=1, count=g.n, bitorder="little")
+        off += g.n
+    return LabeledGraph.from_adjacency(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +457,8 @@ def write_edge_list(path, g: LabeledGraph, comments=(), classes=None):
         fh.write(f"# n={g.n}\n")
         if classes is not None:
             fh.write(f"# {classes}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        for block in g.edges():
+            fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def _bad_line(path, lineno: int, line: str, n):
@@ -482,7 +477,7 @@ def read_edge_list(path):
     runs only when the graph disagrees with the lines.
     """
     n = None
-    edges = []
+    ids = []                        # u0, v0, u1, v1, ...
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -508,30 +503,32 @@ def read_edge_list(path):
                                      f"'# n={n}' on line {n_line}")
                 continue
             try:
-                u, v = line.split()
-                u, v = int(u), int(v)
-                if u == v or u < 0 or v < 0:
+                u, v = map(int, line.split())
+                if u == v or not (0 <= u < 2 ** 63 and 0 <= v < 2 ** 63):  # int64 ids
                     raise ValueError
             except ValueError:
                 raise _bad_line(path, lineno, line, n) from None
-            edges.append((u, v))
+            ids += (u, v)
     if n is None:
-        n = 1 + max((max(e) for e in edges), default=-1)
+        n = 1 + max(ids, default=-1)
+    ends = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    del ids                         # freed before the rows are built
     try:
-        g = LabeledGraph.from_edges(n, edges)
-        if g.edge_count() == len(edges):
+        g = LabeledGraph.from_edges(n, ends)
+        if g.edge_count() == len(ends):
             return g
     except ValueError:              # an id >= n
         pass
     # an id >= n or a repeated edge: rescan for the first line at fault
-    with open(path, "rb") as fh:
-        stripped = (raw.decode().strip() for raw in fh)
-        linenos = [i for i, line in enumerate(stripped, 1)
-                   if line and not line.startswith("#")]
     first = {}
-    for (u, v), lineno in zip(edges, linenos):
-        if max(u, v) >= n:
-            raise _bad_line(path, lineno, f"{u} {v}", n)
-        seen = first.setdefault((min(u, v), max(u, v)), lineno)
-        if seen != lineno:
-            raise ValueError(f"{path}:{lineno}: edge '{u} {v}' repeats line {seen}")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.decode().strip()
+            if not line or line.startswith("#"):
+                continue
+            u, v = map(int, line.split())
+            if max(u, v) >= n:
+                raise _bad_line(path, lineno, f"{u} {v}", n)
+            seen = first.setdefault((min(u, v), max(u, v)), lineno)
+            if seen != lineno:
+                raise ValueError(f"{path}:{lineno}: edge '{u} {v}' repeats line {seen}")

@@ -66,10 +66,10 @@ class CbeParams:
             raise ValueError("k must be at least 1")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.big_k < 1:
-            raise ValueError("big_k must be at least 1")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
+        if not (math.isfinite(self.big_k) and self.big_k >= 1):
+            raise ValueError("big_k must be finite and at least 1")
         if self.mode not in ("sampled", "strict"):
             raise ValueError("mode must be 'sampled' or 'strict'")
         if 3 * math.sqrt(self.mu) >= 4 / self.p:

@@ -75,8 +75,8 @@ class MbeParams:
             raise ValueError("k must be at least 1")
         if self.m < 2:
             raise ValueError("m must be at least 2")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         if self.t < 1 or round(self.t ** (1 / self.ell)) ** self.ell != self.t:
             raise ValueError("t must be a perfect ell-th power")
         if not 0.0 < self.retention <= 1.0:

@@ -51,8 +51,9 @@ def philox_rng(seed: int, stream: int = 0, substream: int = 0) -> np.random.Gene
     Monte Carlo chunk i draws from substream i, so a chunked estimate
     depends only on the seed and the sample count.
     """
-    key = [int(seed) & 0xFFFFFFFFFFFFFFFF,
-           ((int(stream) & 0xFFFFFFFF) << 32) | (int(substream) & 0xFFFFFFFF)]
+    # uint64: numpy takes a list holding 2^63 or more as float64
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, ((int(stream) & 0xFFFFFFFF) << 32)
+                    | (int(substream) & 0xFFFFFFFF)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -11,7 +11,7 @@ from rtlab.analysis import (
     _colour_bound,
     _degeneracy_order,
     _find_clique,
-    _pack_rows,
+    _unpack_rows,
     complete_join,
     density_report,
     max_clique,
@@ -31,6 +31,7 @@ from rtlab.sphere import ResourceLimit
 
 def brute_max_clique(g: LabeledGraph) -> int:
     """Enumerate every clique by DFS over least-vertex extensions."""
+    adj = _unpack_rows(g.rows)
     best = 0
 
     def grow(clique_size, cand):
@@ -39,7 +40,7 @@ def brute_max_clique(g: LabeledGraph) -> int:
         while cand:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            grow(clique_size + 1, g.adj[v] & cand)
+            grow(clique_size + 1, adj[v] & cand)
 
     grow(0, (1 << g.n) - 1)
     return best
@@ -47,9 +48,11 @@ def brute_max_clique(g: LabeledGraph) -> int:
 
 def brute_alpha_p(g: LabeledGraph, p: int) -> int:
     """Exhaustive over all vertex subsets."""
+    adj = _unpack_rows(g.rows)
+
     def kp_free(sub):
         for combo in itertools.combinations(sub, p):
-            if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
+            if all((adj[a] >> b) & 1 for a, b in itertools.combinations(combo, 2)):
                 return False
         return True
 
@@ -68,6 +71,8 @@ def brute_alpha_p(g: LabeledGraph, p: int) -> int:
 def reference_packing_bound(g: LabeledGraph, p: int) -> int:
     """n minus the number of vertex-disjoint K_p copies packed greedily, each
     found lowest-first by a search with no pruning."""
+    adj = _unpack_rows(g.rows)
+
     def find(mask, t):
         if t == 0:
             return []
@@ -75,7 +80,7 @@ def reference_packing_bound(g: LabeledGraph, p: int) -> int:
         while rest:
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            sub = find(g.adj[v] & rest, t - 1)
+            sub = find(adj[v] & rest, t - 1)
             if sub is not None:
                 return [v, *sub]
         return None
@@ -91,9 +96,9 @@ def reference_packing_bound(g: LabeledGraph, p: int) -> int:
 def reference_p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
     """p_independence as it was before the K_p-free shortcut: exhaustive
     search up to exact_limit vertices, else greedy and packing bounds."""
-    adj = g.adj
+    adj = _unpack_rows(g.rows)
     if g.n <= exact_limit:
-        order = sorted(range(g.n), key=lambda v: -g.degree(v))
+        order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
         best = 0
 
         def dfs(idx: int, chosen: int, count: int):
@@ -113,7 +118,7 @@ def reference_p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
 
     chosen = 0
     count = 0
-    for v in sorted(range(g.n), key=lambda u: g.degree(u)):
+    for v in sorted(range(g.n), key=lambda u: adj[u].bit_count()):
         if _find_clique(adj, adj[v] & chosen, p - 1) is None:
             chosen |= 1 << v
             count += 1
@@ -130,7 +135,7 @@ def reference_p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
 
 
 def colour_bound(g: LabeledGraph) -> int:
-    return _colour_bound(g.adj, _degeneracy_order(_pack_rows(g.adj)))
+    return _colour_bound(_unpack_rows(g.rows), _degeneracy_order(g.rows))
 
 
 def random_graph(n, density, seed):
@@ -141,7 +146,7 @@ def random_graph(n, density, seed):
 
 
 def complete_graph(n):
-    return LabeledGraph.from_edges(n, itertools.combinations(range(n), 2))
+    return LabeledGraph.from_edges(n, list(itertools.combinations(range(n), 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +170,8 @@ def test_max_clique_matches_bruteforce_g50():
     cert = max_clique(g)
     assert cert.exhaustive
     assert cert.size == brute_max_clique(g)
-    assert all(g.has_edge(a, b) for a, b in itertools.combinations(cert.witness, 2))
+    adj = _unpack_rows(g.rows)
+    assert all((adj[a] >> b) & 1 for a, b in itertools.combinations(cert.witness, 2))
 
 
 def test_max_clique_matches_bruteforce_small():
@@ -312,7 +318,7 @@ def test_density_report_empty():
 def test_complete_join_two_vertices():
     v = LabeledGraph.from_edges(1, [])
     j = complete_join([v, v])
-    assert j.n == 2 and j.has_edge(0, 1)
+    assert j.n == 2 and _unpack_rows(j.rows) == [0b10, 0b01]
 
 
 def test_complete_join_k2_k3():
@@ -411,13 +417,49 @@ def test_theorem13_validation():
 # interchange format
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 65, 203])
-def test_from_adjacency_matches_per_entry_rows(n):
+def assert_rows(g: LabeledGraph, matrix):
+    """g's rows are matrix's, packed: the stored layout, zero padding bits
+    past n (_degeneracy_order counts whole words), a zero diagonal, and
+    each entry's bit."""
+    n = len(matrix)
+    assert g.n == n
+    assert g.rows.dtype == np.uint8 and g.rows.shape == (n, 8 * ((n + 63) // 64))
+    bits = np.unpackbits(g.rows, axis=1, bitorder="little")
+    assert not bits[:, n:].any() and not bits[range(n), range(n)].any()
+    rows = [sum(1 << int(v) for v in np.flatnonzero(matrix[u])) for u in range(n)]
+    assert _unpack_rows(g.rows) == rows
+    assert g.edge_count() == int(matrix.sum()) // 2
+    assert [tuple(e) for block in g.edges() for e in block.tolist()] \
+        == [(u, v) for u in range(n) for v in range(u + 1, n) if matrix[u, v]]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 128, 129, 203])
+def test_from_adjacency_matches_per_entry_rows(n, tmp_path):
+    # every constructor gives the per-entry rows of the same graph
     rng = S.philox_rng(n, 78)
     upper = np.triu(rng.random((n, n)) < 0.3, 1)
     matrix = upper | upper.T
-    rows = [sum(1 << int(v) for v in np.flatnonzero(matrix[u])) for u in range(n)]
-    assert LabeledGraph.from_adjacency(matrix).adj == rows
+    g = LabeledGraph.from_adjacency(matrix)
+    assert_rows(g, matrix)
+    edges = [(u, v) for u in range(n) for v in range(n) if upper[u, v]]
+    assert_rows(LabeledGraph.from_edges(n, edges), matrix)
+    # as an array, in reverse order and orientation
+    assert_rows(LabeledGraph.from_edges(n, np.array(edges, dtype=int).reshape(-1, 2)[::-1, ::-1]),
+                matrix)
+    # g as the subgraph induced on n of n + 70 vertices, placed out of order
+    big = np.triu(rng.random((n + 70, n + 70)) < 0.3, 1)
+    pos = rng.permutation(n + 70)[:n]
+    big[np.ix_(pos, pos)] = matrix
+    big = np.triu(big, 1) | np.triu(big, 1).T
+    assert_rows(LabeledGraph.from_adjacency(big).subgraph(pos.tolist()), matrix)
+    # the join of g's first k and last n - k vertices
+    k = n // 3
+    joined = matrix.copy()
+    joined[:k, k:] = joined[k:, :k] = True
+    assert_rows(complete_join([LabeledGraph.from_adjacency(matrix[:k, :k]),
+                               LabeledGraph.from_adjacency(matrix[k:, k:])]), joined)
+    write_edge_list(tmp_path / "g.edges", g)
+    assert_rows(read_edge_list(tmp_path / "g.edges"), matrix)
     if n >= 2:
         with pytest.raises(ValueError):
             LabeledGraph.from_adjacency(matrix | np.eye(n, dtype=bool))
@@ -426,10 +468,21 @@ def test_from_adjacency_matches_per_entry_rows(n):
             LabeledGraph.from_adjacency(upper)
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2), (0, 5)], "loops are not allowed"),
+    ([(0, 1), (0, 5), (2, 2)], r"edge \(0,5\) out of range"),
+    ([(1, 2), (-1, 0), (1, 1)], r"edge \(-1,0\) out of range"),
+    ([(3, 3)], "loops are not allowed"),
+])
+def test_from_edges_reports_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledGraph.from_edges(3, edges)
+
+
 def test_edge_list_roundtrip(tmp_path):
     g = random_graph(15, 0.4, seed=2)
     path = tmp_path / "g.edges"
     write_edge_list(path, g, comments=["format test"])
     h = read_edge_list(path)
     assert h.n == g.n
-    assert h.adj == g.adj
+    assert np.array_equal(h.rows, g.rows)

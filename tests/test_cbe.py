@@ -293,4 +293,4 @@ def test_edge_list_export(tmp_path):
     write_edge_list(path, lg, classes=f"classes W=[0,{pr.n}) Z=[{pr.n},{2 * pr.n})")
     back = read_edge_list(path)
     assert back.n == 2 * pr.n
-    assert back.adj == lg.adj
+    assert np.array_equal(back.rows, lg.rows)

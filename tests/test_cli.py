@@ -295,6 +295,22 @@ def test_gen_options_are_the_params_fields(capsys, command, options):
     assert sorted(flags) == sorted(options.split())
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag, message", [
+    ("gen-cbe", "--epsilon", "epsilon must be positive and finite"),
+    ("gen-cbe", "--big-k", "big_k must be finite and at least 1"),
+    ("gen-mbe", "--epsilon", "epsilon must be positive and finite"),
+    ("gen-mbe", "--retention", "retention must lie in (0, 1]"),
+], ids=["gen-cbe-epsilon", "gen-cbe-big-k", "gen-mbe-epsilon", "gen-mbe-retention"])
+def test_gen_non_finite_value_exits_2(tmp_path, capsys, command, flag, message, value):
+    _, base, _ = FIELD_CASES[command]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *_argv(base), flag, value, "--out", tmp_path / "g"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
 @pytest.mark.parametrize("command, flag, message", [
     ("gen-cbe", "--mode", "mode must be 'sampled' or 'strict'"),
     ("gen-mbe", "--point-mode", "point_mode must be 'antipodal' or 'partition'"),
@@ -385,6 +401,14 @@ BAD_INPUTS = {
              "g.edges:3: bad line '2 2'"),
     "bad-count": (lambda d: ["analyze", _write(d / "g.edges", "# n=three\n")],
                   "g.edges:1: bad line"),
+    "repeat-before-out-of-range": (
+        lambda d: ["analyze", _write(d / "g.edges", "# n=3\n0 1\n1 0\n0 7\n")],
+        "g.edges:3: edge '1 0' repeats line 2"),
+    "out-of-range-before-repeat": (
+        lambda d: ["analyze", _write(d / "g.edges", "# n=3\n0 1\n0 7\n1 0\n")],
+        "g.edges:3: bad line '0 7'"),
+    "id-over-int64": (lambda d: ["analyze", _write(d / "g.edges", f"0 1\n1 {2**63}\n")],
+                      f"g.edges:2: bad line '1 {2**63}'"),
     "repeated-edge": (lambda d: ["analyze", _write(d / "g.edges",
                                                    "# n=3\n0 1\n1 2\n0 1\n")],
                       "g.edges:4: edge '0 1' repeats line 2"),
@@ -423,11 +447,14 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
                 "--seed", 1, "--out", d / "g"], "80000 x 80000 bool adjacency"),
     (lambda d: ["analyze", _write(d / "big.edges", "# n=5001\n0 1\n")],
      "capped at 5000 vertices"),
+    (lambda d: ["analyze", _write(d / "big.edges", f"# n={10**30}\n0 1\n")],
+     f"packed rows of n={10**30} vertices"),
     (lambda d: ["gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4, "--m", 2,
                 "--seed", 1, "--out", d / "g"], "capped at ell <= 6"),
     (lambda d: ["sweep", "gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4,
                 "--m", 2, "--seed", 1, "--out", d / "s.csv"], "capped at ell <= 6"),
-], ids=["gen-mbe-hyperedges", "gen-mbe-adjacency", "analyze-clique", "gen-mbe-ell", "sweep-mbe-ell"])
+], ids=["gen-mbe-hyperedges", "gen-mbe-adjacency", "analyze-clique", "analyze-rows",
+        "gen-mbe-ell", "sweep-mbe-ell"])
 def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
         run(argv(tmp_path))

@@ -23,7 +23,6 @@ from rtlab.analysis import (
     _degeneracy_order,
     _greedy_clique,
     _induced_rows,
-    _pack_rows,
     _unpack_rows,
     max_clique,
 )
@@ -43,14 +42,15 @@ def bits(mask: int):
 
 
 def reference_degeneracy_order(g: LabeledGraph) -> list[int]:
-    deg = [g.degree(v) for v in range(g.n)]
+    adj = _unpack_rows(g.rows)
+    deg = [row.bit_count() for row in adj]
     alive = set(range(g.n))
     order = []
     while alive:
         v = min(alive, key=lambda u: (deg[u], u))
         order.append(v)
         alive.remove(v)
-        for w in bits(g.adj[v]):
+        for w in bits(adj[v]):
             if w in alive:
                 deg[w] -= 1
     return order
@@ -58,10 +58,11 @@ def reference_degeneracy_order(g: LabeledGraph) -> list[int]:
 
 def reference_relabel(g: LabeledGraph, order: list[int]) -> list[int]:
     pos = {v: i for i, v in enumerate(order)}
+    rows = _unpack_rows(g.rows)
     adj = [0] * g.n
     for v in range(g.n):
         row = 0
-        for w in bits(g.adj[v]):
+        for w in bits(rows[v]):
             row |= 1 << pos[w]
         adj[pos[v]] = row
     return adj
@@ -139,15 +140,17 @@ def reference_max_clique(g: LabeledGraph, cutoff=None) -> CliqueCertificate:
     return CliqueCertificate(best_size, witness, False, cutoff)
 
 
-def reference_subgraph(g: LabeledGraph, vs) -> LabeledGraph:
+def reference_subgraph(g: LabeledGraph, vs) -> list[int]:
+    """The Python-int rows of the subgraph induced on vs, in that order."""
+    rows = _unpack_rows(g.rows)
     vs = list(vs)
     adj = [0] * len(vs)
     for i, v in enumerate(vs):
         for j, w in enumerate(vs):
-            if i < j and g.has_edge(v, w):
+            if i < j and (rows[v] >> w) & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return LabeledGraph(len(vs), adj)
+    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +193,25 @@ BOUNDARY_SIZES = [1, 2, 7, 8, 9, 63, 64, 65, 129]
 
 
 def assert_setup_matches(g: LabeledGraph):
-    packed = _pack_rows(g.adj)
-    order = _degeneracy_order(packed)
+    order = _degeneracy_order(g.rows)
     assert order == reference_degeneracy_order(g)
-    rows = _induced_rows(packed, order)
+    rows = _induced_rows(g.rows, order)
     adj = _unpack_rows(rows)
     assert adj == reference_relabel(g, order)
-    bound = _colour_bound(g.adj, order)
+    # the bound max_clique takes on the relabelled rows is the smallest-last
+    # colouring's on the original rows
+    bound = _colour_bound(adj, range(g.n))
+    assert bound == colour_bound(g)
     assert _greedy_clique(rows.view(np.uint64), bound) == reference_greedy_clique(adj, g.n)
 
 
+def colour_bound(g: LabeledGraph) -> int:
+    """Colours of the smallest-last colouring on the graph's own labels."""
+    return _colour_bound(_unpack_rows(g.rows), _degeneracy_order(g.rows))
+
+
 def assert_certificates_match(g: LabeledGraph, cutoffs):
-    bound = _colour_bound(g.adj, reference_degeneracy_order(g))
+    bound = _colour_bound(_unpack_rows(g.rows), reference_degeneracy_order(g))
     for cutoff in cutoffs:
         ref = reference_max_clique(g, cutoff)
         assert max_clique(g, cutoff) == ref, cutoff
@@ -246,8 +256,6 @@ def test_setup_matches_reference_at_word_boundaries(n, density):
     g = random_graph(n, density, 1000 + n)
     assert_setup_matches(g)
     assert_certificates_match(g, [None, 3])
-    assert _unpack_rows(_pack_rows(g.adj)) == g.adj
-    assert _pack_rows(g.adj).shape == (n, 8 * ((n + 63) // 64))
 
 
 def test_cutoff_path_past_the_gate_matches_reference():
@@ -265,7 +273,7 @@ def test_cbe_benchmark_graph_matches_reference():
     assert_certificates_match(g, [None, 4])
     # the bound equals omega, so the greedy stops after one start and the
     # branch and bound does not run
-    assert _colour_bound(g.adj, _degeneracy_order(_pack_rows(g.adj))) == 2
+    assert colour_bound(g) == 2
 
 
 @pytest.mark.parametrize("params, bound", [
@@ -277,7 +285,7 @@ def test_mbe_benchmark_graphs_match_reference(params, bound):
     g = graph.to_labeled_graph()
     assert_setup_matches(g)
     assert_certificates_match(g, [None, graph.omega_bound()])
-    assert _colour_bound(g.adj, _degeneracy_order(_pack_rows(g.adj))) == bound
+    assert colour_bound(g) == bound
 
 
 @pytest.mark.parametrize("n", [0, *BOUNDARY_SIZES])
@@ -287,8 +295,7 @@ def test_subgraph_matches_pairwise_reference(n):
     for vs in (range(n), range(n // 2, n), rng.permutation(n)[: (2 * n) // 3].tolist(),
                [v for v in range(n) if v % 3 == 1][::-1]):
         h = g.subgraph(vs)
-        ref = reference_subgraph(g, vs)
-        assert (h.n, h.adj) == (ref.n, ref.adj)
+        assert (h.n, _unpack_rows(h.rows)) == (len(vs), reference_subgraph(g, vs))
 
 
 @pytest.mark.parametrize("vs", [[0, -1], [-1, 0], [0, 7], [7]])

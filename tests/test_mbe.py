@@ -552,7 +552,7 @@ def test_shadow_clique_bound_and_hyperedge_containment():
     assert cert.exhaustive and cert.size <= hg.r
     # every maximal clique lies inside a single hyperedge
     import networkx as nx
-    G = nx.Graph(list(g.edges()))
+    G = nx.Graph([tuple(e) for block in g.edges() for e in block.tolist()])
     edge_sets = [frozenset(e) for e in hg.hyperedges]
     for clique in nx.find_cliques(G):
         assert any(set(clique) <= es for es in edge_sets)
@@ -625,7 +625,7 @@ def test_mbe_clique_budget_lemmas():
     pr = mbe_params(ell=2, p=1, q=2, k=6, m=4, seed=7)
     g = build_mbe(pr)
     lg = g.to_labeled_graph()
-    G = nx.Graph(list(lg.edges()))
+    G = nx.Graph([tuple(e) for block in lg.edges() for e in block.tolist()])
     G.add_nodes_from(range(lg.n))
     N = g.class_size
     for clique in nx.find_cliques(G):
@@ -661,7 +661,7 @@ def test_mbe_exports(tmp_path):
     write_edge_list(tmp_path / "g.edges", lg, classes=f"classes: 2 x {g.class_size}")
     g.hypergraph.write_hyperedges(tmp_path / "g.hyper")
     back = read_edge_list(tmp_path / "g.edges")
-    assert back.n == g.n and back.adj == lg.adj
+    assert back.n == g.n and np.array_equal(back.rows, lg.rows)
     lines = [l for l in (tmp_path / "g.hyper").read_text().splitlines()
              if not l.startswith("#")]
     assert all(len(l.split()) == g.hypergraph.r for l in lines)

@@ -270,6 +270,16 @@ def test_partition_determinism():
         assert np.array_equal(a.sample_cell(i, 1), b.sample_cell(i, 1))
 
 
+def test_philox_keeps_every_seed_bit():
+    # a seed at or above 2^63 once went through float64: 2^63 and 2^63 + 1
+    # drew one stream, and 2^64 - 1 drew seed 0's
+    draws = {seed: S.philox_rng(seed, 10).integers(0, 2**62, 4).tolist()
+             for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)}
+    assert len({tuple(d) for d in draws.values()}) == 4
+    # seeds are taken mod 2^64
+    assert S.philox_rng(-1, 10).integers(0, 2**62, 4).tolist() == draws[2**64 - 1]
+
+
 def test_stream_ids_are_distinct():
     # sample_cell draws from _STREAM_CELL + substream; the library uses
     # substreams 0 and 1, and every substream it accepts must stay clear of
