@@ -58,12 +58,12 @@ class CbeParams:
     mode: str = "sampled"
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be at least 2")
+        if not 2 <= self.p <= sys.float_info.max:   # rho is a float of p
+            raise ValueError("p must be at least 2 and at most the largest float")
         if not 1 <= self.ell < self.p:
             raise ValueError("ell must satisfy 1 <= ell < p")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        if not 1 <= self.k <= sys.float_info.max:   # mu is a float of k
+            raise ValueError("k must be at least 1 and at most the largest float")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):

@@ -42,6 +42,7 @@ import numpy as np
 from . import sphere
 from .sphere import InfeasiblePartition, ResourceLimit
 from .analysis import (
+    MAX_EXACT_CLIQUE_VERTICES,
     density_report,
     max_clique,
     p_independence,
@@ -64,6 +65,9 @@ from .weighted import (
 # ---------------------------------------------------------------------------
 # certification suites (importable; the CLI wraps them)
 # ---------------------------------------------------------------------------
+
+_STREAM_GOFA = 70        # gofA-oracle's random matrices, one substream a trial
+_STREAM_DOMINANCE = 71   # dominance-axioms' random multisets
 
 def _all_positive_graphs(p, m):
     for upper in itertools.product(range(1, p + 1), repeat=m * (m - 1) // 2):
@@ -119,7 +123,7 @@ def suite_gofa_oracle(trials: int = 200, seed: int = 0) -> dict:
     max_dev = 0.0
     row_sum_ok = True
     for trial in range(trials):
-        rng = sphere.philox_rng(seed, 70, trial)
+        rng = sphere.philox_rng(seed, _STREAM_GOFA, trial)
         m = int(rng.integers(2, 7))
         A = np.zeros((m, m), dtype=int)
         iu = np.triu_indices(m, 1)
@@ -149,7 +153,7 @@ def suite_dominance_axioms(seed: int = 0) -> dict:
     case("{3,4,4} !dominates {2,2,5}",
          not multiset_dominates([3, 4, 4], [2, 2, 5]))
 
-    rng = sphere.philox_rng(seed, 71)
+    rng = sphere.philox_rng(seed, _STREAM_DOMINANCE)
     axioms_ok = True
     for _ in range(500):
         n = int(rng.integers(1, 6))
@@ -321,6 +325,9 @@ def evaluate_cbe(params: CbeParams):
     Returns (graph, labelled graph, clique certificate, results), where
     results holds the columns that sweep writes and gen-cbe's CSV shares.
     """
+    # max_clique gates the same count, but only after the build
+    if 2 * params.n > MAX_EXACT_CLIQUE_VERTICES:
+        raise ResourceLimit(f"exact clique search capped at {MAX_EXACT_CLIQUE_VERTICES} vertices")
     graph = build_cbe(params)
     lg = graph.to_labeled_graph()
     cert = max_clique(lg)

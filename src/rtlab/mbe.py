@@ -4,9 +4,10 @@ q vertex classes, each a copy of a high dimensional Borsuk graph B(ell)
 built through the hypergraph pipeline {Q_h} -> B -> B' -> B(ell):
 
   * Q_h splits the r = 2^ell binary strings of length ell by their h-th bit;
-  * B is an r-uniform geometric hypergraph on ell-tuples of sphere points
-    whose hyperedges realise every Q_h split by an almost antipodal pair of
-    projections (|x - y| >= 2 - mu);
+  * B is an r-uniform geometric hypergraph on ell-tuples of sphere points;
+    its hyperedges, the rows of one (E, r) int64 array that every later
+    stage reads and writes, realise every Q_h split by an almost antipodal
+    pair of projections (|x - y| >= 2 - mu);
   * B' optionally blows every point up into t^(1/ell) near-duplicates,
     retains blown-up hyperedge copies at random, and deletes every small
     dense subconfiguration;
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,16 @@ MAX_ADJACENCY_BYTES = 2 ** 28   # the dense bool adjacency: n <= 16,384 vertices
 _STREAM_POINTS = 20
 _STREAM_DUPS = 21
 _STREAM_RETAIN = 22
+
+
+def _int_root(t: int, ell: int) -> int | None:
+    """The integer x with x^ell = t, or None; exact at any size."""
+    if t < 1 or ell >= t.bit_length():     # t < 1, or 1 <= t^(1/ell) < 2
+        return 1 if t == 1 else None
+    x = 1 << -(-t.bit_length() // ell)     # Newton on integers, from above
+    while (y := ((ell - 1) * x + t // x ** (ell - 1)) // ell) < x:
+        x = y
+    return x if x ** ell == t else None
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +83,13 @@ class MbeParams:
             raise ValueError("p must be at least 1")
         if self.ell < self.p * (self.q - 1):
             raise ValueError("ell must be at least p (q - 1)")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        if not 1 <= self.k <= sys.float_info.max:   # mu is a float of k
+            raise ValueError("k must be at least 1 and at most the largest float")
         if self.m < 2:
             raise ValueError("m must be at least 2")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be positive and finite")
-        if self.t < 1 or round(self.t ** (1 / self.ell)) ** self.ell != self.t:
+        if _int_root(self.t, self.ell) is None:
             raise ValueError("t must be a perfect ell-th power")
         if not 0.0 < self.retention <= 1.0:
             raise ValueError("retention must lie in (0, 1]")
@@ -121,15 +133,14 @@ class BinaryStringFamily:
                 f"binary string family capped at ell <= {MAX_Q_FAMILY_ELL}")
         self.ell = ell
         self.r = 2 ** ell
-        self.strings = [tuple((i >> (ell - 1 - b)) & 1 for b in range(ell))
-                        for i in range(self.r)]
+        self.strings = _digits(2, ell)   # row i: the bits of i, most significant first
 
     def q_edges(self, h: int) -> set:
         """Edges of Q_h (1-based coordinate): string pairs differing in bit h."""
         if not 1 <= h <= self.ell:
             raise ValueError("coordinate out of range")
         return {(i, j) for i in range(self.r) for j in range(i + 1, self.r)
-                if self.strings[i][h - 1] != self.strings[j][h - 1]}
+                if self.strings[i, h - 1] != self.strings[j, h - 1]}
 
     def union_alpha(self, coords) -> int:
         """Independence number of the union of Q_h over h in coords, by brute
@@ -200,41 +211,32 @@ class GeometricHypergraph:
     """r-uniform hypergraph on ell-tuples of sphere points.
 
     `vertices` is an (N, ell) int array: row v holds the point ids into
-    `points` of vertex v, one per coordinate h in [ell].  Hyperedges are
-    ordered r-tuples of vertex ids, labelled by the binary strings, and
-    satisfy: whenever strings b_i, b_j differ in coordinate h, the h-th
-    projections are almost antipodal (|x - y| >= 2 - mu).
+    `points` of vertex v, one per coordinate h in [ell].  `hyperedges` is an
+    (E, r) int64 array (E = 0 included) of vertex ids, column i labelled by
+    binary string i; whenever strings i, j differ in coordinate h, the h-th
+    projections of columns i and j are almost antipodal (|x - y| >= 2 - mu).
     """
 
     def __init__(self, ell: int, mu: float, points: np.ndarray,
-                 vertices: np.ndarray, hyperedges: list):
+                 vertices: np.ndarray, hyperedges: np.ndarray):
         self.ell = ell
+        self.r = 2 ** ell
         self.mu = mu
         self.points = points
         self.vertices = vertices
         self.hyperedges = hyperedges
-        self.family = BinaryStringFamily(ell)
-
-    @property
-    def r(self) -> int:
-        return 2 ** self.ell
 
     def hyperedge_valid(self, edge) -> bool:
-        """Re-check the antipodality constraints of one ordered hyperedge."""
-        fam = self.family
-        for h in range(1, self.ell + 1):
-            for a, b in fam.q_edges(h):
-                xa = self.points[self.vertices[edge[a], h - 1]]
-                xb = self.points[self.vertices[edge[b], h - 1]]
-                if np.linalg.norm(xa - xb) < (2 - self.mu) - GEOM_TOL:
-                    return False
-        return True
+        """Re-check the antipodality constraints of one hyperedge row."""
+        x = self.points[self.vertices[edge]]                    # (r, ell, dim)
+        gap = np.linalg.norm(x[:, None] - x[None], axis=-1)     # (r, r, ell)
+        bits = _digits(2, self.ell)
+        return bool(np.all(gap[bits[:, None] != bits] >= (2 - self.mu) - GEOM_TOL))
 
     def write_hyperedges(self, path):
         with open(path, "w") as fh:
             fh.write(f"# r={self.r} vertices={len(self.vertices)}\n")
-            for edge in self.hyperedges:
-                fh.write(" ".join(str(v) for v in edge) + "\n")
+            np.savetxt(fh, self.hyperedges, fmt="%d")
 
 
 def _digits(base: int, n_digits: int) -> np.ndarray:
@@ -279,7 +281,7 @@ def _coordinate_assignments(far: np.ndarray, fam: BinaryStringFamily, h: int) ->
     ell >= 2, where build_base_hypergraph's vertex gate keeps m <= 1000: at
     most 10^8 bools (100 MB).
     """
-    side = np.array(fam.strings)[:, h - 1]
+    side = fam.strings[:, h - 1]
     order = np.stack([np.flatnonzero(side == 0), np.flatnonzero(side == 1)], 1).ravel()
     rows = np.arange(far.shape[0])[:, None]
     for c in range(1, fam.r):
@@ -305,12 +307,15 @@ def build_base_hypergraph(params: MbeParams, points: np.ndarray | None = None) -
     itertools.product order; this never brute-forces all m^(ell r)
     labelled tuples.  A hyperedge is kept at its first labelling.
     """
-    P = default_points(params) if points is None else np.asarray(points, dtype=float)
-    m = P.shape[0]
+    fam = BinaryStringFamily(params.ell)
+    m = params.m if points is None else len(points)
+    # BinaryStringFamily gates ell; then m and m^ell, before any point is drawn
+    if m > MAX_BASE_VERTICES:
+        raise sphere.ResourceLimit(f"m exceeds the desk bound {MAX_BASE_VERTICES}")
     if m ** params.ell > MAX_BASE_VERTICES:
         raise sphere.ResourceLimit(
             f"m^ell = {m ** params.ell} exceeds the desk bound {MAX_BASE_VERTICES}")
-    fam = BinaryStringFamily(params.ell)
+    P = default_points(params) if points is None else np.asarray(points, dtype=float)
     far = sphere.almost_antipodal(P @ P.T, params.mu)
 
     per_coord = [_coordinate_assignments(far, fam, h)
@@ -328,7 +333,7 @@ def build_base_hypergraph(params: MbeParams, points: np.ndarray | None = None) -
     key.sort(axis=1)
     first = np.sort(np.unique(key, axis=0, return_index=True)[1])
     return GeometricHypergraph(params.ell, params.mu, P, _digits(m, params.ell),
-                               [tuple(e) for e in ids[first].tolist()])
+                               ids[first])
 
 
 # -- blow-up and sparsification ---------------------------------------------
@@ -361,7 +366,7 @@ def find_dense_subconfig(hyperedges, zeta: float, r: int):
     blow-up, and blowup_sparsify calls it for the configurations of three or
     more hyperedges left after its pass over dense pairs.
     """
-    edge_sets = [frozenset(e) for e in hyperedges]
+    edge_sets = [frozenset(e) for e in np.asarray(hyperedges).tolist()]
     incident = _incidence(edge_sets)
     # each set filled in ascending order, which fixes the search's order
     neighbors = [set(sorted({j for v in es for j in incident[v]} - {i}))
@@ -386,13 +391,13 @@ def find_dense_subconfig(hyperedges, zeta: float, r: int):
     return None
 
 
-def sparsify(hyperedges, zeta: float, r: int):
-    """Delete hyperedges until find_dense_subconfig finds no violator, as
-    blowup_sparsify describes: one ascending pass over dense pairs, then one
-    search per remaining deletion.  Partners in the pass are read per live
-    hyperedge from the same incidence index as the search's, so no E x E
-    table is built.  Returns (kept, deleted), kept in the input order."""
-    edge_sets = [frozenset(e) for e in hyperedges]
+def sparsify(hyperedges: np.ndarray, zeta: float, r: int):
+    """Delete rows of the (E, r) hyperedge array until find_dense_subconfig
+    finds no violator, as blowup_sparsify describes: one ascending pass over
+    dense pairs, then one search per remaining deletion.  Partners in the
+    pass are read per live hyperedge from the same incidence index as the
+    search's, so no E x E table is built.  Returns (kept rows, deleted)."""
+    edge_sets = [frozenset(e) for e in hyperedges.tolist()]
     incident = _incidence(edge_sets)
     alive = [True] * len(edge_sets)
     for i, es in enumerate(edge_sets):
@@ -402,14 +407,10 @@ def sparsify(hyperedges, zeta: float, r: int):
         for j in partners:
             if _dense(len(es | edge_sets[j]), 2, zeta, r):
                 alive[j] = False
-    kept = [e for e, a in zip(hyperedges, alive) if a]
-    deleted = len(hyperedges) - len(kept)
-    while True:
-        bad = find_dense_subconfig(kept, zeta, r)
-        if bad is None:
-            return kept, deleted
-        kept.pop(bad[-1])
-        deleted += 1
+    kept = hyperedges[np.array(alive, dtype=bool)]
+    while (bad := find_dense_subconfig(kept, zeta, r)) is not None:
+        kept = np.delete(kept, bad[-1], axis=0)
+    return kept, len(hyperedges) - len(kept)
 
 
 @dataclass(frozen=True)
@@ -450,13 +451,15 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
     hyperedge order, then copy order.
     """
     ell, r = base.ell, base.r
-    t_root = round(t ** (1 / ell))
-    if t_root ** ell != t:
+    t_root = _int_root(t, ell)
+    if t_root is None:
         raise ValueError("t must be a perfect ell-th power")
     if t == 1:
-        report = BlowupReport(len(base.hyperedges), len(base.hyperedges),
-                              len(base.hyperedges), 0)
-        return base, report
+        n_edges = len(base.hyperedges)
+        return base, BlowupReport(n_edges, n_edges, n_edges, 0)
+    if len(base.vertices) * t > MAX_BASE_VERTICES:
+        raise sphere.ResourceLimit(
+            f"N t blown-up vertices exceed the desk bound {MAX_BASE_VERTICES}")
     candidates = len(base.hyperedges) * t ** r
     if candidates > MAX_BLOWUP_EDGES:
         raise sphere.ResourceLimit(
@@ -473,11 +476,11 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
             dup_points[pid * t_root + c] = x / np.linalg.norm(x)
     vertices = (base.vertices[:, None, :] * t_root + _digits(t_root, ell)).reshape(-1, ell)
 
-    edges = np.array(base.hyperedges, dtype=np.int64).reshape(-1, 1, r)
     # with no base hyperedge t^r is unbounded, and there is nothing to copy
-    copies = (edges * t + (_digits(t, r) if candidates else 0)).reshape(-1, r)
+    copies = (base.hyperedges[:, None, :] * t
+              + (_digits(t, r) if candidates else 0)).reshape(-1, r)
     keep = sphere.philox_rng(seed, _STREAM_RETAIN).random(candidates) < retention
-    retained = [tuple(e) for e in copies[keep].tolist()]
+    retained = copies[keep]
     kept, deleted = sparsify(retained, zeta, r)
     report = BlowupReport(len(base.hyperedges), candidates, len(retained), deleted)
     return GeometricHypergraph(ell, mu, dup_points, vertices, kept), report
@@ -488,13 +491,14 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
 # ---------------------------------------------------------------------------
 
 def shadow_graph(hypergraph: GeometricHypergraph) -> np.ndarray:
-    """N x N bool adjacency of the shadow graph: u ~ v iff some hyperedge
-    contains both."""
-    n = len(hypergraph.vertices)
+    """N x N bool adjacency of the shadow graph: u ~ v iff u != v and some
+    hyperedge contains both; one assignment per column pair."""
+    n, edges = len(hypergraph.vertices), hypergraph.hyperedges
     adjacency = np.zeros((n, n), dtype=bool)
-    for edge in hypergraph.hyperedges:
-        for a, b in itertools.combinations(sorted(set(edge)), 2):
-            adjacency[a, b] = adjacency[b, a] = True
+    for a, b in itertools.combinations(range(hypergraph.r), 2):
+        adjacency[edges[:, a], edges[:, b]] = True
+    adjacency |= adjacency.T
+    np.fill_diagonal(adjacency, False)    # a vertex repeated in a row
     return adjacency
 
 
@@ -539,15 +543,10 @@ class MbeGraph:
             raise sphere.ResourceLimit(
                 f"the {self.n} x {self.n} bool adjacency needs {self.n ** 2} bytes, "
                 f"over the desk bound {MAX_ADJACENCY_BYTES}")
-        shadow = shadow_graph(hypergraph)
-        adjacency = np.zeros((self.n, self.n), dtype=bool)
-        for i in range(q):
-            adjacency[i * N:(i + 1) * N, i * N:(i + 1) * N] = shadow
+        adjacency = np.kron(np.eye(q, dtype=bool), shadow_graph(hypergraph))
 
         ids = hypergraph.vertices
-        gram = hypergraph.points @ hypergraph.points.T
-        near = gram >= (math.sqrt(2) * params.mu - params.mu ** 2 / 2.0) - GEOM_TOL
-        # |x - y| <= sqrt(2) - mu  <=>  <x,y> >= sqrt(2) mu - mu^2/2
+        near = sphere.near(hypergraph.points @ hypergraph.points.T, params.mu)
 
         for i in range(q):
             for ip in range(i + 1, q):

@@ -6,9 +6,10 @@ the coordinate-interleaving isometry between S^{k-1}(C) and S^{2k-1}(R),
 closed-form cap-measure bounds and their Monte Carlo oracles, uniform
 sampling, equal-measure partitions of S^{d-1}(R) with certified diameter
 bounds (a partition of S^{k-1}(C) is one of S^{2k-1}(R) read through the
-isometry), the almost antipodal test, and an exhaustive search for rhombus
-configurations (two almost antipodal pairs whose four cross distances are
-all at most sqrt(2)-mu), which cannot exist among genuine unit vectors.
+isometry), the almost antipodal and near tests, and an exhaustive search
+for rhombus configurations (two almost antipodal pairs whose four cross
+distances are all at most sqrt(2)-mu), which cannot exist among genuine
+unit vectors.
 
 All geometric predicates use closed comparisons with an absolute slack of
 GEOM_TOL so that boundary cases keep their mathematical truth value at
@@ -35,6 +36,8 @@ _STREAM_MC = 1
 _STREAM_CELL = 2
 _CELL_SUBSTREAMS = 8
 _STREAM_SAMPLE = 30  # beside cbe's 10s and mbe's 20s, clear of s = 0..7
+
+MAX_SAMPLE_FLOATS = 2 ** 25   # 256 MiB of float64 per draw
 
 
 class InfeasiblePartition(ValueError):
@@ -107,6 +110,9 @@ def cap_measure_lower_bound(k: int, delta: float) -> float:
 
 def sample_real_sphere(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. uniform points on S^{d-1}(R), shape (size, d)."""
+    if size * d > MAX_SAMPLE_FLOATS:
+        raise ResourceLimit(f"{size} points in dimension {d} exceed the desk bound "
+                            f"of {MAX_SAMPLE_FLOATS} floats")
     x = rng.standard_normal((size, d))
     nrm = np.linalg.norm(x, axis=1, keepdims=True)
     # resample the measure-zero event of an exactly zero Gaussian row
@@ -186,6 +192,13 @@ def almost_antipodal(ip, mu: float):
     return ip <= (1.0 - (2.0 - mu) ** 2 / 2.0) + GEOM_TOL
 
 
+def near(ip, mu: float):
+    """Where unit vectors with inner products ip are near: |x - y| <=
+    sqrt(2) - mu, i.e. <x,y> >= sqrt(2) mu - mu^2 / 2 (closed, GEOM_TOL
+    slack)."""
+    return ip >= (math.sqrt(2) * mu - mu ** 2 / 2.0) - GEOM_TOL
+
+
 def rhombus_search(P, Q, mu: float):
     """Search for p1, p2 in P and q1, q2 in Q with |p1-p2| >= 2-mu,
     |q1-q2| >= 2-mu and all four cross distances <= sqrt(2)-mu.
@@ -199,7 +212,6 @@ def rhombus_search(P, Q, mu: float):
         raise ValueError("mu must lie in (0, 1/4)")
     p = np.asarray(P, dtype=np.float64)
     q = np.asarray(Q, dtype=np.float64)
-    near_ip = 1.0 - (math.sqrt(2.0) - mu) ** 2 / 2.0  # <x,y> >= near_ip <=> |x-y| <= sqrt2-mu
 
     def far_pairs(x):
         idx = np.argwhere(np.triu(almost_antipodal(x @ x.T, mu), k=1))
@@ -211,11 +223,10 @@ def rhombus_search(P, Q, mu: float):
     fq = far_pairs(q)
     if not fq:
         return None
-    cross = p @ q.T
+    close = near(p @ q.T, mu)
     for i1, i2 in fp:
         for j1, j2 in fq:
-            if (cross[i1, j1] >= near_ip - GEOM_TOL and cross[i1, j2] >= near_ip - GEOM_TOL
-                    and cross[i2, j1] >= near_ip - GEOM_TOL and cross[i2, j2] >= near_ip - GEOM_TOL):
+            if close[i1, j1] and close[i1, j2] and close[i2, j1] and close[i2, j2]:
                 return (p[i1].copy(), p[i2].copy(), q[j1].copy(), q[j2].copy())
     return None
 

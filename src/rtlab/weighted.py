@@ -34,6 +34,8 @@ from .sphere import ResourceLimit
 MAX_EXACT_SIMPLEX = 16
 MAX_EXTENSION_DP = 18
 
+_STREAM_NUMERIC = 40   # g_of_A_numeric's Dirichlet restarts
+
 
 # ---------------------------------------------------------------------------
 # p-weighted graphs
@@ -447,7 +449,7 @@ def g_of_A_numeric(A, seed: int = 0):
     U = np.empty((50, m))
     U[0] = 1.0 / m
     for restart in range(1, 50):
-        U[restart] = sphere.philox_rng(seed, 40, restart).dirichlet(np.ones(m))
+        U[restart] = sphere.philox_rng(seed, _STREAM_NUMERIC, restart).dirichlet(np.ones(m))
     live = np.arange(50)                 # restart index of each row of X
     X = U.copy()
     for _ in range(10_000):

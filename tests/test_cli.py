@@ -453,8 +453,14 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
                 "--seed", 1, "--out", d / "g"], "capped at ell <= 6"),
     (lambda d: ["sweep", "gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4,
                 "--m", 2, "--seed", 1, "--out", d / "s.csv"], "capped at ell <= 6"),
+    # the ell gate comes before m^ell, whose value has 4,335 digits here
+    (lambda d: ["gen-mbe", "--ell", 7200, "--p", 1, "--q", 2, "--k", 10, "--m", 4,
+                "--seed", 1, "--out", d / "g"], "capped at ell <= 6"),
+    # the m gate comes before any point is drawn
+    (lambda d: ["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 4, "--m", 10 ** 400,
+                "--seed", 1, "--out", d / "g"], "m exceeds the desk bound 1000000"),
 ], ids=["gen-mbe-hyperedges", "gen-mbe-adjacency", "analyze-clique", "analyze-rows",
-        "gen-mbe-ell", "sweep-mbe-ell"])
+        "gen-mbe-ell", "sweep-mbe-ell", "gen-mbe-ell-before-m^ell", "gen-mbe-m-before-points"])
 def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
         run(argv(tmp_path))
@@ -462,6 +468,33 @@ def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     err = capsys.readouterr().err
     assert "resource gate" in err and fragment in err
     assert "Traceback" not in err
+
+
+# one huge value of one flag on the small instances of FIELD_CASES
+@pytest.mark.parametrize("command, flag, value, fragment", [
+    ("gen-mbe", "--t", 10 ** 400, "resource gate: N t blown-up vertices exceed"),
+    ("sweep", "--t", 10 ** 400, "resource gate: N t blown-up vertices exceed"),
+    ("gen-mbe", "--k", 10 ** 400, "k must be at least 1 and at most the largest float"),
+    ("gen-mbe", "--k", 10 ** 300, "resource gate: 2 points in dimension"),
+    ("gen-cbe", "--k", 10 ** 400, "k must be at least 1 and at most the largest float"),
+    ("gen-cbe", "--k", 10 ** 300, "resource gate: 20 points in dimension"),
+    ("gen-cbe", "--p", 10 ** 400, "p must be at least 2 and at most the largest float"),
+    ("gen-cbe", "--n", 10 ** 400, "resource gate: exact clique search capped at 5000 vertices"),
+], ids=["gen-mbe-t", "sweep-mbe-t", "gen-mbe-k", "gen-mbe-k-points", "gen-cbe-k",
+        "gen-cbe-k-points", "gen-cbe-p", "gen-cbe-n"])
+def test_huge_integer_exits_2(tmp_path, capsys, command, flag, value, fragment):
+    if command == "sweep":
+        argv = ["sweep", "gen-mbe", *_argv(FIELD_CASES["gen-mbe"][1]), flag, f"1,{value}",
+                "--out", tmp_path / "s.csv"]
+    else:
+        argv = [command, *_argv(FIELD_CASES[command][1]), flag, value,
+                "--out", tmp_path / "g"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+    assert not (tmp_path / "g.json").exists() and not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("argv, fragment", [

@@ -10,6 +10,7 @@ from rtlab import sphere as S
 from rtlab.analysis import LabeledGraph, max_clique, read_edge_list, write_edge_list
 from rtlab.mbe import (
     BinaryStringFamily,
+    BlowupReport,
     MbeParams,
     blowup_sparsify,
     build_base_hypergraph,
@@ -153,7 +154,7 @@ def test_base_hyperedge_orthogonal_pair_absent():
     pr = mbe_params(ell=1, p=1, q=2, k=3, m=2)
     P = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
     hg = build_base_hypergraph(pr, points=P)
-    assert hg.hyperedges == []
+    assert hg.hyperedges.shape == (0, 2) and hg.hyperedges.dtype == np.int64
 
 
 def brute_force_base_edges(P, ell, mu):
@@ -187,7 +188,7 @@ def test_base_hypergraph_matches_bruteforce():
     pr = mbe_params(ell=2, p=1, q=2, k=5, m=4)
     P = antipodal_points(pr.k, 2, seed=7)
     hg = build_base_hypergraph(pr, points=P)
-    built = {frozenset(e) for e in hg.hyperedges}
+    built = {frozenset(e) for e in hg.hyperedges.tolist()}
     expected = brute_force_base_edges(P, pr.ell, pr.mu)
     assert built == expected
     assert len(built) == 4  # one per choice of unordered pair per coordinate
@@ -204,7 +205,7 @@ def test_base_hyperedge_two_exact_antipodal_pairs():
     # vertices combining the pair {a,-a} in coordinate 1 with {b,-b} in 2;
     # vertex (x, y) has id x m + y
     target = frozenset(x * 4 + y for x, y in [(0, 1), (0, 3), (2, 1), (2, 3)])
-    assert target in {frozenset(e) for e in hg.hyperedges}
+    assert target in {frozenset(e) for e in hg.hyperedges.tolist()}
 
 
 def reference_coordinate_assignments(far, fam, h):
@@ -313,8 +314,9 @@ def test_base_hyperedges_match_recursive_build(case):
     if m % 2 == 0:
         P[m // 2:] = -P[:m // 2]
     hg = build_base_hypergraph(pr, points=P)
-    assert hg.hyperedges == reference_hyperedges(P, ell, pr.mu)
-    assert all(type(v) is int for e in hg.hyperedges for v in e)
+    ref = reference_hyperedges(P, ell, pr.mu)
+    assert hg.hyperedges.tolist() == [list(e) for e in ref]
+    assert hg.hyperedges.dtype == np.int64 and hg.hyperedges.shape == (len(ref), 2 ** ell)
     assert np.array_equal(hg.vertices, list(itertools.product(range(m), repeat=ell)))
 
 
@@ -365,12 +367,13 @@ def reference_blowup(base, t, seed, retention):
 def test_blowup_copies_match_per_copy_loops(ell, m, t, monkeypatch):
     pr = mbe_params(ell=ell, p=1, q=2, k=10, m=m, t=t)
     base = build_base_hypergraph(pr)
-    assert base.hyperedges
+    assert len(base.hyperedges)
     monkeypatch.setattr(mbe, "sparsify", lambda edges, zeta, r: (edges, 0))
     blown, report = blowup_sparsify(base, t, pr.zeta, seed=3, retention=0.5)
     vertices, retained = reference_blowup(base, t, 3, 0.5)
     assert blown.vertices.tolist() == [list(v) for v in vertices]
-    assert blown.hyperedges == retained and report.retained == len(retained)
+    assert blown.hyperedges.tolist() == [list(e) for e in retained]
+    assert blown.hyperedges.dtype == np.int64 and report.retained == len(retained)
 
 
 def test_blowup_bullet2_sparsity():
@@ -382,15 +385,16 @@ def test_blowup_bullet2_sparsity():
     assert report.deleted > 0  # copies of one base edge overlap heavily
     assert find_dense_subconfig(blown.hyperedges, pr.zeta, hg.r) is None
     # independent pairwise check: sharing >= 2 vertices violates the bound
-    sets = [frozenset(e) for e in blown.hyperedges]
+    sets = [frozenset(e) for e in blown.hyperedges.tolist()]
     for e1, e2 in itertools.combinations(sets, 2):
         assert len(e1 & e2) <= 1
 
 
 def one_at_a_time_sparsify(hyperedges, zeta, r):
     """Reference: one full dense search per deletion, dropping the last
-    hyperedge of the smallest violator until none is left."""
-    kept = list(hyperedges)
+    hyperedge of the smallest violator until none is left.  Takes an array
+    or a list of tuples; returns the kept hyperedges as a list of lists."""
+    kept = np.asarray(hyperedges).tolist()
     deleted = 0
     while True:
         bad = find_dense_subconfig(kept, zeta, r)
@@ -425,7 +429,7 @@ def test_sparsify_matches_one_at_a_time_loop(case, monkeypatch):
     assert 0 < loop_deletions < report.deleted
     monkeypatch.setattr(mbe, "sparsify", one_at_a_time_sparsify)
     ref, ref_report = blowup_sparsify(base, t, pr.zeta, seed, retention)
-    assert blown.hyperedges == ref.hyperedges
+    assert blown.hyperedges.tolist() == ref.hyperedges
     assert report == ref_report
 
 
@@ -445,7 +449,9 @@ def overlapping_hypergraphs(draw):
 @given(hypergraph=overlapping_hypergraphs(), zeta=st.floats(0.05, 1.0))
 def test_sparsify_matches_loop_on_random_hypergraphs(hypergraph, zeta):
     r, edges = hypergraph
-    assert sparsify(edges, zeta, r) == one_at_a_time_sparsify(edges, zeta, r)
+    kept, deleted = sparsify(np.array(edges, dtype=np.int64).reshape(-1, r), zeta, r)
+    assert kept.dtype == np.int64 and kept.shape[1] == r
+    assert (kept.tolist(), deleted) == one_at_a_time_sparsify(edges, zeta, r)
 
 
 def reference_find_dense_subconfig(hyperedges, zeta, r):
@@ -497,7 +503,7 @@ def test_blowup_full_retention():
     assert report.retained == report.candidate_copies == 1024
     assert report.deleted == 1000
     assert find_dense_subconfig(blown.hyperedges, pr.zeta, base.r) is None
-    sets = [frozenset(e) for e in blown.hyperedges]
+    sets = [frozenset(e) for e in blown.hyperedges.tolist()]
     for e1, e2 in itertools.combinations(sets, 2):
         assert len(e1 & e2) <= 1
 
@@ -508,14 +514,14 @@ def test_blowup_covering_property():
     hg = build_base_hypergraph(pr, points=antipodal_points(3, 4, seed=9))
     blown, _ = blowup_sparsify(hg, 4, pr.zeta, seed=4, retention=0.5)
     kept_base = set()
-    for edge in blown.hyperedges:
+    for edge in blown.hyperedges.tolist():
         base = frozenset(v // 4 for v in edge)    # copy v of base vertex v // t
         kept_base.add(base)
     rng = S.philox_rng(10, 1)
     hits = 0
     for _ in range(20):
         base_edge = hg.hyperedges[int(rng.integers(len(hg.hyperedges)))]
-        base_pts = frozenset(hg.vertices[v][0] for v in base_edge)
+        base_pts = frozenset(hg.vertices[base_edge, 0].tolist())
         hits += base_pts in kept_base
     assert hits / 20 >= 0.95
 
@@ -523,8 +529,45 @@ def test_blowup_covering_property():
 def test_blowup_rejects_bad_t():
     pr = mbe_params(ell=2, p=1, q=2, k=4, m=2)
     hg = build_base_hypergraph(pr, points=antipodal_points(4, 1, seed=8))
-    with pytest.raises(ValueError):
-        blowup_sparsify(hg, 3, pr.zeta, seed=0)
+    for t in (3, 0, (10 ** 20 + 1) ** 2 + 1):
+        with pytest.raises(ValueError, match="perfect"):
+            blowup_sparsify(hg, t, pr.zeta, seed=0)
+    # a perfect square past float precision passes the root check and stops
+    # at the vertex gate, before any copy or point is made
+    with pytest.raises(S.ResourceLimit, match="N t blown-up vertices"):
+        blowup_sparsify(hg, (10 ** 20 + 1) ** 2, pr.zeta, seed=0)
+
+
+# (t, ell, whether t is a perfect ell-th power)
+T_ROOT_CASES = [((10 ** 20 + 1) ** 2, 2, True), ((10 ** 20 + 1) ** 2 + 1, 2, False),
+                ((10 ** 20 + 1) ** 2 - 1, 2, False), (10 ** 400, 2, True),
+                (10 ** 400, 3, False), (3 ** 18, 6, True), (3 ** 18 + 1, 6, False),
+                (1, 6, True), (2, 6, False), (7, 1, True), (0, 2, False)]
+
+
+@pytest.mark.parametrize("t, ell, perfect", T_ROOT_CASES, ids=[
+    "(10^20+1)^2-2", "(10^20+1)^2+1-2", "(10^20+1)^2-1-2", "10^400-2", "10^400-3",
+    "3^18-6", "3^18+1-6", "1-6", "2-6", "7-1", "0-2"])
+def test_t_must_be_an_exact_ell_th_power(t, ell, perfect):
+    if perfect:
+        assert mbe_params(ell=ell, t=t).t == t
+    else:
+        with pytest.raises(ValueError, match="t must be a perfect ell-th power"):
+            mbe_params(ell=ell, t=t)
+
+
+def test_empty_hypergraph_through_blowup_shadow_and_file(tmp_path):
+    pr = mbe_params(ell=1, p=1, q=2, k=3, m=2, t=4)
+    P = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    base = build_base_hypergraph(pr, points=P)
+    blown, report = blowup_sparsify(base, 4, pr.zeta, seed=1)
+    assert report == BlowupReport(0, 0, 0, 0)
+    assert blown.hyperedges.shape == (0, 2) and blown.hyperedges.dtype == np.int64
+    assert len(blown.vertices) == 8
+    shadow = shadow_graph(blown)
+    assert shadow.shape == (8, 8) and not shadow.any()
+    blown.write_hyperedges(tmp_path / "e.hyper")
+    assert (tmp_path / "e.hyper").read_text() == "# r=2 vertices=8\n"
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +579,48 @@ def test_shadow_single_hyperedge_is_complete():
     hg = build_base_hypergraph(pr, points=antipodal_points(4, 1, seed=11))
     cert = max_clique(LabeledGraph.from_adjacency(shadow_graph(hg)))
     assert cert.size == hg.r  # K_r
+
+
+def reference_shadow_graph(hypergraph):
+    """Reference: the per-hyperedge pair loop that the column-pair
+    assignments replaced."""
+    n = len(hypergraph.vertices)
+    adjacency = np.zeros((n, n), dtype=bool)
+    for edge in hypergraph.hyperedges.tolist():
+        for a, b in itertools.combinations(sorted(set(edge)), 2):
+            adjacency[a, b] = adjacency[b, a] = True
+    return adjacency
+
+
+# the repeated-vertex cases of HYPEREDGE_CASES and one more at mu = 2
+SHADOW_REPEAT_CASES = [c for c in HYPEREDGE_CASES if c[3] >= 2.0] + [(2, 1, 3, 2.0, 4)]
+
+
+@pytest.mark.parametrize("case", SHADOW_REPEAT_CASES,
+                         ids=lambda c: "-".join(str(x) for x in c))
+def test_shadow_matches_pair_loop_on_repeated_vertices(case):
+    ell, k, m, epsilon, seed = case
+    pr = mbe_params(ell=ell, k=k, epsilon=epsilon, seed=seed)
+    P = S.sample_real_sphere(k + 1, m, S.philox_rng(seed, 57))
+    if m % 2 == 0:
+        P[m // 2:] = -P[:m // 2]
+    hg = build_base_hypergraph(pr, points=P)
+    if pr.mu == 2.0:        # every pair is far, a point and itself included
+        assert any(len(set(e)) < hg.r for e in hg.hyperedges.tolist())
+    assert np.array_equal(shadow_graph(hg), reference_shadow_graph(hg))
+
+
+# (ell, m, t, retention)
+BLOWN_SHADOW_CASES = [(1, 4, 4, 0.5), (1, 4, 9, 0.25), (2, 2, 4, 0.5), (2, 4, 4, 0.25)]
+
+
+@pytest.mark.parametrize("ell, m, t, retention", BLOWN_SHADOW_CASES)
+def test_shadow_matches_pair_loop_after_blowup(ell, m, t, retention):
+    pr = mbe_params(ell=ell, p=1, q=2, k=10, m=m, t=t)
+    blown, _ = blowup_sparsify(build_base_hypergraph(pr), t, pr.zeta, seed=5,
+                               retention=retention)
+    assert len(blown.hyperedges)
+    assert np.array_equal(shadow_graph(blown), reference_shadow_graph(blown))
 
 
 def test_shadow_empty():

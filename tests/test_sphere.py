@@ -153,6 +153,32 @@ def test_rhombus_structured_antipodal_pairs():
     assert S.rhombus_search(P, Q, mu=0.05) is None
 
 
+def test_rhombus_finds_a_witness_among_non_unit_vectors():
+    # inner products -8 within each pair and 1 across: far pairs whose cross
+    # pairs are all near, which unit vectors cannot realise
+    P = np.array([[1.0, 0, 3], [1.0, 0, -3]])
+    Q = np.array([[1.0, 3, 0], [1.0, -3, 0]])
+    witness = S.rhombus_search(P, Q, mu=0.2)
+    assert witness is not None
+    assert np.array_equal(np.vstack(witness), np.vstack([P, Q]))
+
+
+def test_near_is_the_distance_test():
+    mu = 0.2
+    rng = S.philox_rng(32)
+    x = S.sample_real_sphere(3, 4000, rng)
+    y = S.sample_real_sphere(3, 4000, rng)
+    dist = np.linalg.norm(x - y, axis=1)
+    clear = np.abs(dist - (math.sqrt(2) - mu)) > 1e-6
+    got = S.near(np.sum(x * y, axis=1), mu)
+    assert np.array_equal(got[clear], dist[clear] <= math.sqrt(2) - mu)
+    assert got[clear].any() and not got[clear].all()
+    # closed at the boundary: |x - y| = sqrt(2) - mu exactly, no slack beyond
+    theta = 2 * math.asin((math.sqrt(2) - mu) / 2)
+    assert S.near(math.cos(theta), mu)
+    assert not S.near(math.cos(theta) - 1e-6, mu)
+
+
 def test_almost_antipodal_is_the_distance_test():
     mu = 0.2
     rng = S.philox_rng(31)
@@ -284,11 +310,12 @@ def test_stream_ids_are_distinct():
     # sample_cell draws from _STREAM_CELL + substream; the library uses
     # substreams 0 and 1, and every substream it accepts must stay clear of
     # every other consumer of the same seed
-    from rtlab import cbe, mbe
+    from rtlab import cbe, cli, mbe, weighted
     streams = [S._STREAM_MC, *(S._STREAM_CELL + s for s in range(S._CELL_SUBSTREAMS)),
                S._STREAM_SAMPLE,
                cbe._STREAM_W, cbe._STREAM_Z,
-               mbe._STREAM_POINTS, mbe._STREAM_DUPS, mbe._STREAM_RETAIN]
+               mbe._STREAM_POINTS, mbe._STREAM_DUPS, mbe._STREAM_RETAIN,
+               weighted._STREAM_NUMERIC, cli._STREAM_GOFA, cli._STREAM_DOMINANCE]
     assert len(set(streams)) == len(streams)
 
 
