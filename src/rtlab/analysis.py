@@ -18,6 +18,7 @@ from .sphere import ResourceLimit
 
 MAX_EXACT_CLIQUE_VERTICES = 5000
 MAX_ROW_BYTES = 2 ** 28          # packed rows of up to n = 46,340 vertices
+_READ_BLOCK = 2 ** 18            # bytes of an edge list parsed at once
 
 
 # ---------------------------------------------------------------------------
@@ -467,21 +468,70 @@ def _bad_line(path, lineno: int, line: str, n):
                       f"or 'u v' with distinct vertex ids{bound}")
 
 
+def _plain_lines(a: np.ndarray):
+    """Split a block of bytes that ends at a newline or at the end of the file
+    into lines, and parse its plain lines: 1-18 ASCII digits, one space, 1-18
+    ASCII digits.  Returns each line's start and stop (the offset of its
+    newline, or the block's end), the indexes of the plain lines, and their
+    (u, v) as an m x 2 int64 array; 18 digits stay below 2^63."""
+    nd = np.flatnonzero(a - 48 > 9)          # non-digits (uint8 arithmetic wraps)
+    cut = np.flatnonzero(a[nd] == 10)        # the newlines' places in nd
+    if a[-1] != 10:                          # the last line ends the file
+        nd = np.append(nd, len(a))
+        cut = np.append(cut, len(nd) - 1)
+    stops = nd[cut]
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    first = np.concatenate(([0], cut[:-1] + 1))
+    # a plain line's only non-digits are one space and its end
+    plain = np.flatnonzero(cut - first == 1)
+    sep = nd[first[plain]]
+    width = np.stack((sep - starts[plain], stops[plain] - sep - 1))
+    ok = (a[sep] == 32) & ((width >= 1) & (width <= 18)).all(axis=0)
+    plain, sep, width = plain[ok], sep[ok], width[:, ok]
+    at = np.stack((starts[plain], sep + 1))     # where each line's u and v begin
+    ids = np.zeros(at.shape, dtype=np.int64)
+    for j in range(int(width.max(initial=0))):
+        digit = a[np.minimum(at + j, len(a) - 1)] - 48
+        ids = np.where(width > j, ids * 10 + digit, ids)
+    return starts, stops, plain, ids.T
+
+
 def read_edge_list(path):
     """Read the `u v` edge format; `# n=...` comments pin the vertex count.
 
-    A line that is not UTF-8, a malformed line, a `# n=` line that contradicts
-    an earlier one, a loop, a vertex id outside 0..n-1, or an edge that an
-    earlier line lists, in either orientation, raises
-    ValueError("path:line: ...").  The last two are found by a rescan that
-    runs only when the graph disagrees with the lines.
+    The file is read once and parsed in blocks of about _READ_BLOCK bytes,
+    each ending at a newline.  Plain lines (1-18 ASCII digits, one space,
+    1-18 ASCII digits) are found and parsed in numpy; every other line --
+    comments, `# n=` lines, blank lines, CRLF ends, tabs, signs, longer
+    ids, non-UTF-8 bytes -- is decoded and parsed on its own, as text.
+
+    The first line at fault in file order raises ValueError("path:line: ..."):
+    a line that is not UTF-8, a malformed line, a `# n=` line that
+    contradicts an earlier one, or a loop.  A vertex id outside 0..n-1, or
+    an edge that an earlier line lists, in either orientation, is found by a
+    rescan that runs only when the graph disagrees with the lines, and
+    raises the same way.
     """
-    n = None
-    ids = []                        # u0, v0, u1, v1, ...
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        data = fh.read()
+    ends = np.empty((data.count(b"\n") + 1, 2), dtype=np.int64)
+    k = 0                           # rows of ends filled
+    n = n_line = None
+    base = lo = 0                   # lines and bytes before the block
+    while lo < len(data):
+        hi = len(data)
+        if hi - lo > _READ_BLOCK:
+            hi = (data.rfind(b"\n", lo, lo + _READ_BLOCK) + 1
+                  or data.find(b"\n", lo + _READ_BLOCK) + 1 or hi)
+        starts, stops, plain, uv = _plain_lines(np.frombuffer(data, np.uint8, hi - lo, lo))
+        loops = plain[uv[:, 0] == uv[:, 1]]
+        end = int(loops[0]) if len(loops) else len(starts)   # lines checked here
+        irregular = stops[:end] > starts[:end]  # empty lines are skipped
+        irregular[plain[plain < end]] = False
+        for i in np.flatnonzero(irregular).tolist():
+            lineno = base + i + 1
             try:
-                line = raw.decode().strip()
+                line = data[lo + starts[i]:lo + stops[i]].decode().strip()
             except UnicodeDecodeError:
                 raise ValueError(f"{path}:{lineno}: line is not UTF-8") from None
             if not line:
@@ -508,11 +558,19 @@ def read_edge_list(path):
                     raise ValueError
             except ValueError:
                 raise _bad_line(path, lineno, line, n) from None
-            ids += (u, v)
+            ends[k] = u, v
+            k += 1
+        if len(loops):
+            line = data[lo + starts[end]:lo + stops[end]].decode()
+            raise _bad_line(path, base + end + 1, line, n)
+        ends[k:k + len(uv)] = uv
+        k += len(uv)
+        base += len(starts)
+        lo = hi
+    del data                        # freed before the rows are built
+    ends = ends[:k]
     if n is None:
-        n = 1 + max(ids, default=-1)
-    ends = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    del ids                         # freed before the rows are built
+        n = 1 + int(ends.max(initial=-1))
     try:
         g = LabeledGraph.from_edges(n, ends)
         if g.edge_count() == len(ends):

@@ -31,6 +31,9 @@ from .sphere import GEOM_TOL
 
 _STREAM_W = 10
 _STREAM_Z = 11
+# p n^2: the edge rules test each n x n Gram matrix p times, at about 30 s
+# per 10^9 tests on 2 vCPUs
+MAX_GRAM_TESTS = 10 ** 9
 
 
 def _caller_stacklevel() -> int:

@@ -50,7 +50,7 @@ from .analysis import (
     rho_star,
     write_edge_list,
 )
-from .cbe import CbeParams, build_cbe
+from .cbe import MAX_GRAM_TESTS, CbeParams, build_cbe
 from .mbe import MbeParams, build_mbe
 from .weighted import (
     PWeightedGraph,
@@ -328,6 +328,11 @@ def evaluate_cbe(params: CbeParams):
     # max_clique gates the same count, but only after the build
     if 2 * params.n > MAX_EXACT_CLIQUE_VERTICES:
         raise ResourceLimit(f"exact clique search capped at {MAX_EXACT_CLIQUE_VERTICES} vertices")
+    # a pass over a Gram matrix under 20 x 20 costs about as much as one over
+    # 20 x 20, so n counts as at least 20
+    tests = params.p * max(params.n, 20) ** 2
+    if tests > MAX_GRAM_TESTS:
+        raise ResourceLimit(f"p max(n, 20)^2 = {tests} Gram-entry tests exceed {MAX_GRAM_TESTS}")
     graph = build_cbe(params)
     lg = graph.to_labeled_graph()
     cert = max_clique(lg)

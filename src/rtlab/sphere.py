@@ -187,16 +187,19 @@ def two_set_distance_check(A, B, nu: float) -> bool:
 
 def almost_antipodal(ip, mu: float):
     """Where unit vectors with inner products ip are almost antipodal:
-    |x - y| >= 2 - mu, i.e. <x,y> <= 1 - (2 - mu)^2 / 2 (closed, GEOM_TOL
-    slack)."""
-    return ip <= (1.0 - (2.0 - mu) ** 2 / 2.0) + GEOM_TOL
+    |x - y| >= 2 - mu, i.e. <x,y> <= 1 - (2 - mu)^2 / 2 while 2 - mu > 0
+    (closed, GEOM_TOL slack).  For mu >= 2 every pair is: the bound becomes
+    <x,y> <= 1."""
+    return ip <= (1.0 - max(2.0 - mu, 0.0) ** 2 / 2.0) + GEOM_TOL
 
 
 def near(ip, mu: float):
     """Where unit vectors with inner products ip are near: |x - y| <=
-    sqrt(2) - mu, i.e. <x,y> >= sqrt(2) mu - mu^2 / 2 (closed, GEOM_TOL
-    slack)."""
-    return ip >= (math.sqrt(2) * mu - mu ** 2 / 2.0) - GEOM_TOL
+    sqrt(2) - mu, i.e. <x,y> >= sqrt(2) mu - mu^2 / 2 while sqrt(2) - mu >= 0
+    (closed, GEOM_TOL slack).  For mu > sqrt(2) no pair is: the bound
+    becomes infinite."""
+    bound = math.sqrt(2) * mu - mu ** 2 / 2.0 if mu <= math.sqrt(2) else math.inf
+    return ip >= bound - GEOM_TOL
 
 
 def rhombus_search(P, Q, mu: float):

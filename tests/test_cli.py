@@ -497,6 +497,22 @@ def test_huge_integer_exits_2(tmp_path, capsys, command, flag, value, fragment):
     assert not (tmp_path / "g.json").exists() and not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("p, n, tests", [(10 ** 9, 20, 400 * 10 ** 9),
+                                         (2_500_001, 1, 1_000_000_400)])
+def test_gen_cbe_gates_p_before_the_build(tmp_path, capsys, monkeypatch, p, n, tests):
+    """p passes over n x n Gram matrices, a pass under 20 x 20 counted as one
+    of 20 x 20: hours of work at either size, refused before any point is
+    drawn."""
+    monkeypatch.setattr(cli, "build_cbe", lambda params: pytest.fail("built"))
+    with pytest.raises(SystemExit) as exc, pytest.warns(UserWarning, match="advisory"):
+        run(["gen-cbe", "--p", p, "--ell", 1, "--k", 8, "--n", n, "--seed", 1,
+             "--out", tmp_path / "g"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"resource gate: p max(n, 20)^2 = {tests} Gram-entry tests exceed 1000000000" in err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (lambda d: ["gen-cbe", "--p", 3, "--ell", 1, "--k", 16, "--n", 20, "--seed", 1,
                 "--mode", "strict", "--out", d / "g"],

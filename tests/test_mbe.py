@@ -299,10 +299,12 @@ def reference_hyperedges(P, ell, mu):
 
 
 # (ell, k, m, epsilon, seed); epsilon 40 makes every pair almost antipodal,
-# a point included, so hyperedges repeat vertices
+# a point included, so hyperedges repeat vertices.  Each coordinate then has
+# m^(2^ell) assignments, so the ell = 3 case takes one point: two would give
+# 256^3 combinations, over MAX_ASSIGNMENTS
 HYPEREDGE_CASES = [(1, 3, 6, 0.05, 1), (2, 6, 4, 0.05, 2), (2, 10, 8, 0.05, 3),
                    (3, 4, 4, 0.05, 4), (2, 1, 2, 2.0, 1), (2, 4, 3, 40.0, 5),
-                   (3, 4, 2, 40.0, 6)]
+                   (3, 4, 1, 40.0, 6)]
 
 
 @pytest.mark.parametrize("case", HYPEREDGE_CASES,
@@ -315,7 +317,7 @@ def test_base_hyperedges_match_recursive_build(case):
         P[m // 2:] = -P[:m // 2]
     hg = build_base_hypergraph(pr, points=P)
     ref = reference_hyperedges(P, ell, pr.mu)
-    assert hg.hyperedges.tolist() == [list(e) for e in ref]
+    assert ref and hg.hyperedges.tolist() == [list(e) for e in ref]
     assert hg.hyperedges.dtype == np.int64 and hg.hyperedges.shape == (len(ref), 2 ** ell)
     assert np.array_equal(hg.vertices, list(itertools.product(range(m), repeat=ell)))
 
@@ -605,7 +607,7 @@ def test_shadow_matches_pair_loop_on_repeated_vertices(case):
     if m % 2 == 0:
         P[m // 2:] = -P[:m // 2]
     hg = build_base_hypergraph(pr, points=P)
-    if pr.mu == 2.0:        # every pair is far, a point and itself included
+    if pr.mu >= 2.0:        # every pair is far, a point and itself included
         assert any(len(set(e)) < hg.r for e in hg.hyperedges.tolist())
     assert np.array_equal(shadow_graph(hg), reference_shadow_graph(hg))
 

@@ -163,6 +163,21 @@ def test_rhombus_finds_a_witness_among_non_unit_vectors():
     assert np.array_equal(np.vstack(witness), np.vstack([P, Q]))
 
 
+@pytest.mark.parametrize("mu", [0.5, 1.0, 1.5, 2.5])
+def test_predicates_match_the_distances_at_every_mu(mu):
+    """All 160,000 ordered pairs of 400 points of S^4, the diagonal included,
+    against the distance definitions.  Past sqrt(2) no pair is near, and
+    past 2 every pair is almost antipodal."""
+    x = S.sample_real_sphere(5, 400, S.philox_rng(33))
+    dist = np.linalg.norm(x[:, None] - x[None], axis=2)
+    ip = x @ x.T
+    near = S.near(ip, mu)
+    far = S.almost_antipodal(ip, mu)
+    assert np.array_equal(near, dist <= math.sqrt(2) - mu)
+    assert np.array_equal(far, dist >= 2 - mu)
+    assert near.any() == (mu < math.sqrt(2)) and far.all() == (mu > 2)
+
+
 def test_near_is_the_distance_test():
     mu = 0.2
     rng = S.philox_rng(32)
