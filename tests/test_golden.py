@@ -145,6 +145,31 @@ GOLDEN = {
                 "bbb45b1a992eb05c6ea00d4b7d7eaa6920cd6efebc6dee98ec8c7f75b0d62fcb",
         },
     ),
+    # the exhaustive weighted-graph suites: labelled counters, no failures
+    "certify-smallp-p4": (
+        ["certify smallp-p4-t1 --out p4.json"],
+        [0],
+        {
+            "p4.json":
+                "93cd272d54c4acd7f1b762f11ad6c176ab6c50d47d62f60a84c6d16bbf52cd0e",
+        },
+    ),
+    "certify-smallp-p3": (
+        ["certify smallp-p3-t1 --out p3.json"],
+        [0],
+        {
+            "p3.json":
+                "4124893a1c02a7ba7afcfbe04d30356521487f48503c5780cec917fd4e619a83",
+        },
+    ),
+    "certify-dominance": (
+        ["certify dominance-axioms --seed 0 --out dom.json"],
+        [0],
+        {
+            "dom.json":
+                "4d578b1ffae322457a31b8bedb74a33eee2171d8f938a09cd93bceb8b8afbeb9",
+        },
+    ),
 }
 
 
