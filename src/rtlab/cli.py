@@ -31,6 +31,7 @@ import functools
 import inspect
 import itertools
 import json
+import math
 import os
 import sys
 import typing
@@ -69,34 +70,105 @@ from .weighted import (
 _STREAM_GOFA = 70        # gofA-oracle's random matrices, one substream a trial
 _STREAM_DOMINANCE = 71   # dominance-axioms' random multisets
 
-def _all_positive_graphs(p, m):
-    for upper in itertools.product(range(1, p + 1), repeat=m * (m - 1) // 2):
-        yield PWeightedGraph.from_upper(p, m, upper)
+
+def _pair_images(m):
+    """(m!, m(m-1)/2) array: row r gives, for each upper-triangle pair (i, j)
+    in row-major order, the index of the pair (perm[i], perm[j]), where perm
+    is the r-th permutation of range(m) in itertools order.  Relabelling a
+    graph by perm moves each pair's weight to that pair."""
+    pairs = list(itertools.combinations(range(m), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    perms = list(itertools.permutations(range(m)))
+    return np.array([[index[min(perm[i], perm[j]), max(perm[i], perm[j])]
+                      for i, j in pairs] for perm in perms],
+                    dtype=np.intp).reshape(len(perms), len(pairs))
+
+
+def _code_graph(p: int, m: int, code) -> PWeightedGraph:
+    """The labelled graph with the given code (see positive_graph_classes)."""
+    digits = np.unravel_index(code, (p,) * (m * (m - 1) // 2))
+    return PWeightedGraph.from_upper(p, m, (d + 1 for d in digits))
+
+
+def positive_graph_classes(p: int, m: int):
+    """Isomorphism classes of the positive p-weighted graphs on m vertices.
+
+    A labelled graph's code is its index in the product order of its
+    upper-triangle weights (row by row, each in 1..p, the last fastest).
+    Returns (reps, sizes, class_of, consistent): the first member in code
+    order of each class, in ascending code order; each class's orbit size
+    (its number of labelled members); the class index of every code; and
+    whether every orbit size equals m!/|Aut(rep)|, counting the
+    permutations that fix the representative, and the sizes sum to
+    p^(m choose 2).  A class's code is the minimum over its orbit, taken one
+    permutation at a time.
+    """
+    pairs = m * (m - 1) // 2
+    places = p ** np.arange(pairs - 1, -1, -1, dtype=np.int64)
+    codes = np.arange(p ** pairs, dtype=np.int64)
+    digits = codes[:, None] // places % p
+    images = _pair_images(m)
+    canon = codes.copy()
+    for image in images:
+        np.minimum(canon, digits @ places[image], out=canon)
+    reps, class_of, sizes = np.unique(canon, return_inverse=True,
+                                      return_counts=True)
+    fixing = sum(digits[reps] @ places[image] == reps for image in images)
+    consistent = bool(sizes.sum() == len(codes)
+                      and (sizes * fixing == math.factorial(m)).all())
+    return ([_code_graph(p, m, code) for code in reps], sizes.tolist(),
+            class_of, consistent)
+
+
+def _smallp_level(p: int, m: int, rho) -> tuple:
+    """suite_smallp at m vertices: the labelled (checked, skipped, failures)
+    counters, the first 10 failing labelled graphs in code order, and the
+    class enumeration's self-check."""
+    reps, sizes, class_of, consistent = positive_graph_classes(p, m)
+    threshold = Fraction(p) * rho * m
+    counters = {"checked": 0, "skipped": 0, "failures": 0}
+    failed = []
+    for k, (g, size) in enumerate(zip(reps, sizes)):
+        if Fraction(g.delta()) <= threshold:
+            counters["skipped"] += size
+            continue
+        counters["checked"] += size
+        res = find_G_pq_subgraph(g, 1)
+        if not (res.extension is not None and res.extension.verify(g)
+                and res.extension.size >= p + 2):
+            counters["failures"] += size
+            failed.append(k)
+    failing = [_code_graph(p, m, code).to_text()
+               for code in np.flatnonzero(np.isin(class_of, failed))[:10]]
+    return counters, failing, consistent
 
 
 def suite_smallp(p: int) -> dict:
     """Exhaustive check at t = 1: every positive p-weighted graph on up to
     5 vertices for p = 3, 4 otherwise, with min degree above p rho*_p(p+2) m
-    admits a subgraph in G_p(p+2)."""
+    admits a subgraph in G_p(p+2).
+
+    Both the degree test and the finder's success (decided by its exhaustive
+    fallback) are invariant under relabelling, so the finder and the
+    extension check run once per isomorphism class.  The counters are
+    labelled counts, each class adding its orbit size, and the failing
+    examples are the first labelled failures in product order.  The suite
+    also fails when the class enumeration's orbit-stabiliser self-check
+    (orbit size = m!/|Aut|) does not hold.
+    """
     rho = rho_star(p, p + 2)[0]
-    checked = skipped = failures = 0
+    counters = {"checked": 0, "skipped": 0, "failures": 0}
     failing = []
+    consistent = True
     for m in range(1, (5 if p == 3 else 4) + 1):
-        threshold = Fraction(p) * rho * m
-        for g in _all_positive_graphs(p, m):
-            if Fraction(g.delta()) <= threshold:
-                skipped += 1
-                continue
-            checked += 1
-            res = find_G_pq_subgraph(g, 1)
-            if not (res.extension is not None and res.extension.verify(g)
-                    and res.extension.size >= p + 2):
-                failures += 1
-                if len(failing) < 10:
-                    failing.append(g.to_text())
-    return {"suite": f"smallp-p{p}-t1", "passed": failures == 0,
-            "counters": {"checked": checked, "skipped": skipped,
-                         "failures": failures},
+        level, examples, level_consistent = _smallp_level(p, m, rho)
+        for key, count in level.items():
+            counters[key] += count
+        failing += examples[:10 - len(failing)]
+        consistent = consistent and level_consistent
+    return {"suite": f"smallp-p{p}-t1",
+            "passed": counters["failures"] == 0 and consistent,
+            "counters": counters,
             "failing_examples": failing}
 
 
@@ -140,10 +212,37 @@ def suite_gofa_oracle(trials: int = 200, seed: int = 0) -> dict:
                          "row_sum_identity": row_sum_ok}}
 
 
+def _membership() -> tuple:
+    """(whether every positive p-weighted graph on m <= 4 vertices, p <= 4,
+    with largest weight t is in G_p(p + t + m - 2) and the class
+    enumeration's self-check holds, the number of labelled graphs).
+    Membership and t are invariant under relabelling, so in_G_p_q and the
+    extension check run once per isomorphism class."""
+    membership_ok = True
+    counted = 0
+    for p in range(1, 5):
+        for m in range(1, 5):
+            reps, sizes, _, consistent = positive_graph_classes(p, m)
+            membership_ok = membership_ok and consistent
+            for g, size in zip(reps, sizes):
+                counted += size
+                t = max((g.w[i][j] for i in range(m) for j in range(i + 1, m)),
+                        default=0)
+                ext = in_G_p_q(g, p + t + m - 2)
+                if ext is None or not ext.verify(g):
+                    membership_ok = False
+    return membership_ok, counted
+
+
 def suite_dominance_axioms(seed: int = 0) -> dict:
     """Named dominance examples, order axioms on 500 random triples of
     rational multisets, and the m <= 4, p <= 4 exhaustive membership G in
-    G_p(p + t + m - 2)."""
+    G_p(p + t + m - 2).
+
+    The membership check runs once per isomorphism class; membership_graphs
+    counts labelled graphs, each class adding its orbit size, and the case
+    also fails when the class enumeration's orbit-stabiliser self-check
+    (orbit size = m!/|Aut|) does not hold."""
     cases = []
 
     def case(name, ok):
@@ -168,17 +267,7 @@ def suite_dominance_axioms(seed: int = 0) -> dict:
             axioms_ok = axioms_ok and multiset_dominates(a, c)
     case("partial-order axioms on random multisets", axioms_ok)
 
-    membership_ok = True
-    counted = 0
-    for p in range(1, 5):
-        for m in range(1, 5):
-            for g in _all_positive_graphs(p, m):
-                counted += 1
-                t = max((g.w[i][j] for i in range(m) for j in range(i + 1, m)),
-                        default=0)
-                ext = in_G_p_q(g, p + t + m - 2)
-                if ext is None or not ext.verify(g):
-                    membership_ok = False
+    membership_ok, counted = _membership()
     case("membership G in G_p(p+t+m-2), all positive m<=4 p<=4",
          membership_ok)
 
