@@ -99,9 +99,10 @@ def positive_graph_classes(p: int, m: int):
     order of each class, in ascending code order; each class's orbit size
     (its number of labelled members); the class index of every code; and
     whether every orbit size equals m!/|Aut(rep)|, counting the
-    permutations that fix the representative, and the sizes sum to
-    p^(m choose 2).  A class's code is the minimum over its orbit, taken one
-    permutation at a time.
+    permutations that fix the representative.  The sizes count every code
+    once, so when that holds the m!/|Aut(rep)| sum to p^(m choose 2).  A
+    class's code is the minimum over its orbit, taken one permutation at a
+    time.
     """
     pairs = m * (m - 1) // 2
     places = p ** np.arange(pairs - 1, -1, -1, dtype=np.int64)
@@ -114,8 +115,7 @@ def positive_graph_classes(p: int, m: int):
     reps, class_of, sizes = np.unique(canon, return_inverse=True,
                                       return_counts=True)
     fixing = sum(digits[reps] @ places[image] == reps for image in images)
-    consistent = bool(sizes.sum() == len(codes)
-                      and (sizes * fixing == math.factorial(m)).all())
+    consistent = bool((sizes * fixing == math.factorial(m)).all())
     return ([_code_graph(p, m, code) for code in reps], sizes.tolist(),
             class_of, consistent)
 

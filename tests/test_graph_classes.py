@@ -131,9 +131,9 @@ def test_every_labelled_graph_maps_onto_its_representative(p, m):
     for code, g in enumerate(reference_positive_graphs(p, m)):
         targets = {rep_index[rel] for _, rel in relabellings(g) if rel in rep_index}
         assert targets == {class_of[code]}
-        perm, rel = next((perm, rel) for perm, rel in relabellings(g)
-                         if rel == upper(reps[class_of[code]]))
-        assert all(g.w[perm[i]][perm[j]] == reps[class_of[code]].w[i][j]
+        rep = reps[class_of[code]]
+        perm = next(perm for perm, rel in relabellings(g) if rel == upper(rep))
+        assert all(g.w[perm[i]][perm[j]] == rep.w[i][j]
                    for i in range(m) for j in range(m))
         if not any(rel in earlier for _, rel in relabellings(g)):
             firsts.append(upper(g))
