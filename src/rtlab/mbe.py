@@ -27,6 +27,7 @@ experiments.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -345,72 +346,68 @@ def _dense(n_vertices: int, n_edges: int, zeta: float, r: int) -> bool:
             and n_vertices + (1 + zeta - r) * (n_edges - 1) < r - GEOM_TOL)
 
 
-def _incidence(edge_sets) -> dict:
-    """Per vertex, the ascending indices of the hyperedges containing it."""
-    incident = {}
+def _violators(hyperedges, zeta: float, r: int):
+    """Yield each connected hyperedge subset, of at most 8 hyperedges and r^3
+    vertices, that violates |V| + (1 + zeta - r)(|E| - 1) < r, as a sorted
+    tuple of row indices.  Once a yield returns, the violator's last
+    hyperedge counts as deleted.
+
+    Subsets are grown one hyperedge per level, smallest first: parents in the
+    order they were found, each parent's new neighbours in ascending index.
+    A candidate is checked when first found, once its parents' level is
+    clean.  A disconnected violator contains a connected one, so connected
+    subsets suffice.  Deleting a hyperedge never creates a violator: it only
+    removes the subsets that contain it, and the others stay connected and
+    keep their order.  So the search carries on where it stood and yields
+    what a fresh search after each deletion would find first.
+    """
+    edge_sets = [frozenset(e) for e in np.asarray(hyperedges).tolist()]
+    incident = {}               # per vertex, its hyperedges; dead ones dropped per level
     for j, es in enumerate(edge_sets):
         for v in es:
-            incident.setdefault(v, []).append(j)
-    return incident
+            incident.setdefault(v, set()).add(j)
+    alive = set(range(len(edge_sets)))
+    frontier = [(i,) for i in range(len(edge_sets))]   # ascending tuples
+    while frontier:
+        nxt, seen = [], set()
+        for chosen in frontier:
+            if not alive.issuperset(chosen):
+                continue
+            verts = set().union(*(edge_sets[i] for i in chosen))
+            for j in sorted(set().union(*(incident[v] for v in verts)).difference(chosen)):
+                if j not in alive:
+                    continue
+                at = bisect.bisect(chosen, j)
+                cand = chosen[:at] + (j,) + chosen[at:]
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                n_verts = len(verts) + len(edge_sets[j] - verts)
+                if _dense(n_verts, len(cand), zeta, r):
+                    yield cand
+                    alive.discard(cand[-1])
+                    if cand[-1] != j:           # the parent itself is gone
+                        break
+                elif len(cand) < 8 and n_verts <= r ** 3:
+                    nxt.append(cand)
+        for inc in incident.values():
+            inc &= alive
+        frontier = [c for c in nxt if alive.issuperset(c)]
 
 
 def find_dense_subconfig(hyperedges, zeta: float, r: int):
-    """Search connected hyperedge subsets violating the sparsity condition
-    |V| + (1 + zeta - r)(|E| - 1) < r, up to r^3 vertices and 8 hyperedges.
-
-    Breadth-first over connected subsets (smallest violating configuration
-    first); a disconnected violator always contains a connected one, so
-    connected subsets suffice.  Returns a tuple of hyperedge indices or None.
-
-    This is the one definition of a violator: it verifies a finished
-    blow-up, and blowup_sparsify calls it for the configurations of three or
-    more hyperedges left after its pass over dense pairs.
-    """
-    edge_sets = [frozenset(e) for e in np.asarray(hyperedges).tolist()]
-    incident = _incidence(edge_sets)
-    # each set filled in ascending order, which fixes the search's order
-    neighbors = [set(sorted({j for v in es for j in incident[v]} - {i}))
-                 for i, es in enumerate(edge_sets)]
-    frontier = [frozenset((i,)) for i in range(len(edge_sets))]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for chosen in frontier:
-            verts = frozenset.union(*(edge_sets[i] for i in chosen))
-            if len(chosen) >= 2 and _dense(len(verts), len(chosen), zeta, r):
-                return tuple(sorted(chosen))
-            if len(chosen) >= 8 or len(verts) > r ** 3:
-                continue
-            grow = set().union(*(neighbors[i] for i in chosen)) - chosen
-            for j in grow:
-                cand = chosen | {j}
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return None
+    """The first violator in _violators' order, as a sorted tuple of row
+    indices, or None when the hyperedges are sparse."""
+    return next(_violators(hyperedges, zeta, r), None)
 
 
 def sparsify(hyperedges: np.ndarray, zeta: float, r: int):
-    """Delete rows of the (E, r) hyperedge array until find_dense_subconfig
-    finds no violator, as blowup_sparsify describes: one ascending pass over
-    dense pairs, then one search per remaining deletion.  Partners in the
-    pass are read per live hyperedge from the same incidence index as the
-    search's, so no E x E table is built.  Returns (kept rows, deleted)."""
-    edge_sets = [frozenset(e) for e in hyperedges.tolist()]
-    incident = _incidence(edge_sets)
-    alive = [True] * len(edge_sets)
-    for i, es in enumerate(edge_sets):
-        if not alive[i]:
-            continue
-        partners = {j for v in es for j in incident[v] if j > i and alive[j]}
-        for j in partners:
-            if _dense(len(es | edge_sets[j]), 2, zeta, r):
-                alive[j] = False
-    kept = hyperedges[np.array(alive, dtype=bool)]
-    while (bad := find_dense_subconfig(kept, zeta, r)) is not None:
-        kept = np.delete(kept, bad[-1], axis=0)
-    return kept, len(hyperedges) - len(kept)
+    """Delete rows of the (E, r) hyperedge array, the last of each violator
+    _violators yields: what deleting the last hyperedge of
+    find_dense_subconfig's violator until there is none would delete.
+    Returns (kept rows, deleted)."""
+    dead = [bad[-1] for bad in _violators(hyperedges, zeta, r)]
+    return np.delete(hyperedges, dead, axis=0), len(dead)
 
 
 @dataclass(frozen=True)
@@ -428,20 +425,9 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
     probability, then delete hyperedges until no small dense subconfiguration
     remains.  Returns (B', report).
 
-    The deletions are those of a loop that asks find_dense_subconfig for the
-    smallest violator and drops its last hyperedge until none is left, made
-    in two stages with the same result:
-
-      * one ascending pass over dense pairs.  Deleting a hyperedge never
-        creates a violator, and while any pair violates, the search returns
-        the violating pair (i, j) with the least lower index i, deleting j.
-        That i stays least until every alive partner j > i that makes a
-        dense pair with it is gone, and deleting one partner does not change
-        whether another pair is dense.  So the loop deletes, for i ascending
-        and i alive, every alive j > i with |e_i u e_j| <= r^3, sharing a
-        vertex with e_i, and violating the bound with two hyperedges;
-      * the loop itself, on the survivors in their original order, for the
-        violators of three or more hyperedges.
+    The deletions are sparsify's: the last hyperedge of each violator, in the
+    dense search's stated order, which is the alteration step of the
+    probabilistic method (Alon & Spencer, ch. 3).
 
     t = 1 is the identity blow-up: B is returned unchanged.  Otherwise copy
     c in [t] of base vertex v, c read as ell base-t^(1/ell) digits c_h, is

@@ -4,6 +4,9 @@ pass/fail line per criterion (run with -s to see them)."""
 import math
 from fractions import Fraction
 
+import pytest
+from test_mbe import reference_find_dense_subconfig
+
 from rtlab import sphere as S
 from rtlab.analysis import max_clique, rho_star, theorem13_density
 from rtlab.cbe import CbeParams, build_cbe
@@ -99,6 +102,34 @@ def test_mbe_clique_bound():
                         f"omega={cert.size} > {bound} at {(ell, p, q, seed)}")
     _report("mbe-clique-bound", True,
             f"omega <= 2^ell + 2^p + q - 2 on {checked} instances (tolerance: none)")
+
+
+# blow-up rows: (ell, p, q, k, m, t, retention, seed) -> the pinned
+# (retained, deleted, kept) hyperedge counts.  At t = 4, B' moved when the
+# dense search took its stated order; t = 9 is the largest blow-up run here
+BLOWUP_ROWS = {
+    "t4": ((2, 1, 2, 6, 6, 4, 0.25, 20), (547, 496, 51)),
+    "t9": ((2, 1, 2, 10, 2, 9, 0.5, 5), (3345, 3329, 16)),
+}
+
+
+@pytest.mark.parametrize("row", BLOWUP_ROWS)
+def test_mbe_blowup(row):
+    # B' sparse by the tests' own search, omega certified under the cutoff
+    (ell, p, q, k, m, t, retention, seed), counts = BLOWUP_ROWS[row]
+    params = MbeParams(ell=ell, p=p, q=q, k=k, m=m, epsilon=0.05, t=t,
+                       retention=retention, seed=seed)
+    g = build_mbe(params)
+    edges = g.hypergraph.hyperedges
+    violator = reference_find_dense_subconfig(edges.tolist(), params.zeta, params.r)
+    bound = g.omega_bound()
+    cert = max_clique(g.to_labeled_graph(), cutoff=bound)
+    got = (g.blowup_report.retained, g.blowup_report.deleted, len(edges))
+    _report(f"mbe-blowup-{row}",
+            violator is None and cert.upper_bound == bound and got == counts,
+            f"violator {violator}, omega={cert.size} <= {bound}: "
+            f"{cert.upper_bound == bound}, (retained, deleted, kept) {got} "
+            f"(pinned {counts})")
 
 
 def test_mbe_cross_density():

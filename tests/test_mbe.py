@@ -393,22 +393,23 @@ def test_blowup_bullet2_sparsity():
 
 
 def one_at_a_time_sparsify(hyperedges, zeta, r):
-    """Reference: one full dense search per deletion, dropping the last
-    hyperedge of the smallest violator until none is left.  Takes an array
-    or a list of tuples; returns the kept hyperedges as a list of lists."""
+    """Reference: a fresh search per deletion, dropping the last hyperedge
+    of the first violator until none is left.  Takes an array or a list of
+    tuples; returns the kept hyperedges as a list of lists."""
     kept = np.asarray(hyperedges).tolist()
     deleted = 0
     while True:
-        bad = find_dense_subconfig(kept, zeta, r)
+        bad = reference_find_dense_subconfig(kept, zeta, r)
         if bad is None:
             return kept, deleted
         kept.pop(bad[-1])
         deleted += 1
 
 
-# (ell, p, q, k, m, t, retention, seed)
+# (ell, p, q, k, m, t, retention, seed); the last is the acceptance suite's
+# t = 4 blow-up row, where growing in ascending index moved B'
 SPARSIFY_CASES = [(2, 1, 2, 10, 2, 4, 0.25, seed) for seed in range(1, 9)]
-SPARSIFY_CASES.append((2, 1, 2, 4, 2, 4, 0.5, 3))
+SPARSIFY_CASES += [(2, 1, 2, 4, 2, 4, 0.5, 3), (2, 1, 2, 6, 6, 4, 0.25, 20)]
 
 
 @pytest.mark.parametrize("case", SPARSIFY_CASES,
@@ -418,17 +419,7 @@ def test_sparsify_matches_one_at_a_time_loop(case, monkeypatch):
     pr = MbeParams(ell=ell, p=p, q=q, k=k, m=m, t=t, retention=retention,
                    seed=seed)
     base = build_base_hypergraph(pr)
-    searches = []
-
-    def counted_search(hyperedges, zeta, r):
-        searches.append(len(hyperedges))
-        return find_dense_subconfig(hyperedges, zeta, r)
-
-    monkeypatch.setattr(mbe, "find_dense_subconfig", counted_search)
     blown, report = blowup_sparsify(base, t, pr.zeta, seed, retention)
-    loop_deletions = len(searches) - 1
-    # both stages delete: the pair pass and the search for larger violators
-    assert 0 < loop_deletions < report.deleted
     monkeypatch.setattr(mbe, "sparsify", one_at_a_time_sparsify)
     ref, ref_report = blowup_sparsify(base, t, pr.zeta, seed, retention)
     assert blown.hyperedges.tolist() == ref.hyperedges
@@ -446,7 +437,18 @@ def overlapping_hypergraphs(draw):
 
 # a repeated 2-edge is a dense pair; a triangle of 2-edges violates as a
 # whole when zeta < 1/2, while none of its pairs does
-@example(hypergraph=(2, [(0, 1), (1, 2), (0, 2), (0, 1)]), zeta=0.25)
+TRIANGLE = (2, [(0, 1), (1, 2), (0, 2), (0, 1)])
+# nine 2-edges holding four 4-cycles and no triangle; at zeta = 1/4 a
+# 4-cycle violates and a path does not.  In ascending index the cycle on
+# rows 0, 3, 5, 6 comes first, and deleting row 6 also breaks the one on
+# rows 0, 6, 7, 8.  Grown in a set's order, row 0's neighbours {3, 6, 8}
+# come as 8, 3, 6, that cycle comes first, and row 8 is deleted as well
+FOUR_CYCLES = (2, [(6, 7), (0, 4), (0, 5), (4, 6), (3, 5), (3, 4), (3, 7),
+                   (2, 3), (2, 6)])
+
+
+@example(hypergraph=TRIANGLE, zeta=0.25)
+@example(hypergraph=FOUR_CYCLES, zeta=0.25)
 @settings(max_examples=150, deadline=None)
 @given(hypergraph=overlapping_hypergraphs(), zeta=st.floats(0.05, 1.0))
 def test_sparsify_matches_loop_on_random_hypergraphs(hypergraph, zeta):
@@ -457,8 +459,11 @@ def test_sparsify_matches_loop_on_random_hypergraphs(hypergraph, zeta):
 
 
 def reference_find_dense_subconfig(hyperedges, zeta, r):
-    """Reference: the search with its neighbours from the pairwise E x E
-    loop that the incidence index replaced."""
+    """Reference: the breadth-first search over connected hyperedge subsets,
+    in the stated order.  Neighbours come from a pairwise E x E loop.  Each
+    level is built in full from the one before, parents in order and each
+    parent's new neighbours in ascending index, then checked in that order.
+    Returns the first violator as a sorted tuple, or None."""
     edge_sets = [frozenset(e) for e in hyperedges]
     n = len(edge_sets)
     neighbors = [set() for _ in range(n)]
@@ -478,7 +483,7 @@ def reference_find_dense_subconfig(hyperedges, zeta, r):
                     return tuple(sorted(chosen))
             if len(chosen) >= 8 or len(verts) > r ** 3:
                 continue
-            for j in set().union(*(neighbors[i] for i in chosen)) - chosen:
+            for j in sorted(set().union(*(neighbors[i] for i in chosen)) - chosen):
                 cand = chosen | {j}
                 if cand not in seen:
                     seen.add(cand)
@@ -487,7 +492,8 @@ def reference_find_dense_subconfig(hyperedges, zeta, r):
     return None
 
 
-@example(hypergraph=(2, [(0, 1), (1, 2), (0, 2), (0, 1)]), zeta=0.25)
+@example(hypergraph=TRIANGLE, zeta=0.25)
+@example(hypergraph=FOUR_CYCLES, zeta=0.25)
 @settings(max_examples=150, deadline=None)
 @given(hypergraph=overlapping_hypergraphs(), zeta=st.floats(0.05, 1.0))
 def test_dense_search_matches_pairwise_reference(hypergraph, zeta):

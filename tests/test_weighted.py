@@ -1,6 +1,8 @@
 import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,13 +360,33 @@ ORACLE_CASES = {
     "gofa-suite": [((0, 70, trial), trial) for trial in range(40)],
 }
 
+# sequential_g_of_A_numeric's value on each ORACLE_CASES matrix, as hex
+# floats, recorded at the commit the file names: the loop takes about a
+# minute over all 80, the batched oracle about a second
+SEQUENTIAL_VALUES = Path(__file__).with_name("sequential_g_of_a_numeric.json")
+
+
+def record_sequential_values(commit):
+    """Rewrite SEQUENTIAL_VALUES from the sequential loop, naming the commit
+    it ran at; from the repository root:
+    PYTHONPATH=src:tests python -c "import test_weighted as t; t.record_sequential_values('<commit>')"
+    """
+    out = {"recorded_at": commit, "oracle": "sequential_g_of_A_numeric"}
+    for name, cases in ORACLE_CASES.items():
+        out[name] = [sequential_g_of_A_numeric(
+            random_weight_matrix(S.philox_rng(*rng_args)).tolist(), seed=seed)[0].hex()
+            for rng_args, seed in cases]
+    SEQUENTIAL_VALUES.write_text(json.dumps(out, indent=1) + "\n")
+
 
 @pytest.mark.parametrize("cases", ORACLE_CASES)
 def test_g_of_a_numeric_matches_sequential_restarts(cases):
-    for rng_args, seed in ORACLE_CASES[cases]:
+    recorded = json.loads(SEQUENTIAL_VALUES.read_text())[cases]
+    assert len(recorded) == len(ORACLE_CASES[cases])
+    for (rng_args, seed), ref_hex in zip(ORACLE_CASES[cases], recorded):
         A = random_weight_matrix(S.philox_rng(*rng_args))
         val, u = g_of_A_numeric(A.tolist(), seed=seed)
-        ref_val, _ = sequential_g_of_A_numeric(A.tolist(), seed=seed)
+        ref_val = float.fromhex(ref_hex)
         assert abs(val - ref_val) <= 1e-12, (A, seed)
         assert u.min() >= -1e-12 and abs(u.sum() - 1) <= 1e-12
         assert abs(float(u @ A @ u) - val) <= 1e-12
