@@ -17,7 +17,6 @@ two points per cell), which is only feasible for very small mu or k = 1.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import sys
 import warnings
@@ -34,19 +33,6 @@ _STREAM_Z = 11
 # p n^2: the edge rules test each n x n Gram matrix p times, at about 30 s
 # per 10^9 tests on 2 vCPUs
 MAX_GRAM_TESTS = 10 ** 9
-
-
-def _caller_stacklevel() -> int:
-    """stacklevel that makes an advisory of CbeParams.__post_init__ name the
-    line that built the params: the first frame outside __post_init__, the
-    generated __init__ and the dataclasses module, whose replace() runs
-    __init__ from its own frames."""
-    level, frame = 2, sys._getframe(2)  # 1: __post_init__, 2: __init__
-    while frame.f_back is not None and (
-            frame.f_code is CbeParams.__init__.__code__
-            or frame.f_code.co_filename == dataclasses.__file__):
-        level, frame = level + 1, frame.f_back
-    return level
 
 
 @dataclass(frozen=True)
@@ -76,14 +62,11 @@ class CbeParams:
         if self.mode not in ("sampled", "strict"):
             raise ValueError("mode must be 'sampled' or 'strict'")
         if 3 * math.sqrt(self.mu) >= 4 / self.p:
-            warnings.warn(
-                f"parameter hierarchy advisory: 3 sqrt(mu)={3*math.sqrt(self.mu):.4f} "
-                f">= 4/p={4/self.p:.4f}; rotation composition is not guaranteed",
-                stacklevel=_caller_stacklevel())
+            sphere.hierarchy_advisory(
+                self, f"3 sqrt(mu)={3*math.sqrt(self.mu):.4f} >= 4/p={4/self.p:.4f}; "
+                "rotation composition is not guaranteed")
         if self.big_k * self.mu >= 1:
-            warnings.warn(
-                f"parameter hierarchy advisory: big_k*mu={self.big_k*self.mu:.4f} >= 1",
-                stacklevel=_caller_stacklevel())
+            sphere.hierarchy_advisory(self, f"big_k*mu={self.big_k*self.mu:.4f} >= 1")
 
     @property
     def mu(self) -> float:

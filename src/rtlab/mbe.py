@@ -98,6 +98,10 @@ class MbeParams:
             raise ValueError("point_mode must be 'antipodal' or 'partition'")
         if self.point_mode == "antipodal" and self.m % 2:
             raise ValueError("antipodal point mode needs even m")
+        if self.mu > math.sqrt(2):
+            sphere.hierarchy_advisory(
+                self, f"mu={self.mu:.4f} > sqrt(2); no two points are near, so "
+                "when ell > p every cross block is empty")
 
     @property
     def mu(self) -> float:

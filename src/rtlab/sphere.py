@@ -18,7 +18,10 @@ double precision.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,19 @@ class InfeasiblePartition(ValueError):
 
 class ResourceLimit(RuntimeError):
     """An operation exceeded its configured exact-mode size gate."""
+
+
+def hierarchy_advisory(params, message: str) -> None:
+    """Warn "parameter hierarchy advisory: <message>" from the __post_init__
+    of the dataclass params, naming the line that built them: the first
+    frame outside __post_init__, the generated __init__ and the dataclasses
+    module, whose replace() runs __init__ from its own frames."""
+    init = type(params).__init__.__code__
+    level, frame = 3, sys._getframe(2)  # 1: __post_init__, 2: __init__
+    while frame.f_back is not None and (
+            frame.f_code is init or frame.f_code.co_filename == dataclasses.__file__):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(f"parameter hierarchy advisory: {message}", stacklevel=level)
 
 
 def philox_rng(seed: int, stream: int = 0, substream: int = 0) -> np.random.Generator:

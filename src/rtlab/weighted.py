@@ -434,13 +434,22 @@ def g_of_A_numeric(A, seed: int = 0):
     restarts hedge local maxima; the exact mode is authoritative.
 
     Restart 0 starts at the barycentre, restart r > 0 at a Dirichlet(1) point
-    drawn from philox_rng(seed, 40, r).  The restarts advance together as the
-    rows of one (50 x m) array, each step u <- u * (Mu) / (u^T M u) on every
-    live row.  A row freezes, and keeps its u, once its value u^T M u is not
-    positive (before that step) or once the step moved no coordinate by 1e-15
-    or more (after it).  The value of each final u is recomputed, and the
-    first restart with the largest positive value wins; when none is
-    positive the result is (0.0, e_0).
+    drawn from philox_rng(seed, 40, r).  A step is u <- u * (Mu) / (u^T M u)
+    followed by the extinction rule: every coordinate below
+    np.finfo(float).tiny, the smallest normal float, becomes exactly 0 (for
+    a nonnegative A, the sub-normals, whose arithmetic is several times
+    slower).  A restart stops, and keeps its u, once its value u^T M u is not
+    positive (u from before that step) or once the step moved no coordinate
+    by 1e-15 or more (u after it).
+
+    The restarts advance together as the rows of one (50 x m) array, in
+    blocks of at most 32 steps that keep every state (fewer steps when 50 m
+    is large, so the states stay near 64 KiB).  At the end of a block
+    each row's first stop step is read from those states, and a stopped row
+    leaves the array with that step's u: every row stops at the same step,
+    with the same u, as a lone restart would.  The value of each final u is
+    recomputed, and the first restart with the largest positive value wins;
+    when none is positive the result is (0.0, e_0).
     """
     M = np.asarray(A, dtype=float)
     m = M.shape[0]
@@ -450,28 +459,36 @@ def g_of_A_numeric(A, seed: int = 0):
     U[0] = 1.0 / m
     for restart in range(1, 50):
         U[restart] = sphere.philox_rng(seed, _STREAM_NUMERIC, restart).dirichlet(np.ones(m))
+    tiny = np.finfo(float).tiny
     live = np.arange(50)                 # restart index of each row of X
     X = U.copy()
-    for _ in range(10_000):
-        # stacks of matrix-vector and vector-vector products rather than the
-        # matrix product X @ M.T: numpy evaluates a stack item by item, so
-        # each row rounds as a lone restart's M @ u and u @ Mu would
-        MX = (M @ X[:, :, None])[:, :, 0]
-        vals = (X[:, None, :] @ MX[:, :, None])[:, 0, 0]
-        stopped = vals <= 0
-        if stopped.any():
-            U[live[stopped]] = X[stopped]
-            keep = ~stopped
-            live, X, MX, vals = live[keep], X[keep], MX[keep], vals[keep]
-        nxt = X * MX / vals[:, None]
-        stopped = np.abs(nxt - X).max(axis=1) < 1e-15
-        X = nxt
-        if stopped.any():
-            U[live[stopped]] = X[stopped]
-            keep = ~stopped
-            live, X = live[keep], X[keep]
-        if live.size == 0:
-            break
+    steps = 0
+    while live.size and steps < 10_000:
+        # the block's states S, about 64 KiB at any m
+        block = min(32, 10_000 - steps, max(1, 8192 // (live.size * m)))
+        S = np.empty((block + 1, live.size, m))
+        V = np.empty((block, live.size))
+        S[0] = X
+        # a row past its stop step runs on and may divide by v = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(block):
+                X = S[j]
+                # stacks of matrix-vector and vector-vector products rather
+                # than the matrix product X @ M.T: numpy evaluates a stack
+                # item by item, so each row rounds as a lone restart's M @ u
+                # and u @ Mu would
+                MX = (M @ X[:, :, None])[:, :, 0]
+                V[j] = (X[:, None, :] @ MX[:, :, None])[:, 0, 0]
+                np.divide(X * MX, V[j, :, None], out=S[j + 1])
+                S[j + 1][S[j + 1] < tiny] = 0.0
+            stop = (V <= 0) | (np.abs(S[1:] - S[:-1]) < 1e-15).all(axis=2)
+        steps += block
+        X = S[block]
+        rows = np.flatnonzero(stop.any(axis=0))
+        if rows.size:
+            j = stop[:, rows].argmax(axis=0)
+            U[live[rows]] = S[j + (V[j, rows] > 0), rows]
+            live, X = np.delete(live, rows), np.delete(X, rows, axis=0)
     U[live] = X
     best_val, best_u = 0.0, None
     for u in U:

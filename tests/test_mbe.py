@@ -1,4 +1,6 @@
 import itertools
+from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,11 +309,20 @@ HYPEREDGE_CASES = [(1, 3, 6, 0.05, 1), (2, 6, 4, 0.05, 2), (2, 10, 8, 0.05, 3),
                    (3, 4, 1, 40.0, 6)]
 
 
+def case_params(ell, k, epsilon, seed):
+    """The params of a case; its mu >= 2 rows lie past sqrt(2), where
+    MbeParams warns that no two points are near."""
+    advisory = (pytest.warns(UserWarning, match="parameter hierarchy advisory")
+                if epsilon / k ** 0.5 >= 2 else nullcontext())
+    with advisory:
+        return mbe_params(ell=ell, k=k, epsilon=epsilon, seed=seed)
+
+
 @pytest.mark.parametrize("case", HYPEREDGE_CASES,
                          ids=lambda c: "-".join(str(x) for x in c))
 def test_base_hyperedges_match_recursive_build(case):
     ell, k, m, epsilon, seed = case
-    pr = mbe_params(ell=ell, k=k, epsilon=epsilon, seed=seed)   # m comes from P
+    pr = case_params(ell, k, epsilon, seed)                     # m comes from P
     P = S.sample_real_sphere(k + 1, m, S.philox_rng(seed, 57))
     if m % 2 == 0:
         P[m // 2:] = -P[:m // 2]
@@ -608,7 +619,7 @@ SHADOW_REPEAT_CASES = [c for c in HYPEREDGE_CASES if c[3] >= 2.0] + [(2, 1, 3, 2
                          ids=lambda c: "-".join(str(x) for x in c))
 def test_shadow_matches_pair_loop_on_repeated_vertices(case):
     ell, k, m, epsilon, seed = case
-    pr = mbe_params(ell=ell, k=k, epsilon=epsilon, seed=seed)
+    pr = case_params(ell, k, epsilon, seed)
     P = S.sample_real_sphere(k + 1, m, S.philox_rng(seed, 57))
     if m % 2 == 0:
         P[m // 2:] = -P[:m // 2]
@@ -682,6 +693,21 @@ def test_mbe_params_validation():
         mbe_params(t=3)               # not a perfect square for ell = 2
     with pytest.raises(ValueError):
         mbe_params(m=5)               # antipodal mode needs even m
+
+
+def test_mbe_params_advise_when_no_two_points_are_near():
+    with pytest.warns(UserWarning, match=r"parameter hierarchy advisory: mu=1\.5000 > "
+                      r"sqrt\(2\); no two points are near") as record:
+        mbe_params(k=1, epsilon=1.5)
+    assert [w.filename for w in record] == [__file__]
+    # at mu = sqrt(2) a point is still near itself; every acceptance, golden
+    # and benchmark setting has mu <= 0.2
+    quiet = mbe_params(k=1, epsilon=2 ** 0.5)
+    assert quiet.mu == 2 ** 0.5
+    # through dataclasses.replace, whose frames lie in dataclasses.py
+    with pytest.warns(UserWarning, match="parameter hierarchy advisory") as record:
+        replace(quiet, epsilon=1.5)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_mbe_complete_cross_when_no_related():
