@@ -19,6 +19,7 @@ from .sphere import ResourceLimit
 MAX_EXACT_CLIQUE_VERTICES = 5000
 MAX_ROW_BYTES = 2 ** 28          # packed rows of up to n = 46,340 vertices
 _READ_BLOCK = 2 ** 18            # bytes of an edge list parsed at once
+_SCATTER_BLOCK = 2 ** 22         # bytes of bool rows from_edges fills at once
 
 
 # ---------------------------------------------------------------------------
@@ -29,26 +30,54 @@ class LabeledGraph:
     """Simple undirected graph on vertices 0..n-1.  rows is the n x 8 ceil(n / 64)
     uint8 array in which row v has bit w (byte w // 8, bit w % 8) set when vw
     is an edge: whole uint64 words per row, the diagonal and the bits past n
-    zero."""
+    zero.  The rows are never modified after construction, so the
+    degeneracy order is computed once, when first asked for."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_order")
 
     def __init__(self, n: int, rows: np.ndarray):
         self.n = n
         self.rows = rows
+        self._order = None
+
+    def _degeneracy_order(self) -> list[int]:
+        """_degeneracy_order(self.rows), computed on the first call."""
+        if self._order is None:
+            self._order = _degeneracy_order(self.rows)
+        return self._order
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "LabeledGraph":
-        """The graph with the given (u, v) pairs, a sequence or a k x 2 array."""
+        """The graph with the given (u, v) pairs, a sequence or a k x 2 array.
+        A repeated pair sets the same bits again.
+
+        Both entries of each edge are set in a bool block of at most
+        _SCATTER_BLOCK bytes of rows, which is then packed into the rows."""
         ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        bad = (ends[:, 0] == ends[:, 1]) | (ends.min(axis=1) < 0) | (ends.max(axis=1) >= n)
+        u, v = ends.T
+        # a negative id reads as 2^64 - |id|, so one test bounds both sides
+        outside = ends.view(np.uint64) >= n
+        bad = (u == v) | outside[:, 0] | outside[:, 1]
         if bad.any():
             u, v = ends[bad.argmax()].tolist()
             raise ValueError("loops are not allowed" if u == v else f"edge ({u},{v}) out of range")
         rows = _zero_rows(n)
-        # (u, v) then (v, u) for each edge: row, byte and bit of both entries
-        dst = ends[:, ::-1].ravel()
-        np.bitwise_or.at(rows, (ends.ravel(), dst >> 3), np.left_shift(1, dst & 7).astype(np.uint8))
+        step = max(1, _SCATTER_BLOCK // max(n, 1))
+        runs = []
+        for src, dst in ((u, v), (v, u)):           # row src gets bit dst
+            if step < n:            # sorted by row, each block's entries are one run
+                order = np.argsort(src)
+                src, dst = src[order], dst[order]
+            cuts = np.searchsorted(src, range(step, n, step))
+            runs.append(list(zip(np.split(src, cuts), np.split(dst, cuts))))
+        for lo, block in zip(range(0, n, step), zip(*runs)):
+            if not any(len(s) for s, _ in block):
+                continue
+            bits = np.zeros((min(step, n - lo), n), dtype=bool)
+            for s, d in block:
+                bits[s - lo, d] = True
+            rows[lo:lo + step, :(n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+            del bits                # freed before the next block's
         return cls(n, rows)
 
     @classmethod
@@ -67,14 +96,19 @@ class LabeledGraph:
         return int(np.bitwise_count(self.rows).sum(dtype=np.int64)) // 2
 
     def edges(self):
-        """The edges (u, v), u < v, in ascending order, as k x 2 arrays of a
-        few rows' edges each: a block unpacks at most 8 KiB of rows."""
+        """The edges (u, v), u < v, in ascending order, as k x 2 int64 arrays
+        of a few rows' edges each: a block unpacks at most 8 KiB of rows,
+        clears each row's bits up to the diagonal, and finds the rest with
+        flatnonzero."""
         n = self.n
         block = max(1, (1 << 13) // max(n, 1))
         for lo in range(0, n, block):
             bits = np.unpackbits(self.rows[lo:lo + block], axis=1, count=n,
                                  bitorder="little")
-            yield np.argwhere(np.triu(bits, lo + 1)) + (lo, 0)
+            for i, row in enumerate(bits):
+                row[:lo + i + 1] = 0        # the diagonal and the entries left of it
+            u, v = np.divmod(np.flatnonzero(bits), n)
+            yield np.stack((u + lo, v), axis=1)
 
     def subgraph(self, vertices) -> "LabeledGraph":
         """The subgraph induced on vertices, renumbered 0.. in the given order."""
@@ -218,7 +252,7 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
         raise ResourceLimit(f"exact clique search capped at {MAX_EXACT_CLIQUE_VERTICES} vertices")
 
     # degeneracy order improves both colouring and branching
-    order = _degeneracy_order(g.rows)
+    order = g._degeneracy_order()
     packed = _induced_rows(g.rows, order)
     adj = _unpack_rows(packed)
     bound = _colour_bound(adj, range(g.n))
@@ -320,7 +354,7 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
     if p < 2:
         raise ValueError("p must be at least 2")
     adj = _unpack_rows(g.rows)
-    if _colour_bound(adj, _degeneracy_order(g.rows)) < p:
+    if _colour_bound(adj, g._degeneracy_order()) < p:
         return g.n, g.n, g.n <= exact_limit
     if g.n <= exact_limit:
         order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
@@ -451,7 +485,14 @@ def theorem13_density(ell: int, p: int, q: int) -> Theorem13Report:
 
 def write_edge_list(path, g: LabeledGraph, comments=(), classes=None):
     """Write the `u v` edge format (u < v, ascending): one `# ` line per
-    comment, then `# n=...`, then `# <classes>` when given."""
+    comment, then `# n=...`, then `# <classes>` when given.
+
+    The edge lines are formatted in numpy, one block of g.edges() at a
+    time: each line is laid out as u's and v's decimal text, taken from a
+    table of every id's text padded to one width with NUL bytes, and the
+    NUL bytes are then dropped."""
+    width = len(str(max(g.n - 1, 0)))
+    text = np.arange(g.n).astype(f"S{width}").view(np.uint8).reshape(g.n, width)
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -459,7 +500,12 @@ def write_edge_list(path, g: LabeledGraph, comments=(), classes=None):
         if classes is not None:
             fh.write(f"# {classes}\n")
         for block in g.edges():
-            fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
+            lines = np.empty((len(block), 2 * width + 2), dtype=np.uint8)
+            lines[:, :width] = text[block[:, 0]]
+            lines[:, width] = ord(" ")
+            lines[:, width + 1:-1] = text[block[:, 1]]
+            lines[:, -1] = ord("\n")
+            fh.write(lines[lines != 0].tobytes().decode())
 
 
 def _bad_line(path, lineno: int, line: str, n):

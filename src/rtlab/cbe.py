@@ -33,6 +33,8 @@ _STREAM_Z = 11
 # p n^2: the edge rules test each n x n Gram matrix p times, at about 30 s
 # per 10^9 tests on 2 vCPUs
 MAX_GRAM_TESTS = 10 ** 9
+# bytes of complex128 Gram rows tested at once: about 80 rows at n = 800
+_GRAM_BLOCK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -119,27 +121,64 @@ def cross_edge(w, z, params: CbeParams) -> bool:
 
 def _inner_adjacency(points: np.ndarray, params: CbeParams) -> np.ndarray:
     """Bool adjacency of one class: u ~ v iff u is an h-rotation of v for
-    some h in [p-1]."""
+    some h in [p-1].
+
+    The Gram matrix is one BLAS product; the rotation tests then run over
+    blocks of its rows, each on the columns from the block's first row on,
+    and write into the result."""
     gram = points @ points.conj().T
-    hit = np.zeros(gram.shape, dtype=bool)
-    for h in range(1, params.p):
-        hit |= 2.0 - 2.0 * (params.rho ** (-h) * gram).real <= params.mu + GEOM_TOL
-    # u h-rotation of v iff v (p-h)-rotation of u, but in floating point the
-    # two tests can disagree at the threshold: the i<j test decides
-    upper = np.triu(hit, 1)
-    return upper | upper.T
+    n = len(gram)
+    adjacency = np.zeros((n, n), dtype=bool)
+    step = max(1, _GRAM_BLOCK // (16 * n))
+    rot = np.empty(step * n, dtype=np.complex128)
+    dist = np.empty(step * n)
+    near = np.empty(step * n, dtype=bool)
+    for lo in range(0, n, step):
+        block = gram[lo:lo + step, lo:]
+        hit = adjacency[lo:lo + step, lo:]
+        r, d, b = (buf[:block.size].reshape(block.shape) for buf in (rot, dist, near))
+        for h in range(1, params.p):
+            np.multiply(params.rho ** (-h), block, out=r)
+            np.multiply(2.0, r.real, out=d)
+            np.subtract(2.0, d, out=d)
+            np.less_equal(d, params.mu + GEOM_TOL, out=b)
+            hit |= b
+        # u h-rotation of v iff v (p-h)-rotation of u, but in floating point
+        # the two tests can disagree at the threshold: the i<j test decides
+        rows = len(hit)
+        hit[:, :rows] = np.triu(hit[:, :rows], 1)
+    adjacency |= adjacency.T
+    return adjacency
 
 
 def _cross_adjacency(W: np.ndarray, Z: np.ndarray, params: CbeParams):
+    """Bool cross adjacency of W x Z, tested over blocks of Gram rows as in
+    _inner_adjacency.  A negative angle a becomes a + 2 pi, which is
+    a % (2 pi) but for the sign of a zero angle, so the window is the same."""
     gram = W @ Z.conj().T
+    n, m = gram.shape
     kmu = params.big_k * params.mu
-    strips = np.ones(gram.shape, dtype=bool)
-    for h in range(params.p):
-        strips &= np.abs((params.rho ** h * gram).imag) >= kmu - GEOM_TOL
-    ang = np.angle(gram) % (2 * math.pi)
     window_hi = 2 * math.pi * params.ell / params.p
-    window = (ang <= window_hi + GEOM_TOL) | (ang >= 2 * math.pi - GEOM_TOL)
-    return strips & window
+    adjacency = np.empty((n, m), dtype=bool)
+    step = max(1, _GRAM_BLOCK // (16 * m))
+    rot = np.empty(step * m, dtype=np.complex128)
+    part = np.empty(step * m)
+    flag = np.empty(step * m, dtype=bool)
+    for lo in range(0, n, step):
+        block = gram[lo:lo + step]
+        edge = adjacency[lo:lo + step]
+        r, a, b = (buf[:block.size].reshape(block.shape) for buf in (rot, part, flag))
+        np.arctan2(block.imag, block.real, out=a)     # np.angle(block)
+        np.add(a, 2 * math.pi, out=a, where=a < 0)
+        np.less_equal(a, window_hi + GEOM_TOL, out=edge)
+        np.greater_equal(a, 2 * math.pi - GEOM_TOL, out=b)
+        edge |= b
+        for h in range(params.p):
+            np.multiply(params.rho ** h, block, out=r)
+            np.abs(r.imag, out=a)
+            np.greater_equal(a, kmu - GEOM_TOL, out=b)
+            edge &= b
+    return adjacency
 
 
 class CbeGraph:

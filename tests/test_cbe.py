@@ -1,15 +1,17 @@
 import cmath
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rtlab import cbe
 from rtlab import sphere as S
 from rtlab.analysis import max_clique, read_edge_list, write_edge_list
 from rtlab.cbe import CbeGraph, CbeParams, build_cbe, cross_edge, rotation_witness
-from rtlab.sphere import InfeasiblePartition
+from rtlab.sphere import GEOM_TOL, InfeasiblePartition
 
 
 def params(p=3, ell=1, k=8, n=50, epsilon=0.05, big_k=10.0, seed=1, mode="sampled"):
@@ -294,3 +296,95 @@ def test_edge_list_export(tmp_path):
     back = read_edge_list(path)
     assert back.n == 2 * pr.n
     assert np.array_equal(back.rows, lg.rows)
+
+
+# ---------------------------------------------------------------------------
+# row-blocked edge tests against the whole-matrix ones
+# ---------------------------------------------------------------------------
+
+def reference_inner_adjacency(points, params):
+    """Reference: the rotation tests on the whole Gram matrix at once."""
+    gram = points @ points.conj().T
+    hit = np.zeros(gram.shape, dtype=bool)
+    for h in range(1, params.p):
+        hit |= 2.0 - 2.0 * (params.rho ** (-h) * gram).real <= params.mu + GEOM_TOL
+    upper = np.triu(hit, 1)
+    return upper | upper.T
+
+
+def reference_cross_adjacency(W, Z, params):
+    """Reference: the strip and window tests on the whole Gram matrix, the
+    angle reduced with a float %."""
+    gram = W @ Z.conj().T
+    kmu = params.big_k * params.mu
+    strips = np.ones(gram.shape, dtype=bool)
+    for h in range(params.p):
+        strips &= np.abs((params.rho ** h * gram).imag) >= kmu - GEOM_TOL
+    ang = np.angle(gram) % (2 * math.pi)
+    window_hi = 2 * math.pi * params.ell / params.p
+    window = (ang <= window_hi + GEOM_TOL) | (ang >= 2 * math.pi - GEOM_TOL)
+    return strips & window
+
+
+def edge_test_points(pr, seed):
+    """n points of S^{k-1}(C) whose Gram entries sit on the thresholds: row
+    i = 1 mod 3 is rho^h times row i // 3 (distance 0 from a rotation, an
+    angle of 2 pi h / p on a window end), row i = 2 mod 5 is minus row
+    i // 5 (angle pi, the imaginary part a signed zero in exact cases), row
+    i = 4 mod 7 is a basis vector (inner products 0); the rest are uniform."""
+    rng = S.philox_rng(seed, 34)
+    pts = S.sample_complex_sphere(pr.k, pr.n, rng)
+    for i in range(1, pr.n):
+        if i % 3 == 1:
+            pts[i] = pr.rho ** (i % pr.p) * pts[i // 3]
+        elif i % 5 == 2:
+            pts[i] = -pts[i // 5]
+        elif i % 7 == 4:
+            pts[i] = np.eye(pr.k)[i % pr.k]
+    return pts
+
+
+def assert_blocked_edges_match(pr, W, Z):
+    inner_w = reference_inner_adjacency(W, pr)
+    cross = reference_cross_adjacency(W, Z, pr)
+    assert np.array_equal(cbe._inner_adjacency(W, pr), inner_w)
+    assert np.array_equal(cbe._cross_adjacency(W, Z, pr), cross)
+    n = pr.n
+    a = CbeGraph(pr, W, Z).adjacency
+    assert np.array_equal(a[:n, :n], inner_w)
+    assert np.array_equal(a[n:, n:], reference_inner_adjacency(Z, pr))
+    assert np.array_equal(a[:n, n:], cross) and np.array_equal(a[n:, :n], cross.T)
+
+
+# (n, _GRAM_BLOCK bytes): one vertex; n below the default block of
+# 2^16 // n rows; 300 = 218 + 82 rows; 45 = 6 * 7 + 3 rows; 1-row blocks
+GRAM_BLOCKS = [(1, None), (50, None), (300, None), (45, 16 * 45 * 7), (45, 1)]
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+@pytest.mark.parametrize("n, block", GRAM_BLOCKS, ids=lambda x: str(x))
+def test_blocked_edge_tests_match_whole_matrix(p, n, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(cbe, "_GRAM_BLOCK", block)
+    # ell = p - 1 > p / 2 from p = 3 on: the window passes pi
+    for ell in sorted({1, p - 1}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # mu large for p = 7
+            pr = CbeParams(p=p, ell=ell, k=3, n=n, epsilon=0.1, big_k=1.0, seed=p)
+        W = edge_test_points(pr, seed=n + p)
+        Z = edge_test_points(pr, seed=n + p + 100)
+        assert_blocked_edges_match(pr, W, Z)
+        if n >= 45:             # the inputs reach both outcomes of each test
+            inner = reference_inner_adjacency(W, pr)
+            cross = reference_cross_adjacency(W, Z, pr)
+            assert inner.any() and not inner.all()
+            assert cross.any() and not cross.all()
+
+
+def test_blocked_edge_tests_match_in_strict_mode(monkeypatch):
+    with pytest.warns(UserWarning):     # k = 1 lies outside the advisory hierarchy
+        pr = params(p=3, ell=2, k=1, n=100, epsilon=0.4, seed=2, mode="strict")
+    g = build_cbe(pr)
+    assert_blocked_edges_match(pr, g.W, g.Z)
+    monkeypatch.setattr(cbe, "_GRAM_BLOCK", 16 * 100 * 9)
+    assert_blocked_edges_match(pr, g.W, g.Z)

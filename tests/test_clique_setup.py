@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtlab import analysis
 from rtlab import sphere as S
 from rtlab.analysis import (
     CliqueCertificate,
@@ -25,8 +26,12 @@ from rtlab.analysis import (
     _induced_rows,
     _unpack_rows,
     max_clique,
+    p_independence,
+    read_edge_list,
+    write_edge_list,
 )
 from rtlab.cbe import CbeParams, build_cbe
+from rtlab.cli import main
 from rtlab.mbe import MbeParams, build_mbe
 
 
@@ -274,6 +279,29 @@ def test_cbe_benchmark_graph_matches_reference():
     # the bound equals omega, so the greedy stops after one start and the
     # branch and bound does not run
     assert colour_bound(g) == 2
+
+
+def test_analyze_computes_the_degeneracy_order_once(tmp_path, monkeypatch):
+    """max_clique and p_independence's K_p-free test share the order the
+    graph keeps, and it is the order of a fresh computation."""
+    g = random_graph(90, 0.3, 7)
+    path = tmp_path / "g.edges"
+    write_edge_list(path, g)
+    calls = []
+
+    def counted(packed):
+        calls.append(len(packed))
+        return _degeneracy_order(packed)
+
+    monkeypatch.setattr(analysis, "_degeneracy_order", counted)
+    assert main(["analyze", str(path), "--p", "4", "--out", str(tmp_path / "a.csv")]) == 0
+    assert calls == [90]
+    h = read_edge_list(path)
+    cert = max_clique(h)
+    assert h._degeneracy_order() == _degeneracy_order(h.rows)
+    assert calls == [90, 90]
+    assert (cert, p_independence(h, 4)) == (max_clique(g), p_independence(g, 4))
+    assert colour_bound(g) >= 4      # the K_p-free test does not settle p_independence
 
 
 @pytest.mark.parametrize("params, bound", [

@@ -1,10 +1,15 @@
-"""The edge-list reader against the per-line parser it replaced.
+"""The edge-list reader, writer and edge scatter against the code each
+replaced.
 
 read_edge_list parses plain `u v` lines in numpy blocks and every other line
 on its own; reference_read_edge_list is the earlier parser, one line at a
 time in Python.  For every file both must give the same n and rows, or raise
-the same exception with the same message.
+the same exception with the same message.  write_edge_list formats its lines
+in numpy, and LabeledGraph.from_edges sets bits through bool blocks; their
+references format with % and set bits with np.bitwise_or.at.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from rtlab import analysis
+from rtlab import sphere as S
 from rtlab.analysis import LabeledGraph, read_edge_list, write_edge_list
 
 
@@ -230,3 +236,119 @@ def test_write_read_round_trip(tmp_path, n):
     back = read_edge_list(path)
     assert back.n == n and np.array_equal(back.rows, g.rows)
     assert outcome(reference_read_edge_list, path) == outcome(read_edge_list, path)
+
+
+# ---------------------------------------------------------------------------
+# the writer against the %-formatting one
+# ---------------------------------------------------------------------------
+
+def reference_write_edge_list(path, g: LabeledGraph, comments=(), classes=None):
+    """Reference: every edge found by argwhere on the whole unpacked upper
+    triangle and formatted with %."""
+    with open(path, "w") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(f"# n={g.n}\n")
+        if classes is not None:
+            fh.write(f"# {classes}\n")
+        bits = np.unpackbits(g.rows, axis=1, count=g.n, bitorder="little")
+        ends = np.argwhere(np.triu(bits, 1))
+        fh.write("%d %d\n" * len(ends) % tuple(ends.ravel().tolist()))
+
+
+@pytest.mark.parametrize("labels", [{}, {"comments": ["seed 3", "caf\u00e9"],
+                                         "classes": "classes: 2 x 5"}],
+                         ids=["bare", "labelled"])
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 100, 101, 1001])
+def test_writer_matches_percent_formatting(tmp_path, n, labels):
+    """Ids of every width up to 4 digits, 0 to 500 edges a row, and graphs
+    whose edges span several of edges()' 8 KiB blocks."""
+    rng = S.philox_rng(n, 79)
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    if n > 1:
+        upper[0, n - 1] = upper[n - 2, n - 1] = True        # the widest ids
+    g = LabeledGraph.from_adjacency(upper | upper.T)
+    write_edge_list(tmp_path / "new.edges", g, **labels)
+    reference_write_edge_list(tmp_path / "ref.edges", g, **labels)
+    assert (tmp_path / "new.edges").read_bytes() == (tmp_path / "ref.edges").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# from_edges against np.bitwise_or.at
+# ---------------------------------------------------------------------------
+
+def reference_from_edges(n, edges):
+    """Reference: both entries of every edge set with np.bitwise_or.at."""
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad = (ends[:, 0] == ends[:, 1]) | (ends.min(axis=1) < 0) | (ends.max(axis=1) >= n)
+    if bad.any():
+        u, v = ends[bad.argmax()].tolist()
+        raise ValueError("loops are not allowed" if u == v else f"edge ({u},{v}) out of range")
+    rows = analysis._zero_rows(n)
+    dst = ends[:, ::-1].ravel()
+    np.bitwise_or.at(rows, (ends.ravel(), dst >> 3), np.left_shift(1, dst & 7).astype(np.uint8))
+    return LabeledGraph(n, rows)
+
+
+def scatter_outcome(build, n, edges):
+    """("graph", rows shape, rows bytes) or ("error", type, message)."""
+    try:
+        g = build(n, edges)
+    except Exception as exc:        # the type is compared too
+        return "error", type(exc), str(exc)
+    return "graph", g.rows.shape, g.rows.tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 64, 1000])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 300])
+def test_from_edges_matches_bitwise_or_at(n, block, monkeypatch):
+    """Random pairs, each third also reversed and each fifth repeated, with
+    bool blocks of 1 row, a few rows and all rows."""
+    if block is not None:
+        monkeypatch.setattr(analysis, "_SCATTER_BLOCK", block)
+    rng = S.philox_rng(n + 1000 * (block or 0), 80)
+    ends = rng.integers(0, max(n, 1), size=(3 * n + 5, 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    ends = np.concatenate([ends, ends[::3, ::-1], ends[::5]])
+    for edges in (ends, ends.tolist(), ends[::-1, ::-1]):
+        got = scatter_outcome(LabeledGraph.from_edges, n, edges)
+        assert got == scatter_outcome(reference_from_edges, n, edges)
+    assert got[0] == "graph"
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [(0, 1), (2, 2), (0, 5)]),
+    (3, [(0, 1), (0, 5), (2, 2)]),
+    (3, [(1, 2), (-1, 0), (1, 1)]),
+    (3, [(0, 1), (1, 0), (0, 3)]),
+    (3, [(3, 3)]),
+    (0, [(0, 1)]),
+    (5, [(4, -2**63)]),
+    (5, [(2**63 - 1, 0)]),
+    (10 ** 30, [(0, 1)]),
+    (-1, [(0, 1)]),
+    (-1, [(1, 1)]),
+    (0, []),
+])
+def test_from_edges_errors_match_bitwise_or_at(n, edges):
+    assert (scatter_outcome(LabeledGraph.from_edges, n, edges)
+            == scatter_outcome(reference_from_edges, n, edges))
+
+
+def test_from_edges_memory_stays_near_the_rows():
+    """At n = 20,000 the packed rows take 50.08 MB and a whole bool matrix
+    400 MB.  A few edges may cost the rows plus 8 MiB: a 4 MiB bool block of
+    209 rows, its packed copy and the edges."""
+    n = 20_000
+    edges = [(0, n - 1), (5, 6), (n // 2, n // 2 + 1), (n - 2, 3), (6, 5)]
+    tracemalloc.start()
+    try:
+        g = LabeledGraph.from_edges(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.rows.nbytes == n * 2504
+    assert peak <= g.rows.nbytes + 2 ** 23
+    assert g.edge_count() == 4
+    assert scatter_outcome(LabeledGraph.from_edges, n, edges) \
+        == scatter_outcome(reference_from_edges, n, edges)

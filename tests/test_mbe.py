@@ -406,14 +406,20 @@ def test_blowup_bullet2_sparsity():
 def one_at_a_time_sparsify(hyperedges, zeta, r):
     """Reference: a fresh search per deletion, dropping the last hyperedge
     of the first violator until none is left.  Takes an array or a list of
-    tuples; returns the kept hyperedges as a list of lists."""
+    tuples; returns the kept hyperedges as a list of lists.  The pairwise
+    neighbour sets are built once; a deletion drops its row from them and
+    renumbers the rows after it, as a rebuild from the kept rows would."""
     kept = np.asarray(hyperedges).tolist()
+    edge_sets = [frozenset(e) for e in kept]
+    neighbors = pairwise_neighbors(edge_sets)
     deleted = 0
     while True:
-        bad = reference_find_dense_subconfig(kept, zeta, r)
+        bad = first_violator(edge_sets, neighbors, zeta, r)
         if bad is None:
             return kept, deleted
-        kept.pop(bad[-1])
+        gone = bad[-1]
+        del kept[gone], edge_sets[gone], neighbors[gone]
+        neighbors = [{j - (j > gone) for j in nb if j != gone} for nb in neighbors]
         deleted += 1
 
 
@@ -469,13 +475,9 @@ def test_sparsify_matches_loop_on_random_hypergraphs(hypergraph, zeta):
     assert (kept.tolist(), deleted) == one_at_a_time_sparsify(edges, zeta, r)
 
 
-def reference_find_dense_subconfig(hyperedges, zeta, r):
-    """Reference: the breadth-first search over connected hyperedge subsets,
-    in the stated order.  Neighbours come from a pairwise E x E loop.  Each
-    level is built in full from the one before, parents in order and each
-    parent's new neighbours in ascending index, then checked in that order.
-    Returns the first violator as a sorted tuple, or None."""
-    edge_sets = [frozenset(e) for e in hyperedges]
+def pairwise_neighbors(edge_sets):
+    """Row i's neighbours: the other rows sharing a vertex with it, from a
+    pairwise E x E loop."""
     n = len(edge_sets)
     neighbors = [set() for _ in range(n)]
     for i in range(n):
@@ -483,24 +485,41 @@ def reference_find_dense_subconfig(hyperedges, zeta, r):
             if edge_sets[i] & edge_sets[j]:
                 neighbors[i].add(j)
                 neighbors[j].add(i)
-    frontier = [frozenset((i,)) for i in range(n)]
-    seen = set(frontier)
-    while frontier:
+    return neighbors
+
+
+def first_violator(edge_sets, neighbors, zeta, r):
+    """The breadth-first search over connected hyperedge subsets, in the
+    stated order.  Each level is built from the one before, parents in order
+    and each parent's new neighbours in ascending index, and checked in that
+    order.  A level's candidates are checked as they are found: the level
+    before is clean by then, so the first violator found is the first in
+    that order.  Returns it as a sorted tuple, or None."""
+    frontier = [(frozenset((i,)), e) for i, e in enumerate(edge_sets)]
+    seen = {chosen for chosen, _ in frontier}
+    while frontier:                 # every subset in frontier is clean
         nxt = []
-        for chosen in frontier:
-            verts = frozenset.union(*(edge_sets[i] for i in chosen))
-            if len(chosen) >= 2 and len(verts) <= r ** 3:
-                if len(verts) + (1 + zeta - r) * (len(chosen) - 1) < r - S.GEOM_TOL:
-                    return tuple(sorted(chosen))
+        for chosen, verts in frontier:
             if len(chosen) >= 8 or len(verts) > r ** 3:
                 continue
             for j in sorted(set().union(*(neighbors[i] for i in chosen)) - chosen):
                 cand = chosen | {j}
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                cand_verts = verts | edge_sets[j]
+                if len(cand_verts) <= r ** 3 and (
+                        len(cand_verts) + (1 + zeta - r) * (len(cand) - 1) < r - S.GEOM_TOL):
+                    return tuple(sorted(cand))
+                nxt.append((cand, cand_verts))
         frontier = nxt
     return None
+
+
+def reference_find_dense_subconfig(hyperedges, zeta, r):
+    """Reference: first_violator on neighbour sets from a pairwise loop."""
+    edge_sets = [frozenset(e) for e in hyperedges]
+    return first_violator(edge_sets, pairwise_neighbors(edge_sets), zeta, r)
 
 
 @example(hypergraph=TRIANGLE, zeta=0.25)
