@@ -1,10 +1,10 @@
 """Finite graph analytics shared by the sphere constructions.
 
 Exact maximum-clique search (branch and bound with greedy colouring bounds),
-p-independence estimation, global density statistics, a complete-join
-combinator, and the exact rational density formulas for the Ramsey-Turan
-families.  A graph is stored once, as adjacency rows packed into uint64
-words; only the two searches unpack them into Python-int bitsets.
+p-independence estimation, global density statistics, and the exact
+rational density formulas for the Ramsey-Turan families.  A graph is stored
+once, as adjacency rows packed into uint64 words; only the two searches
+unpack them into Python-int bitsets.
 """
 
 from __future__ import annotations
@@ -109,13 +109,6 @@ class LabeledGraph:
                 row[:lo + i + 1] = 0        # the diagonal and the entries left of it
             u, v = np.divmod(np.flatnonzero(bits), n)
             yield np.stack((u + lo, v), axis=1)
-
-    def subgraph(self, vertices) -> "LabeledGraph":
-        """The subgraph induced on vertices, renumbered 0.. in the given order."""
-        vs = list(vertices)
-        if any(not 0 <= v < self.n for v in vs):
-            raise ValueError("subgraph vertex out of range")
-        return LabeledGraph(len(vs), _induced_rows(self.rows, vs))
 
 
 def _zero_rows(n: int) -> np.ndarray:
@@ -397,7 +390,7 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
 
 
 # ---------------------------------------------------------------------------
-# density statistics and joins
+# density statistics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -411,19 +404,6 @@ def density_report(g: LabeledGraph) -> DensityReport:
     m = g.edge_count()
     dens = 0.0 if g.n < 2 else m / (g.n * (g.n - 1) / 2)
     return DensityReport(dens, m)
-
-
-def complete_join(graphs) -> LabeledGraph:
-    """Disjoint union plus all cross edges between distinct inputs."""
-    graphs = list(graphs)
-    total = sum(g.n for g in graphs)
-    matrix = np.ones((total, total), dtype=bool)
-    off = 0
-    for g in graphs:
-        matrix[off:off + g.n, off:off + g.n] = np.unpackbits(
-            g.rows, axis=1, count=g.n, bitorder="little")
-        off += g.n
-    return LabeledGraph.from_adjacency(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ two points per cell), which is only feasible for very small mu or k = 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 import warnings
@@ -85,38 +84,6 @@ class CbeParams:
             "mode": self.mode, "mu": self.mu,
             "rho": [self.rho.real, self.rho.imag],
         }
-
-
-def rotation_witness(u, v, params: CbeParams):
-    """Smallest h in [p-1] with |u - rho^h v| <= sqrt(mu), or None."""
-    uu = np.asarray(u, dtype=np.complex128)
-    vv = np.asarray(v, dtype=np.complex128)
-    if uu.shape != vv.shape:
-        raise ValueError("dimension mismatch")
-    ip = complex(np.sum(uu * np.conj(vv)))
-    for h in range(1, params.p):
-        # |u - rho^h v|^2 = 2 - 2 Re(rho^{-h} <u, v>) on unit vectors
-        dist_sq = 2.0 - 2.0 * (params.rho ** (-h) * ip).real
-        if dist_sq <= params.mu + GEOM_TOL:
-            return h
-    return None
-
-
-def cross_edge(w, z, params: CbeParams) -> bool:
-    """Cross rule: |Im(rho^h <w,z>)| >= K mu for all h, and
-    arg <w,z> in [0, 2 pi ell / p]."""
-    ww = np.asarray(w, dtype=np.complex128)
-    zz = np.asarray(z, dtype=np.complex128)
-    if ww.shape != zz.shape:
-        raise ValueError("dimension mismatch")
-    ip = complex(np.sum(ww * np.conj(zz)))
-    kmu = params.big_k * params.mu
-    strips = all(abs((params.rho ** h * ip).imag) >= kmu - GEOM_TOL
-                 for h in range(params.p))
-    window_hi = 2 * math.pi * params.ell / params.p
-    ang = cmath.phase(ip) % (2 * math.pi)
-    window = ang <= window_hi + GEOM_TOL or ang >= 2 * math.pi - GEOM_TOL
-    return strips and window
 
 
 def _inner_adjacency(points: np.ndarray, params: CbeParams) -> np.ndarray:

@@ -674,6 +674,13 @@ def main(argv=None) -> int:
         args.parser.error(f"infeasible partition: {exc}")
     except MemoryError as exc:
         args.parser.error(f"out of memory: {exc}")
+    except RecursionError as exc:     # p_independence's exhaustive search
+        args.parser.error(f"resource gate: {exc}")
+    except OSError as exc:
+        # the commands report unreadable inputs themselves, so this is an
+        # output; an error from a buffered write or close names no file
+        path = exc.filename or getattr(args, "out", None) or "output"
+        args.parser.error(f"cannot write {path}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

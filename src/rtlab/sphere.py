@@ -3,13 +3,12 @@
 Points are plain arrays: an (n, k) complex128 array holds n points of
 S^{k-1}(C) and an (n, d) float64 array n points of S^{d-1}(R).  Provides
 the coordinate-interleaving isometry between S^{k-1}(C) and S^{2k-1}(R),
-closed-form cap-measure bounds and their Monte Carlo oracles, uniform
-sampling, equal-measure partitions of S^{d-1}(R) with certified diameter
-bounds (a partition of S^{k-1}(C) is one of S^{2k-1}(R) read through the
-isometry), the almost antipodal and near tests, and an exhaustive search
-for rhombus configurations (two almost antipodal pairs whose four cross
-distances are all at most sqrt(2)-mu), which cannot exist among genuine
-unit vectors.
+closed-form cap-measure bounds, uniform sampling, equal-measure partitions
+of S^{d-1}(R) with certified diameter bounds (a partition of S^{k-1}(C) is
+one of S^{2k-1}(R) read through the isometry), the almost antipodal and
+near tests, and an exhaustive search for rhombus configurations (two almost
+antipodal pairs whose four cross distances are all at most sqrt(2)-mu),
+which cannot exist among genuine unit vectors.
 
 All geometric predicates use closed comparisons with an absolute slack of
 GEOM_TOL so that boundary cases keep their mathematical truth value at
@@ -35,10 +34,9 @@ _TWO_PI = 2.0 * math.pi
 # sample_cell's substream s draws from stream _STREAM_CELL + s; the library
 # uses s = 0 (mbe partition points) and s = 1 (strict cbe), so 2 and 3, and
 # s is held below _CELL_SUBSTREAMS so the cell streams stop short of cbe's 10.
-_STREAM_MC = 1
+# Streams 1 and 30 belong to the Monte Carlo estimators in tests/test_sphere.py.
 _STREAM_CELL = 2
 _CELL_SUBSTREAMS = 8
-_STREAM_SAMPLE = 30  # beside cbe's 10s and mbe's 20s, clear of s = 0..7
 
 MAX_SAMPLE_FLOATS = 2 ** 25   # 256 MiB of float64 per draw
 
@@ -65,11 +63,9 @@ def hierarchy_advisory(params, message: str) -> None:
 
 
 def philox_rng(seed: int, stream: int = 0, substream: int = 0) -> np.random.Generator:
-    """Counter-based generator; (seed, stream, substream) fully determine output.
-
-    Monte Carlo chunk i draws from substream i, so a chunked estimate
-    depends only on the seed and the sample count.
-    """
+    """Counter-based generator; (seed, stream, substream) fully determine
+    output, so a draw keyed by an index (a partition cell, a Monte Carlo
+    chunk) does not depend on the draws before it."""
     # uint64: numpy takes a list holding 2^63 or more as float64
     key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, ((int(stream) & 0xFFFFFFFF) << 32)
                     | (int(substream) & 0xFFFFFFFF)], dtype=np.uint64)
@@ -121,7 +117,7 @@ def cap_measure_lower_bound(k: int, delta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Uniform sampling and Monte Carlo measure oracles
+# Uniform sampling, distance checks and the rhombus search
 # ---------------------------------------------------------------------------
 
 def sample_real_sphere(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -142,51 +138,6 @@ def sample_real_sphere(d: int, size: int, rng: np.random.Generator) -> np.ndarra
 def sample_complex_sphere(k: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. uniform points on S^{k-1}(C), shape (size, k) complex."""
     return uninterleave(sample_real_sphere(2 * k, size, rng))
-
-
-_MC_CHUNK = 1 << 15
-
-
-def _chunked_count(samples: int, seed: int, stream: int, substream_base: int,
-                   count):
-    """Sum of count(rng, size) over chunks of at most _MC_CHUNK samples;
-    chunk i draws from philox_rng(seed, stream, substream_base + i)."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    return sum(count(philox_rng(seed, stream, substream_base + ci),
-                     min(_MC_CHUNK, samples - ci * _MC_CHUNK))
-               for ci in range((samples + _MC_CHUNK - 1) // _MC_CHUNK))
-
-
-def _mc_first_coord_fraction(d: int, threshold: float, samples: int, seed: int,
-                             substream_base: int):
-    """Fraction of uniform points on S^{d-1}(R) with first coordinate at
-    least `threshold`, plus its binomial standard error."""
-
-    def count(rng, size):
-        x = rng.standard_normal((size, d))
-        nrm = np.linalg.norm(x, axis=1)
-        return int(np.count_nonzero(x[:, 0] >= threshold * nrm))
-
-    hits = _chunked_count(samples, seed, _STREAM_MC, substream_base, count)
-    phat = hits / samples
-    se = math.sqrt(max(phat * (1.0 - phat), 1.0 / samples) / samples)
-    return phat, se
-
-
-def mc_cap_height_measure(k: int, alpha: float, samples: int, seed: int):
-    """Monte Carlo measure of a cap of height 1-alpha on S^{k-1}(C)."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    return _mc_first_coord_fraction(2 * k, alpha, samples, seed, 0)
-
-
-def mc_cap_radius_measure(k: int, radius: float, samples: int, seed: int):
-    """Monte Carlo measure of {x : |x - pole| <= radius} on S^{k-1}(C)."""
-    if not 0.0 < radius <= 2.0:
-        raise ValueError("radius must lie in (0, 2]")
-    threshold = 1.0 - radius * radius / 2.0
-    return _mc_first_coord_fraction(2 * k, threshold, samples, seed, 1 << 20)
 
 
 def two_set_distance_check(A, B, nu: float) -> bool:
@@ -506,14 +457,3 @@ def partition_real_sphere(d: int, n: int, delta: float, seed: int) -> RealSphere
         raise InfeasiblePartition(
             f"n={n} cells on S^{d-1}(R) certify diameter {max_diam:.6f} > delta={delta}")
     return RealSpherePartition(d, n, cells, tree, max_diam, seed)
-
-
-def monte_carlo_cell_counts(partition: RealSpherePartition, samples: int,
-                            seed: int) -> np.ndarray:
-    """Hit counts per cell for uniform sphere samples (counter-keyed chunks)."""
-
-    def count(rng, size):
-        pts = sample_real_sphere(partition.d, size, rng)
-        return np.bincount(partition.locate(pts), minlength=partition.n)
-
-    return _chunked_count(samples, seed, _STREAM_SAMPLE, 0, count)

@@ -108,18 +108,6 @@ class PWeightedGraph:
                                       for j in range(i + 1, self.m)))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "PWeightedGraph":
-        tokens = text.split()
-        if len(tokens) < 2:
-            raise ValueError("weighted graph text must start with 'p m'")
-        p, m = int(tokens[0]), int(tokens[1])
-        expected = m * (m - 1) // 2
-        if len(tokens) - 2 != expected:
-            raise ValueError(f"m={m} needs {expected} upper-triangle weights, "
-                             f"found {len(tokens) - 2}")
-        return cls.from_upper(p, m, (int(t) for t in tokens[2:]))
-
 
 # ---------------------------------------------------------------------------
 # dominance primitives

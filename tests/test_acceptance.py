@@ -5,7 +5,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from test_analysis import subgraph
 from test_mbe import reference_find_dense_subconfig
+from test_sphere import mc_cap_height_measure, mc_cap_radius_measure
 
 from rtlab import sphere as S
 from rtlab.analysis import max_clique, rho_star, theorem13_density
@@ -72,7 +74,7 @@ def test_cbe_inner_freeness():
             g = cbe_instance(p, ell, seed)
             lg = g.to_labeled_graph()
             for lo, hi in ((0, 300), (300, 600)):
-                cert = max_clique(lg.subgraph(range(lo, hi)))
+                cert = max_clique(subgraph(lg, range(lo, hi)))
                 assert cert.exhaustive
                 if cert.size > p:
                     _report("cbe-inner-freeness", False,
@@ -191,14 +193,14 @@ def test_geometry_oracles():
     details = []
     for k in (10, 20, 40):
         for alpha in (0.1, 0.3, 0.5):
-            est, se = S.mc_cap_height_measure(k, alpha, samples, seed=100 + k)
+            est, se = mc_cap_height_measure(k, alpha, samples, seed=100 + k)
             bound = S.cap_measure_upper_bound(k, alpha)
             if est > bound + 4 * se:
                 ok = False
                 details.append(f"upper k={k} a={alpha}")
         for delta in (0.1, 0.3, 0.5):
             radius = math.sqrt(2) - delta / math.sqrt(2 * k)
-            est, se = S.mc_cap_radius_measure(k, radius, samples, seed=200 + k)
+            est, se = mc_cap_radius_measure(k, radius, samples, seed=200 + k)
             bound = S.cap_measure_lower_bound(k, delta)
             if est < bound - 4 * se:
                 ok = False

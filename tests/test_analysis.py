@@ -11,8 +11,8 @@ from rtlab.analysis import (
     _colour_bound,
     _degeneracy_order,
     _find_clique,
+    _induced_rows,
     _unpack_rows,
-    complete_join,
     density_report,
     max_clique,
     p_independence,
@@ -26,8 +26,29 @@ from rtlab.sphere import ResourceLimit
 
 
 # ---------------------------------------------------------------------------
-# oracles
+# graph helpers and oracles
 # ---------------------------------------------------------------------------
+
+def subgraph(g: LabeledGraph, vertices) -> LabeledGraph:
+    """The subgraph induced on vertices, renumbered 0.. in the given order."""
+    vs = list(vertices)
+    if any(not 0 <= v < g.n for v in vs):
+        raise ValueError("subgraph vertex out of range")
+    return LabeledGraph(len(vs), _induced_rows(g.rows, vs))
+
+
+def complete_join(graphs) -> LabeledGraph:
+    """Disjoint union plus all cross edges between distinct inputs."""
+    graphs = list(graphs)
+    total = sum(g.n for g in graphs)
+    matrix = np.ones((total, total), dtype=bool)
+    off = 0
+    for g in graphs:
+        matrix[off:off + g.n, off:off + g.n] = np.unpackbits(
+            g.rows, axis=1, count=g.n, bitorder="little")
+        off += g.n
+    return LabeledGraph.from_adjacency(matrix)
+
 
 def brute_max_clique(g: LabeledGraph) -> int:
     """Enumerate every clique by DFS over least-vertex extensions."""
@@ -135,6 +156,7 @@ def reference_p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
 
 
 def colour_bound(g: LabeledGraph) -> int:
+    """Colours of the smallest-last colouring on the graph's own labels."""
     return _colour_bound(_unpack_rows(g.rows), _degeneracy_order(g.rows))
 
 
@@ -451,7 +473,7 @@ def test_from_adjacency_matches_per_entry_rows(n, tmp_path):
     pos = rng.permutation(n + 70)[:n]
     big[np.ix_(pos, pos)] = matrix
     big = np.triu(big, 1) | np.triu(big, 1).T
-    assert_rows(LabeledGraph.from_adjacency(big).subgraph(pos.tolist()), matrix)
+    assert_rows(subgraph(LabeledGraph.from_adjacency(big), pos.tolist()), matrix)
     # the join of g's first k and last n - k vertices
     k = n // 3
     joined = matrix.copy()

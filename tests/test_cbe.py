@@ -6,11 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_analysis import subgraph
 
 from rtlab import cbe
 from rtlab import sphere as S
 from rtlab.analysis import max_clique, read_edge_list, write_edge_list
-from rtlab.cbe import CbeGraph, CbeParams, build_cbe, cross_edge, rotation_witness
+from rtlab.cbe import CbeGraph, CbeParams, build_cbe
 from rtlab.sphere import GEOM_TOL, InfeasiblePartition
 
 
@@ -19,23 +20,41 @@ def params(p=3, ell=1, k=8, n=50, epsilon=0.05, big_k=10.0, seed=1, mode="sample
                      seed=seed, mode=mode)
 
 
-def unit_with_inner_product(k, c):
-    """w = e1 and z with <w, z> = c (|c| <= 1)."""
-    w = np.zeros(k, dtype=complex)
-    w[0] = 1.0
-    z = np.zeros(k, dtype=complex)
-    z[0] = np.conj(c)
-    z[1] = math.sqrt(max(0.0, 1.0 - abs(c) ** 2))
-    return w, z
+def inner(u, v):
+    """<u, v> = sum_i u_i conj(v_i)."""
+    return complex(np.sum(u * np.conj(v)))
 
 
-def cross_edge_oracle(ip, p, ell, kmu):
-    """Direct evaluation of both cross predicates for one inner product."""
-    rho = cmath.exp(2j * math.pi / p)
-    strips = all(abs((rho ** h * ip).imag) >= kmu for h in range(p))
+def rotation_witness(ip, params):
+    """Reference rule B1 on one inner product ip = <u, v>: the smallest h in
+    [p-1] with |u - rho^h v| <= sqrt(mu) (GEOM_TOL slack), or None."""
+    rho = cmath.exp(2j * math.pi / params.p)
+    for h in range(1, params.p):
+        # |u - rho^h v|^2 = 2 - 2 Re(rho^{-h} <u, v>) on unit vectors
+        if 2.0 - 2.0 * (rho ** -h * ip).real <= params.mu + GEOM_TOL:
+            return h
+    return None
+
+
+def cross_edge(ip, params):
+    """Reference rule B2 on one inner product ip = <w, z>: |Im(rho^h ip)| >=
+    K mu for every h, and arg ip in [0, 2 pi ell / p] (GEOM_TOL slack)."""
+    rho = cmath.exp(2j * math.pi / params.p)
+    kmu = params.big_k * params.mu
+    strips = all(abs((rho ** h * ip).imag) >= kmu - GEOM_TOL for h in range(params.p))
     ang = cmath.phase(ip) % (2 * math.pi)
-    window = ang <= 2 * math.pi * ell / p
+    window_hi = 2 * math.pi * params.ell / params.p
+    window = ang <= window_hi + GEOM_TOL or ang >= 2 * math.pi - GEOM_TOL
     return strips and window
+
+
+def kernel_cross_edge(ip, params):
+    """cbe._cross_adjacency on w = e_1 and a unit z with <w, z> = ip."""
+    w = np.zeros((1, params.k), dtype=complex)
+    z = np.zeros((1, params.k), dtype=complex)
+    w[0, 0] = 1.0
+    z[0, 0], z[0, 1] = np.conj(ip), math.sqrt(max(0.0, 1.0 - abs(ip) ** 2))
+    return bool(cbe._cross_adjacency(w, z, params)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +112,8 @@ def test_rotation_witness_exact_rotation():
     pr = params(p=3, k=4)
     rng = S.philox_rng(5)
     v = S.sample_complex_sphere(4, 1, rng)[0]
-    assert rotation_witness(pr.rho * v, v, pr) == 1
-    assert rotation_witness(pr.rho ** 2 * v, v, pr) == 2
+    assert rotation_witness(inner(pr.rho * v, v), pr) == 1
+    assert rotation_witness(inner(pr.rho ** 2 * v, v), pr) == 2
 
 
 def test_rotation_witness_same_point_is_none():
@@ -104,7 +123,7 @@ def test_rotation_witness_same_point_is_none():
     v = S.sample_complex_sphere(4, 1, rng)[0]
     for h in range(1, 3):
         assert abs(1 - pr.rho ** h) >= 4 / 3 - 1e-12
-    assert rotation_witness(v, v, pr) is None
+    assert rotation_witness(inner(v, v), pr) is None
 
 
 def test_rotation_witness_random_pairs_none():
@@ -114,7 +133,7 @@ def test_rotation_witness_random_pairs_none():
     rng = S.philox_rng(7)
     U = S.sample_complex_sphere(16, 10_000, rng)
     V = S.sample_complex_sphere(16, 10_000, rng)
-    hits = sum(rotation_witness(U[i], V[i], pr) is not None for i in range(10_000))
+    hits = sum(rotation_witness(inner(U[i], V[i]), pr) is not None for i in range(10_000))
     bound = (pr.p - 1) * math.exp(-pr.k * (1 - pr.mu / 2) ** 2)
     assert hits == 0
     assert 10_000 * bound < 0.1  # the zero count is consistent with the cap bound
@@ -126,9 +145,8 @@ def test_rotation_relation_symmetry():
     rng = S.philox_rng(8)
     v = S.sample_complex_sphere(4, 1, rng)[0]
     u = pr.rho ** 2 * v
-    h = rotation_witness(u, v, pr)
-    assert h == 2
-    assert rotation_witness(v, u, pr) == pr.p - 2
+    assert rotation_witness(inner(u, v), pr) == 2
+    assert rotation_witness(inner(v, u), pr) == pr.p - 2
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +155,7 @@ def test_rotation_relation_symmetry():
 
 def test_cross_edge_orthogonal_false():
     pr = params(p=3, ell=1, k=4)
-    w, z = unit_with_inner_product(4, 0.0)
-    assert not cross_edge(w, z, pr)
+    assert not cross_edge(0j, pr) and not kernel_cross_edge(0j, pr)
 
 
 def test_cross_edge_strip_centre_false():
@@ -147,23 +164,19 @@ def test_cross_edge_strip_centre_false():
     pr = CbeParams(p=3, ell=1, k=4, n=1, epsilon=0.001 * math.sqrt(8), big_k=1.0, seed=0)
     ip = 0.5 * cmath.exp(1j * math.pi / 3)
     assert abs((pr.rho * ip).imag) < pr.big_k * pr.mu
-    assert not cross_edge_oracle(ip, 3, 1, pr.big_k * pr.mu)
-    w, z = unit_with_inner_product(4, ip)
-    assert not cross_edge(w, z, pr)
+    assert not cross_edge(ip, pr) and not kernel_cross_edge(ip, pr)
 
 
 def test_cross_edge_inside_window_true():
     pr = CbeParams(p=3, ell=1, k=4, n=1, epsilon=0.001 * math.sqrt(8), big_k=1.0, seed=0)
     ip = 0.5 * cmath.exp(1j * math.pi / 2)
-    assert cross_edge_oracle(ip, 3, 1, pr.big_k * pr.mu)
-    w, z = unit_with_inner_product(4, ip)
-    assert cross_edge(w, z, pr)
+    assert cross_edge(ip, pr) and kernel_cross_edge(ip, pr)
 
 
 def test_cross_edge_window_excludes_large_argument():
     pr = params(p=3, ell=1, k=4)
-    w, z = unit_with_inner_product(4, 0.5 * cmath.exp(1j * math.pi))
-    assert not cross_edge(w, z, pr)
+    ip = 0.5 * cmath.exp(1j * math.pi)
+    assert not cross_edge(ip, pr) and not kernel_cross_edge(ip, pr)
 
 
 def test_cross_edge_matches_oracle_on_random_pairs():
@@ -171,14 +184,15 @@ def test_cross_edge_matches_oracle_on_random_pairs():
     rng = S.philox_rng(9)
     W = S.sample_complex_sphere(8, 60, rng)
     Z = S.sample_complex_sphere(8, 60, rng)
-    kmu = pr.big_k * pr.mu
-    for i in range(60):
-        ip = complex(np.sum(W[i] * np.conj(Z[i])))
+    kmu = pr.big_k * pr.mu - GEOM_TOL
+    adjacency = cbe._cross_adjacency(W, Z, pr)
+    for i, j in itertools.product(range(60), repeat=2):
+        ip = inner(W[i], Z[j])
         # skip knife-edge cases within float slack of the thresholds
         margin = min(abs(abs((pr.rho ** h * ip).imag) - kmu) for h in range(4))
         if margin < 1e-12:
             continue
-        assert cross_edge(W[i], Z[i], pr) == cross_edge_oracle(ip, 4, 2, kmu)
+        assert adjacency[i, j] == cross_edge(ip, pr)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +206,13 @@ def test_build_edge_rules_sound():
     n = pr.n
     for i in range(n):
         for j in range(i + 1, n):
-            w = rotation_witness(g.W[i], g.W[j], pr)
+            w = rotation_witness(inner(g.W[i], g.W[j]), pr)
             assert (w is not None) == g.adjacency[i, j]
-            zw = rotation_witness(g.Z[i], g.Z[j], pr)
+            zw = rotation_witness(inner(g.Z[i], g.Z[j]), pr)
             assert (zw is not None) == g.adjacency[n + i, n + j]
     for i in range(n):
         for j in range(n):
-            assert g.adjacency[i, n + j] == cross_edge(g.W[i], g.Z[j], pr)
+            assert g.adjacency[i, n + j] == cross_edge(inner(g.W[i], g.Z[j]), pr)
     assert not np.any(np.diag(g.adjacency))
     assert np.array_equal(g.adjacency, g.adjacency.T)
 
@@ -229,17 +243,16 @@ def test_rotation_composition_on_triangles():
     ]
     assert triangles  # the rotation family forces inner triangles
     for i, j, t in triangles:
-        h_i = rotation_witness(g.W[i], g.W[t], pr)
-        h_j = rotation_witness(g.W[j], g.W[t], pr)
+        h_i = rotation_witness(inner(g.W[i], g.W[t]), pr)
+        h_j = rotation_witness(inner(g.W[j], g.W[t]), pr)
         assert h_i != h_j
-        assert rotation_witness(g.W[i], g.W[j], pr) == (h_i - h_j) % pr.p
+        assert rotation_witness(inner(g.W[i], g.W[j]), pr) == (h_i - h_j) % pr.p
 
 
 def test_inner_graphs_kp1_free():
     for p, seed in [(3, 1), (4, 2), (5, 3)]:
         pr, g = _rotation_family(p=p, k=6, ell=1, seed=seed, extra_per_class=2)
-        inner = g.to_labeled_graph().subgraph(range(pr.n))
-        cert = max_clique(inner)
+        cert = max_clique(subgraph(g.to_labeled_graph(), range(pr.n)))
         assert cert.exhaustive
         assert cert.size == p  # one vertex per rotation class, never p + 1
 

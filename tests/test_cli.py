@@ -449,6 +449,10 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
      "capped at 5000 vertices"),
     (lambda d: ["analyze", _write(d / "big.edges", f"# n={10**30}\n0 1\n")],
      f"packed rows of n={10**30} vertices"),
+    # one edge: the K_2-free search cannot stop early, and recurses once per
+    # vertex, past Python's recursion limit
+    (lambda d: ["analyze", _write(d / "deep.edges", "# n=1500\n0 1\n"), "--p", 2,
+                "--exact-limit", 5000], "maximum recursion depth exceeded"),
     (lambda d: ["gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4, "--m", 2,
                 "--seed", 1, "--out", d / "g"], "capped at ell <= 6"),
     (lambda d: ["sweep", "gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4,
@@ -460,7 +464,8 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
     (lambda d: ["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 4, "--m", 10 ** 400,
                 "--seed", 1, "--out", d / "g"], "m exceeds the desk bound 1000000"),
 ], ids=["gen-mbe-hyperedges", "gen-mbe-adjacency", "analyze-clique", "analyze-rows",
-        "gen-mbe-ell", "sweep-mbe-ell", "gen-mbe-ell-before-m^ell", "gen-mbe-m-before-points"])
+        "analyze-recursion", "gen-mbe-ell", "sweep-mbe-ell", "gen-mbe-ell-before-m^ell",
+        "gen-mbe-m-before-points"])
 def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
         run(argv(tmp_path))
@@ -551,6 +556,34 @@ def test_command_errors_print_the_command_usage(tmp_path, capsys, argv):
     assert captured.err.startswith(f"usage: rtlab {argv[0]} ")
     assert f"rtlab {argv[0]}: error: " in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, written", [
+    (lambda d: ["gen-cbe", *_argv(FIELD_CASES["gen-cbe"][1])], "g.edges"),
+    (lambda d: ["gen-mbe", *_argv(FIELD_CASES["gen-mbe"][1])], "g.edges"),
+    (lambda d: ["analyze", _write(d / "g.edges", "# n=3\n0 1\n")], "g"),
+    (lambda d: ["certify", "theorem15-window"], "g"),
+    (lambda d: ["sweep", "gen-cbe", *_argv(FIELD_CASES["gen-cbe"][1])], "g"),
+], ids=["gen-cbe", "gen-mbe", "analyze", "certify", "sweep"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, written):
+    """Exit 1 means a certified bound failed; a path that cannot be written
+    is a usage error, named in the message."""
+    out = tmp_path / "missing" / "g"
+    with pytest.raises(SystemExit) as exc:
+        run([*argv(tmp_path), "--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out.parent / written}: No such file or directory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_names_the_output(capsys):
+    # the write fails on flush, with no file name in the error
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", "theorem15-window", "--out", "/dev/full"])
+    assert exc.value.code == 2
+    assert "cannot write /dev/full: No space left on device" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

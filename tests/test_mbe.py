@@ -37,6 +37,18 @@ def antipodal_points(k, half, seed):
     return np.vstack([pts, -pts])
 
 
+def hyperedge_valid(points, mu, ids):
+    """Whether (r, ell) arrays of point ids, stacked on any leading axes and
+    row i labelled by binary string i, meet every Q_h constraint by the
+    distances themselves: |x - y| >= 2 - mu (GEOM_TOL slack) for the h-th
+    points of every two rows whose labels differ at bit h."""
+    x = points[ids]                                                 # (..., r, ell, dim)
+    gap = np.linalg.norm(x[..., :, None, :, :] - x[..., None, :, :, :], axis=-1)
+    r, ell = ids.shape[-2:]
+    bits = np.arange(r)[:, None] >> np.arange(ell - 1, -1, -1) & 1
+    return np.all(gap[..., bits[:, None] != bits] >= (2 - mu) - S.GEOM_TOL, axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Q_h family
 # ---------------------------------------------------------------------------
@@ -149,7 +161,7 @@ def test_base_hyperedge_antipodal_pair():
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     hg = build_base_hypergraph(pr, points=P)
     assert len(hg.hyperedges) == 1
-    assert hg.hyperedge_valid(hg.hyperedges[0])
+    assert hyperedge_valid(hg.points, hg.mu, hg.vertices[hg.hyperedges[0]])
 
 
 def test_base_hyperedge_orthogonal_pair_absent():
@@ -162,28 +174,10 @@ def test_base_hyperedge_orthogonal_pair_absent():
 def brute_force_base_edges(P, ell, mu):
     """All r-subsets of P^ell admitting a labelling that satisfies every
     Q_h antipodality constraint."""
-    fam = BinaryStringFamily(ell)
-    m = P.shape[0]
-    vertices = list(itertools.product(range(m), repeat=ell))
-    vid = {v: i for i, v in enumerate(vertices)}
-    q_edges = {h: fam.q_edges(h) for h in range(1, ell + 1)}
-
-    def ok(labelled):
-        for h in range(1, ell + 1):
-            for a, b in q_edges[h]:
-                xa = P[labelled[a][h - 1]]
-                xb = P[labelled[b][h - 1]]
-                if np.linalg.norm(xa - xb) < 2 - mu:
-                    return False
-        return True
-
-    found = set()
-    for subset in itertools.combinations(vertices, fam.r):
-        for perm in itertools.permutations(subset):
-            if ok(perm):
-                found.add(frozenset(vid[v] for v in subset))
-                break
-    return found
+    vertices = list(itertools.product(range(P.shape[0]), repeat=ell))
+    return {frozenset(map(vertices.index, subset))
+            for subset in itertools.combinations(vertices, 2 ** ell)
+            if hyperedge_valid(P, mu, np.array(list(itertools.permutations(subset)))).any()}
 
 
 def test_base_hypergraph_matches_bruteforce():
@@ -195,7 +189,7 @@ def test_base_hypergraph_matches_bruteforce():
     assert built == expected
     assert len(built) == 4  # one per choice of unordered pair per coordinate
     for edge in hg.hyperedges:
-        assert hg.hyperedge_valid(edge)
+        assert hyperedge_valid(hg.points, hg.mu, hg.vertices[edge])
 
 
 def test_base_hyperedge_two_exact_antipodal_pairs():
@@ -353,7 +347,7 @@ def test_blowup_copies_and_geometry():
     assert report.candidate_copies == len(hg.hyperedges) * 4 ** hg.r
     # blown-up hyperedges keep the antipodality constraints (mu slack)
     for edge in blown.hyperedges[:20]:
-        assert blown.hyperedge_valid(edge)
+        assert hyperedge_valid(blown.points, blown.mu, blown.vertices[edge])
 
 
 def reference_blowup(base, t, seed, retention):

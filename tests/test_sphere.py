@@ -5,6 +5,66 @@ import pytest
 
 from rtlab import sphere as S
 
+# ---------------------------------------------------------------------------
+# Monte Carlo estimators: references for the cap bounds and the partition
+# ---------------------------------------------------------------------------
+
+_STREAM_MC = 1
+_STREAM_SAMPLE = 30  # beside cbe's 10s and mbe's 20s, clear of the cell streams
+_MC_CHUNK = 1 << 15
+
+
+def _chunked_count(samples: int, seed: int, stream: int, substream_base: int,
+                   count):
+    """Sum of count(rng, size) over chunks of at most _MC_CHUNK samples;
+    chunk i draws from philox_rng(seed, stream, substream_base + i)."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    return sum(count(S.philox_rng(seed, stream, substream_base + ci),
+                     min(_MC_CHUNK, samples - ci * _MC_CHUNK))
+               for ci in range((samples + _MC_CHUNK - 1) // _MC_CHUNK))
+
+
+def _mc_first_coord_fraction(d: int, threshold: float, samples: int, seed: int,
+                             substream_base: int):
+    """Fraction of uniform points on S^{d-1}(R) with first coordinate at
+    least `threshold`, plus its binomial standard error."""
+
+    def count(rng, size):
+        x = rng.standard_normal((size, d))
+        nrm = np.linalg.norm(x, axis=1)
+        return int(np.count_nonzero(x[:, 0] >= threshold * nrm))
+
+    hits = _chunked_count(samples, seed, _STREAM_MC, substream_base, count)
+    phat = hits / samples
+    se = math.sqrt(max(phat * (1.0 - phat), 1.0 / samples) / samples)
+    return phat, se
+
+
+def mc_cap_height_measure(k: int, alpha: float, samples: int, seed: int):
+    """Monte Carlo measure of a cap of height 1-alpha on S^{k-1}(C)."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must lie in [0, 1)")
+    return _mc_first_coord_fraction(2 * k, alpha, samples, seed, 0)
+
+
+def mc_cap_radius_measure(k: int, radius: float, samples: int, seed: int):
+    """Monte Carlo measure of {x : |x - pole| <= radius} on S^{k-1}(C)."""
+    if not 0.0 < radius <= 2.0:
+        raise ValueError("radius must lie in (0, 2]")
+    threshold = 1.0 - radius * radius / 2.0
+    return _mc_first_coord_fraction(2 * k, threshold, samples, seed, 1 << 20)
+
+
+def monte_carlo_cell_counts(partition, samples: int, seed: int) -> np.ndarray:
+    """Hit counts per cell for uniform sphere samples (counter-keyed chunks)."""
+
+    def count(rng, size):
+        pts = S.sample_real_sphere(partition.d, size, rng)
+        return np.bincount(partition.locate(pts), minlength=partition.n)
+
+    return _chunked_count(samples, seed, _STREAM_SAMPLE, 0, count)
+
 
 # ---------------------------------------------------------------------------
 # isometry
@@ -62,23 +122,23 @@ def test_cap_lower_bound_values():
 def test_mc_cap_upper_bound_respected():
     # measure of a height-(1-alpha) cap stays below exp(-k alpha^2)
     k, alpha = 40, 0.3
-    est, se = S.mc_cap_height_measure(k, alpha, samples=200_000, seed=11)
+    est, se = mc_cap_height_measure(k, alpha, samples=200_000, seed=11)
     assert est <= math.exp(-k * alpha**2) + 4 * se
 
 
 def test_mc_cap_lower_bound_respected():
     k, delta = 50, 0.2
     radius = math.sqrt(2) - delta / math.sqrt(2 * k)
-    est, se = S.mc_cap_radius_measure(k, radius, samples=200_000, seed=12)
+    est, se = mc_cap_radius_measure(k, radius, samples=200_000, seed=12)
     assert est >= S.cap_measure_lower_bound(k, delta) - 4 * se
 
 
 def test_mc_same_seed_same_estimate():
-    samples = 2 * S._MC_CHUNK + 4_464          # three chunks, the last partial
-    a = S.mc_cap_height_measure(10, 0.2, samples=samples, seed=5)
-    b = S.mc_cap_height_measure(10, 0.2, samples=samples, seed=5)
+    samples = 2 * _MC_CHUNK + 4_464          # three chunks, the last partial
+    a = mc_cap_height_measure(10, 0.2, samples=samples, seed=5)
+    b = mc_cap_height_measure(10, 0.2, samples=samples, seed=5)
     assert a == b
-    assert S.mc_cap_height_measure(10, 0.2, samples=samples, seed=6) != a
+    assert mc_cap_height_measure(10, 0.2, samples=samples, seed=6) != a
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +340,7 @@ def test_partition_equal_measure_monte_carlo():
     from scipy import stats
     n, samples = 5000, 10**6
     part = S.partition_real_sphere(6, n, delta=1.3, seed=1)
-    counts = S.monte_carlo_cell_counts(part, samples, seed=2)
+    counts = monte_carlo_cell_counts(part, samples, seed=2)
     assert counts.sum() == samples
     expected = samples / n
     z = stats.norm.isf(1e-4 / (2 * n))
@@ -290,21 +350,21 @@ def test_partition_equal_measure_monte_carlo():
 
 def test_partition_mc_seed_determinism():
     part = S.partition_real_sphere(4, 32, delta=2.0, seed=3)
-    samples = S._MC_CHUNK + 17_232             # two chunks, the last partial
-    c1 = S.monte_carlo_cell_counts(part, samples, seed=4)
-    c2 = S.monte_carlo_cell_counts(part, samples, seed=4)
+    samples = _MC_CHUNK + 17_232             # two chunks, the last partial
+    c1 = monte_carlo_cell_counts(part, samples, seed=4)
+    c2 = monte_carlo_cell_counts(part, samples, seed=4)
     assert np.array_equal(c1, c2) and c1.sum() == samples
     # the chunks are keyed by index: the first chunk alone repeats its counts
-    first = S.monte_carlo_cell_counts(part, S._MC_CHUNK, seed=4)
+    first = monte_carlo_cell_counts(part, _MC_CHUNK, seed=4)
     assert np.all(first <= c1) and not np.array_equal(first, c1)
 
 
 def test_mc_rejects_no_samples():
     part = S.partition_real_sphere(4, 6, delta=2.0, seed=1)
     with pytest.raises(ValueError, match="samples"):
-        S.monte_carlo_cell_counts(part, 0, seed=1)
+        monte_carlo_cell_counts(part, 0, seed=1)
     with pytest.raises(ValueError, match="samples"):
-        S.mc_cap_height_measure(10, 0.2, samples=0, seed=1)
+        mc_cap_height_measure(10, 0.2, samples=0, seed=1)
 
 
 def test_partition_determinism():
@@ -329,8 +389,8 @@ def test_stream_ids_are_distinct():
     # substreams 0 and 1, and every substream it accepts must stay clear of
     # every other consumer of the same seed
     from rtlab import cbe, cli, mbe, weighted
-    streams = [S._STREAM_MC, *(S._STREAM_CELL + s for s in range(S._CELL_SUBSTREAMS)),
-               S._STREAM_SAMPLE,
+    streams = [_STREAM_MC, *(S._STREAM_CELL + s for s in range(S._CELL_SUBSTREAMS)),
+               _STREAM_SAMPLE,
                cbe._STREAM_W, cbe._STREAM_Z,
                mbe._STREAM_POINTS, mbe._STREAM_DUPS, mbe._STREAM_RETAIN,
                weighted._STREAM_NUMERIC, cli._STREAM_GOFA, cli._STREAM_DOMINANCE]

