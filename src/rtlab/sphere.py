@@ -24,7 +24,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+# imported here, not on the first philox_rng call, so that its cost falls in
+# start-up with numpy's own; every gen-* run draws from philox_rng
+import numpy.random  # noqa: F401
 
 GEOM_TOL = 1e-9
 
@@ -225,6 +227,9 @@ def _chord(w: float) -> float:
 
 def _polar_cdf(m: int, theta: float) -> float:
     """Normalised integral of sin^m on [0, theta], theta in [0, pi], m >= 1."""
+    # scipy is imported only by the equal-measure partition, so commands
+    # that build none never load it
+    from scipy import special
     if theta <= 0.0:
         return 0.0
     if theta >= math.pi:
@@ -237,6 +242,7 @@ def _polar_cdf(m: int, theta: float) -> float:
 
 def _polar_ppf(m: int, u: float) -> float:
     """Inverse of _polar_cdf in u, clipped to [0, pi]."""
+    from scipy import special
     u = min(max(u, 0.0), 1.0)
     a = 0.5 * (m + 1)
     if u <= 0.5:

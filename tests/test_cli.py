@@ -13,6 +13,7 @@ from rtlab import cli, weighted
 from rtlab.cbe import CbeParams
 from rtlab.cli import main, run_suite
 from rtlab.mbe import MbeParams
+from test_golden import GOLDEN, digests
 
 
 def run(argv):
@@ -171,14 +172,25 @@ def test_gen_mbe_partition_points(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def run_subprocess(argv, timeout=60):
-    """Run the CLI in a child process, so a search that hangs fails the test
-    within the timeout instead of stalling the suite."""
+def run_python(args, env=None, cwd=None, timeout=60):
+    """Run python with args in a child process that imports this rtlab, so a
+    search that hangs fails the test within the timeout instead of stalling
+    the suite.  env updates the child's environment; None unsets a name."""
     src = os.path.dirname(os.path.dirname(rtlab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    child_env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-m", "rtlab", *map(str, argv)],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+    for name, value in (env or {}).items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                          text=True, timeout=timeout, env=child_env, cwd=cwd)
+
+
+def run_subprocess(argv, env=None, timeout=60):
+    """Run the CLI in a child process."""
+    return run_python(["-m", "rtlab", *argv], env=env, timeout=timeout)
 
 
 def test_gen_mbe_long_strings_finish(tmp_path):
@@ -233,6 +245,68 @@ def test_gen_mbe_rejects_small_ell(tmp_path):
         run(["gen-mbe", "--ell", 2, "--p", 1, "--q", 4, "--k", 6, "--m", 4,
              "--seed", 1, "--out", tmp_path / "x"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Process start-up and the BLAS thread pool
+# ---------------------------------------------------------------------------
+
+_STARTUP_SCRIPT = """
+import sys
+import rtlab.cli
+scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not scipy, scipy
+assert "numpy.random" in sys.modules
+assert rtlab.cli.main(sys.argv[1].split()) == 0
+try:
+    rtlab.cli.main(sys.argv[2].split())
+except SystemExit as exc:
+    assert exc.code == 2, exc.code
+else:
+    raise AssertionError("the partition of S^2 did not exit 2")
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # only the equal-measure partition needs scipy, and it imports it itself;
+    # numpy.random is loaded at start-up, not inside the first command.  The
+    # golden strict case partitions S^1, whose one axis is uniform in angle,
+    # so it needs no scipy; a partition of S^2 must load it, for the polar
+    # axis, before it can certify (here refute) the cell diameter
+    [strict], [code], golden = GOLDEN["gen-cbe-strict"]
+    partition = ("gen-mbe --ell 1 --p 1 --q 2 --k 2 --m 64 --epsilon 0.2 --seed 1 "
+                 "--point-mode partition --out part")
+    proc = run_python(["-c", _STARTUP_SCRIPT, strict, partition], cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert "n=64 cells on S^2(R) certify diameter 0.752539 > delta" in proc.stderr
+    assert digests(tmp_path) == golden
+
+
+@pytest.mark.parametrize("value, seen", [(None, "4"), ("20", "20")])
+def test_blas_thread_timeout_default(value, seen):
+    proc = run_python(["-c", "import os, rtlab; "
+                             "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"],
+                      env={"OPENBLAS_THREAD_TIMEOUT": value})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == seen
+
+
+def test_gen_cbe_bytes_independent_of_blas_threads(tmp_path):
+    # at n = 800 per class OpenBLAS splits the Gram product between threads;
+    # the last run keeps OpenBLAS's own idle timeout of 28, not rtlab's 4
+    argv = ["gen-cbe", "--p", 3, "--ell", 1, "--k", 16, "--n", 800, "--seed", 1]
+    runs = {"threads1": {"OPENBLAS_NUM_THREADS": "1"},
+            "threads2": {"OPENBLAS_NUM_THREADS": "2"},
+            "timeout28": {"OPENBLAS_NUM_THREADS": None, "OPENBLAS_THREAD_TIMEOUT": "28"}}
+    outputs = []
+    for name, env in runs.items():
+        (tmp_path / name).mkdir()
+        proc = run_subprocess(argv + ["--out", tmp_path / name / "g"], env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(digests(tmp_path / name))
+    assert {"g.edges", "g.json"} <= set(outputs[0])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # ---------------------------------------------------------------------------

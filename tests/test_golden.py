@@ -173,13 +173,16 @@ GOLDEN = {
 }
 
 
+def digests(directory):
+    """File name -> sha256 of every file in directory."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.iterdir())}
+
+
 def run_case(directory, commands):
     """Exit codes of the commands, run in order, and the digests of the
     files they leave in directory."""
-    codes = [main(cmd.split()) for cmd in commands]
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in sorted(directory.iterdir())}
-    return codes, digests
+    return [main(cmd.split()) for cmd in commands], digests(directory)
 
 
 @pytest.mark.parametrize("case", GOLDEN)
