@@ -5,7 +5,9 @@ S^{k-1}(C).  Inside a class, u and v are adjacent when u is an h-rotation of
 v for some h in [p-1], i.e. |u - rho^h v| <= sqrt(mu) for the primitive
 p-th root of unity rho.  A cross pair (w, z) is adjacent when the inner
 product <w, z> avoids the thin strips where Im(rho^h <w,z>) is small for
-some h, and its argument falls in the window [0, 2 pi ell / p].
+some h, and its argument falls in the window [0, 2 pi ell / p].  Each rule
+is decided on the exact inner product of the stored float points, in float
+where the margin clears a rounding bound and in Fractions elsewhere.
 
 Two point-selection modes are supported.  The `sampled` default draws W and
 Z i.i.d. uniform on the sphere; the clique bounds are deterministic
@@ -20,6 +22,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,8 +35,9 @@ _STREAM_Z = 11
 # p n^2: the edge rules test each n x n Gram matrix p times, at about 30 s
 # per 10^9 tests on 2 vCPUs
 MAX_GRAM_TESTS = 10 ** 9
-# bytes of complex128 Gram rows tested at once: about 80 rows at n = 800
-_GRAM_BLOCK = 2 ** 20
+# bytes of complex128 Gram rows computed at once: about 40 rows at n = 800.
+# An edge test's float terms take (terms + 1) / 2 times as many bytes again
+_GRAM_BLOCK = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -86,66 +90,137 @@ class CbeParams:
         }
 
 
-def _inner_adjacency(points: np.ndarray, params: CbeParams) -> np.ndarray:
-    """Bool adjacency of one class: u ~ v iff u is an h-rotation of v for
-    some h in [p-1].
+def _float_margin(k: int) -> float:
+    """Bound on the float error of an edge test's margin at two points of
+    C^k of norm 1 up to rounding: 64 gamma_{2k+2}, a safe multiple of the
+    error of their inner product and of the few roundings after it (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 3.1),
+    and at least 1e-12, the bound up to k = 69."""
+    m = (2 * k + 2) * 2.0 ** -53
+    return max(1e-12, 64 * m / (1 - m))
 
-    The Gram matrix is one BLAS product; the rotation tests then run over
-    blocks of its rows, each on the columns from the block's first row on,
-    and write into the result."""
-    gram = points @ points.conj().T
-    n = len(gram)
-    adjacency = np.zeros((n, n), dtype=bool)
-    step = max(1, _GRAM_BLOCK // (16 * n))
-    rot = np.empty(step * n, dtype=np.complex128)
-    dist = np.empty(step * n)
-    near = np.empty(step * n, dtype=bool)
+
+def _rotation_terms(params: CbeParams) -> list[complex]:
+    """The rotation test reads Re(c <u, v>) for c = rho^-h, h in [p-1]."""
+    return [params.rho ** (-h) for h in range(1, params.p)]
+
+
+def _rotation_margin(t, params: CbeParams, num=float):
+    """Signed margin of the rotation test from its terms t, computed in place
+    in t[0]: >= 0 iff 2 - 2 Re(rho^-h <u, v>) <= mu + GEOM_TOL for some h.
+    With num=Fraction on object arrays of Fractions every step is exact; in
+    float the constant 2 - (mu + GEOM_TOL) rounds, well inside the bound."""
+    out = t[0]
+    for s in t[1:]:
+        np.maximum(out, s, out=out)
+    np.multiply(out, 2, out=out)
+    return np.subtract(out, 2 - num(params.mu + GEOM_TOL), out=out)
+
+
+def _window(params: CbeParams) -> tuple[float, float]:
+    """First and last angle of the cross test's window, GEOM_TOL slack included."""
+    return -GEOM_TOL, 2 * math.pi * params.ell / params.p + GEOM_TOL
+
+
+def _cross_terms(params: CbeParams) -> list[complex]:
+    """The cross test reads Re(c <w, z>) for c = -i rho^h, that is
+    Im(rho^h <w, z>), for h in 0..p-1; then, with the float direction
+    d = (cos a, sin a) of each window end a, Im(conj(d) <w, z>) for the
+    first end and its negation for the last."""
+    lo, hi = _window(params)
+    return ([complex(q.imag, -q.real) for q in (params.rho ** h for h in range(params.p))]
+            + [complex(-math.sin(lo), -math.cos(lo)), complex(math.sin(hi), math.cos(hi))])
+
+
+def _cross_margin(t, params: CbeParams, num=float):
+    """Signed margin of the cross test from its terms t, as _rotation_margin:
+    >= 0 iff |Im(rho^h <w, z>)| >= K mu - GEOM_TOL for every h and <w, z>
+    lies in the closed sector counterclockwise from the first window
+    direction to the last.  The sector is two half-plane sign tests, both
+    passed when it spans less than pi and one when it spans more.  On
+    signed margins min is 'and' and max is 'or'."""
+    lo, hi = _window(params)
+    *strips, after_lo, before_hi = t
+    out = np.abs(strips[0], out=strips[0])
+    for s in strips[1:]:
+        np.minimum(out, np.abs(s, out=s), out=out)
+    np.subtract(out, num(params.big_k * params.mu - GEOM_TOL), out=out)
+    join = np.maximum if hi - lo > math.pi else np.minimum
+    return np.minimum(out, join(after_lo, before_hi, out=after_lo), out=out)
+
+
+def _exact_gram(A: np.ndarray, B: np.ndarray):
+    """Real and imaginary parts of <A[t], B[t]> for each row t, exact, as
+    object arrays of Fractions."""
+    frac = np.vectorize(Fraction, otypes=[object])
+    ar, ai, br, bi = (frac(part) for part in (A.real, A.imag, B.real, B.imag))
+    return (ar * br + ai * bi).sum(axis=1), (ai * br - ar * bi).sum(axis=1)
+
+
+def _edge_tests(A: np.ndarray, B: np.ndarray, params: CbeParams, terms, margin,
+                fallbacks=None, upper=False) -> np.ndarray:
+    """Bool matrix of one edge test on the pairs (A[i], B[j]); with upper,
+    where A is B, on i < j only and False elsewhere.
+
+    Each block of rows of A takes its Gram entries from a product of its
+    own, against the rows of B from the block's first row on when upper.
+    One more product turns each entry x + iy into the test's terms
+    Re(c (x + iy)) = x Re c - y Im c.  The float margin decides where it
+    exceeds the error bound, and the margin of the exact Gram entry of the
+    stored points decides the rest, so no block size or BLAS path moves an
+    edge.  The count of exact decisions is appended to fallbacks."""
+    consts = terms(params)
+    coef = np.array([[c.real, -c.imag] for c in consts])
+    n, m = len(A), len(B)
+    edges = np.zeros((n, m), dtype=bool)
+    bound = _float_margin(params.k)
+    columns = B.conj().T
+    step = max(1, _GRAM_BLOCK // (16 * m))
+    gram_buf = np.empty(step * m, dtype=np.complex128)
+    term_buf = np.empty((len(consts) + 1, step * m))
+    near_buf = np.empty(step * m, dtype=bool)
+    exact = 0
     for lo in range(0, n, step):
-        block = gram[lo:lo + step, lo:]
-        hit = adjacency[lo:lo + step, lo:]
-        r, d, b = (buf[:block.size].reshape(block.shape) for buf in (rot, dist, near))
-        for h in range(1, params.p):
-            np.multiply(params.rho ** (-h), block, out=r)
-            np.multiply(2.0, r.real, out=d)
-            np.subtract(2.0, d, out=d)
-            np.less_equal(d, params.mu + GEOM_TOL, out=b)
-            hit |= b
-        # u h-rotation of v iff v (p-h)-rotation of u, but in floating point
-        # the two tests can disagree at the threshold: the i<j test decides
-        rows = len(hit)
-        hit[:, :rows] = np.triu(hit[:, :rows], 1)
+        first = lo if upper else 0
+        rows, cols = min(step, n - lo), m - first
+        size = rows * cols
+        gram = gram_buf[:size]
+        np.matmul(A[lo:lo + rows], columns[:, first:], out=gram.reshape(rows, cols))
+        t = np.matmul(coef, gram.view(np.float64).reshape(size, 2).T,
+                      out=term_buf[:-1, :size])
+        value = margin(t.reshape(-1, rows, cols), params)
+        if upper:
+            value[:, :rows][np.tri(rows, dtype=bool)] = -np.inf
+        block = edges[lo:lo + rows, first:]
+        np.greater(value, bound, out=block)
+        near = np.abs(value, out=term_buf[-1, :size].reshape(rows, cols))
+        near = np.less_equal(near, bound, out=near_buf[:size].reshape(rows, cols))
+        if near.any():
+            i, j = np.nonzero(near)
+            x, y = _exact_gram(A[lo + i], B[first + j])
+            t = np.array([Fraction(c.real) * x - Fraction(c.imag) * y for c in consts])
+            block[i, j] = margin(t, params, Fraction) >= 0
+            exact += i.size
+    if fallbacks is not None:
+        fallbacks.append(exact)
+    return edges
+
+
+def _inner_adjacency(points: np.ndarray, params: CbeParams, fallbacks=None) -> np.ndarray:
+    """Bool adjacency of one class: u ~ v iff u is an h-rotation of v for
+    some h in [p-1], tested by _edge_tests on the upper triangle.  With the
+    float rho^-h the test on (u, v) and the one on (v, u) can disagree at
+    the threshold: the i < j test decides."""
+    adjacency = _edge_tests(points, points, params, _rotation_terms, _rotation_margin,
+                            fallbacks, upper=True)
     adjacency |= adjacency.T
     return adjacency
 
 
-def _cross_adjacency(W: np.ndarray, Z: np.ndarray, params: CbeParams):
-    """Bool cross adjacency of W x Z, tested over blocks of Gram rows as in
-    _inner_adjacency.  A negative angle a becomes a + 2 pi, which is
-    a % (2 pi) but for the sign of a zero angle, so the window is the same."""
-    gram = W @ Z.conj().T
-    n, m = gram.shape
-    kmu = params.big_k * params.mu
-    window_hi = 2 * math.pi * params.ell / params.p
-    adjacency = np.empty((n, m), dtype=bool)
-    step = max(1, _GRAM_BLOCK // (16 * m))
-    rot = np.empty(step * m, dtype=np.complex128)
-    part = np.empty(step * m)
-    flag = np.empty(step * m, dtype=bool)
-    for lo in range(0, n, step):
-        block = gram[lo:lo + step]
-        edge = adjacency[lo:lo + step]
-        r, a, b = (buf[:block.size].reshape(block.shape) for buf in (rot, part, flag))
-        np.arctan2(block.imag, block.real, out=a)     # np.angle(block)
-        np.add(a, 2 * math.pi, out=a, where=a < 0)
-        np.less_equal(a, window_hi + GEOM_TOL, out=edge)
-        np.greater_equal(a, 2 * math.pi - GEOM_TOL, out=b)
-        edge |= b
-        for h in range(params.p):
-            np.multiply(params.rho ** h, block, out=r)
-            np.abs(r.imag, out=a)
-            np.greater_equal(a, kmu - GEOM_TOL, out=b)
-            edge &= b
-    return adjacency
+def _cross_adjacency(W: np.ndarray, Z: np.ndarray, params: CbeParams,
+                     fallbacks=None) -> np.ndarray:
+    """Bool cross adjacency of W x Z, tested by _edge_tests."""
+    return _edge_tests(W, Z, params, _cross_terms, _cross_margin, fallbacks)
 
 
 class CbeGraph:
@@ -157,14 +232,18 @@ class CbeGraph:
         self.params = params
         self.W = W
         self.Z = Z
-        cross = _cross_adjacency(W, Z, params)
+        fallbacks = []
+        cross = _cross_adjacency(W, Z, params, fallbacks)
         n = params.n
         adjacency = np.zeros((2 * n, 2 * n), dtype=bool)
-        adjacency[:n, :n] = _inner_adjacency(W, params)
-        adjacency[n:, n:] = _inner_adjacency(Z, params)
+        adjacency[:n, :n] = _inner_adjacency(W, params, fallbacks)
+        adjacency[n:, n:] = _inner_adjacency(Z, params, fallbacks)
         adjacency[:n, n:] = cross
         adjacency[n:, :n] = cross.T
         self.adjacency = adjacency
+        # edge tests decided from exact inner products: their float margin
+        # lay within the rounding bound
+        self.exact_decisions = sum(fallbacks)
 
     @property
     def n(self) -> int:

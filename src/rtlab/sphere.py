@@ -290,18 +290,32 @@ class _Node:
     children: tuple           # _Node or int cell id per bucket
 
 
+def _split_tree(cells, axis: int, first: int, last: int):
+    """The split tree of cells[first:last], boxes listed depth first that
+    share their bounds on the axes before axis: a cell id, or a _Node with
+    one bucket per run of cells with equal bounds on axis."""
+    if last - first == 1:
+        return first
+    starts = [i for i in range(first + 1, last)
+              if cells[i][0][axis] != cells[i - 1][0][axis]]
+    cuts = np.array([cells[i][0][axis] for i in starts])
+    bounds = [first, *starts, last]
+    return _Node(axis, cuts, tuple(_split_tree(cells, axis + 1, a, b)
+                                   for a, b in zip(bounds, bounds[1:])))
+
+
 class RealSpherePartition:
     """n equal-measure cells of S^{d-1}(R) with a certified diameter bound.
 
-    Each cell is an axis-aligned box in nested spherical coordinates; the
-    binary split tree doubles as a point-location structure.
+    Each cell is an axis-aligned box in nested spherical coordinates; locate
+    builds the split tree of the boxes on its first call.
     """
 
-    def __init__(self, d: int, n: int, cells, tree, max_diameter: float, seed: int):
+    def __init__(self, d: int, n: int, cells, max_diameter: float, seed: int):
         self.d = d
         self.n = n
-        self.cells = cells              # list of (lo, hi) angle arrays
-        self.tree = tree                # _Node or cell id
+        self.cells = cells              # list of (lo, hi) angle arrays, depth first
+        self._tree = None               # _Node or cell id, built by locate
         self.max_diameter = max_diameter
         self.seed = seed
         self._axes = [_Axis(d, j) for j in range(d - 1)]
@@ -362,9 +376,11 @@ class RealSpherePartition:
 
     def locate(self, points) -> np.ndarray:
         """Cell index for each point; total on the whole sphere."""
+        if self._tree is None:
+            self._tree = _split_tree(self.cells, 0, 0, self.n)
         ang = self._points_to_angles(points)
         out = np.empty(ang.shape[0], dtype=np.int64)
-        stack = [(self.tree, np.arange(ang.shape[0]))]
+        stack = [(self._tree, np.arange(ang.shape[0]))]
         while stack:
             node, idx = stack.pop()
             if idx.size == 0:
@@ -427,39 +443,35 @@ def partition_real_sphere(d: int, n: int, delta: float, seed: int) -> RealSphere
     def build(axis, lo, hi, count):
         if count == 1:
             cells.append((lo, hi))
-            return len(cells) - 1
+            return
         ax = axes[axis]
         if axis == d - 2:
             # circle: equal arcs
             edges = np.linspace(0.0, _TWO_PI, count + 1)
-            children = []
             for i in range(count):
                 clo = lo.copy(); chi = hi.copy()
                 clo[axis], chi[axis] = edges[i], edges[i + 1]
                 cells.append((clo, chi))
-                children.append(len(cells) - 1)
-            return _Node(axis, edges[1:-1], tuple(children))
+            return
         counts = _band_counts(ax.m, count)
         cum = np.cumsum(counts)
         cuts = np.array([ax.ppf(c / count) for c in cum[:-1]])
         if np.any(np.diff(cuts) <= 0.0) or (cuts.size and not (0.0 < cuts[0] and cuts[-1] < math.pi)):
             raise InfeasiblePartition(
                 f"band quantiles collapsed on axis {axis}; n={n} exceeds float resolution")
-        children = []
         lo_b = 0.0
         for i, c in enumerate(counts):
             hi_b = math.pi if i == len(counts) - 1 else float(cuts[i])
             blo = lo.copy(); bhi = hi.copy()
             blo[axis], bhi[axis] = lo_b, hi_b
-            children.append(build(axis + 1, blo, bhi, c))
+            build(axis + 1, blo, bhi, c)
             lo_b = hi_b
-        return _Node(axis, cuts, tuple(children))
 
     lo0 = np.zeros(d - 1)
     hi0 = np.array([ax.hi for ax in axes])
-    tree = build(0, lo0, hi0, n)
+    build(0, lo0, hi0, n)
     max_diam = max(_box_diameter_bound(lo, hi) for lo, hi in cells)
     if max_diam > delta + GEOM_TOL:
         raise InfeasiblePartition(
             f"n={n} cells on S^{d-1}(R) certify diameter {max_diam:.6f} > delta={delta}")
-    return RealSpherePartition(d, n, cells, tree, max_diam, seed)
+    return RealSpherePartition(d, n, cells, max_diam, seed)

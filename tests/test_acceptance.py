@@ -91,6 +91,17 @@ def test_cbe_cross_density():
             f"|d(W,Z) - 1/3| = {dev:.4f} (tolerance 0.15)")
 
 
+def test_cbe_edges_decided_in_float():
+    # every edge test of the 40 instances and the density instance clears
+    # the float error bound: no decision falls to the exact path
+    graphs = [cbe_instance(p, ell, seed) for p, ell in CBE_SETTINGS for seed in CBE_SEEDS]
+    graphs.append(build_cbe(CbeParams(p=3, ell=1, k=32, n=500, epsilon=0.02, big_k=2.0,
+                                      seed=1)))
+    exact = sum(g.exact_decisions for g in graphs)
+    _report("cbe-float-decisions", exact == 0,
+            f"{exact} exact decisions over {len(graphs)} instances (tolerance: none)")
+
+
 def test_mbe_clique_bound():
     checked = 0
     for ell, p, q, m in MBE_SETTINGS:

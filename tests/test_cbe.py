@@ -3,12 +3,14 @@ import itertools
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from test_analysis import subgraph
+from test_golden import digests
 
-from rtlab import cbe
+from rtlab import cbe, cli
 from rtlab import sphere as S
 from rtlab.analysis import max_clique, read_edge_list, write_edge_list
 from rtlab.cbe import CbeGraph, CbeParams, build_cbe
@@ -370,7 +372,7 @@ def assert_blocked_edges_match(pr, W, Z):
 
 
 # (n, _GRAM_BLOCK bytes): one vertex; n below the default block of
-# 2^16 // n rows; 300 = 218 + 82 rows; 45 = 6 * 7 + 3 rows; 1-row blocks
+# 2^15 // n rows; 300 = 2 * 109 + 82 rows; 45 = 6 * 7 + 3 rows; 1-row blocks
 GRAM_BLOCKS = [(1, None), (50, None), (300, None), (45, 16 * 45 * 7), (45, 1)]
 
 
@@ -401,3 +403,185 @@ def test_blocked_edge_tests_match_in_strict_mode(monkeypatch):
     assert_blocked_edges_match(pr, g.W, g.Z)
     monkeypatch.setattr(cbe, "_GRAM_BLOCK", 16 * 100 * 9)
     assert_blocked_edges_match(pr, g.W, g.Z)
+
+
+# ---------------------------------------------------------------------------
+# the exact fallback: planted pairs on either side of each threshold
+# ---------------------------------------------------------------------------
+
+def exact_inner(u, v):
+    """<u, v> of the stored floats, exactly, as the Fractions (Re, Im)."""
+    re = im = Fraction(0)
+    for a, b in zip(u, v):
+        ar, ai, br, bi = map(Fraction, (a.real, a.imag, b.real, b.imag))
+        re += ar * br + ai * bi
+        im += ai * br - ar * bi
+    return re, im
+
+
+def exact_rotation_edge(u, v, params):
+    """Rule B1 on the exact <u, v>: 2 - 2 Re(rho^-h <u, v>) <= mu + GEOM_TOL
+    for some h in [p-1], the constants being the library's floats."""
+    x, y = exact_inner(u, v)
+    slack = Fraction(params.mu + GEOM_TOL)
+    return any(2 - 2 * (Fraction(r.real) * x - Fraction(r.imag) * y) <= slack
+               for r in (params.rho ** -h for h in range(1, params.p)))
+
+
+def exact_cross_edge(w, z, params):
+    """Rule B2 on the exact <w, z>: |Im(rho^h <w, z>)| >= K mu - GEOM_TOL for
+    every h, and <w, z> in the closed sector from the float direction
+    (cos a, sin a) of a = -GEOM_TOL counterclockwise to that of
+    a = 2 pi ell / p + GEOM_TOL."""
+    x, y = exact_inner(w, z)
+    strip = Fraction(params.big_k * params.mu - GEOM_TOL)
+    if any(abs(Fraction(q.real) * y + Fraction(q.imag) * x) < strip
+           for q in (params.rho ** h for h in range(params.p))):
+        return False
+
+    def turn(a):        # >= 0 iff <w, z> lies on or left of the direction a
+        return Fraction(math.cos(a)) * y - Fraction(math.sin(a)) * x
+
+    lo, hi = -GEOM_TOL, 2 * math.pi * params.ell / params.p + GEOM_TOL
+    after_lo, before_hi = turn(lo) >= 0, turn(hi) <= 0
+    return (after_lo or before_hi) if hi - lo > math.pi else (after_lo and before_hi)
+
+
+def ulps_from(v, d):
+    """The float d ulps above v (below for negative d)."""
+    for _ in range(abs(d)):
+        v = float(np.nextafter(v, math.copysign(math.inf, d)))
+    return v
+
+
+def straddling(ip, value, threshold, reach=64):
+    """Inner products near ip whose float value(x, y) lies on either side of
+    threshold: for each x within 6 ulps of Re ip, the two floats y one ulp
+    apart between which value - threshold changes sign, and one more on
+    each side."""
+    found = []
+    for dx in range(-6, 7):
+        x = ulps_from(ip.real, dx)
+        ys = [ulps_from(ip.imag, dy) for dy in range(-reach, reach + 1)]
+        above = [value(x, y) > threshold for y in ys]
+        for i in range(len(ys) - 1):
+            if above[i] != above[i + 1]:
+                found += [complex(x, y) for y in ys[max(0, i - 1):i + 3]]
+    return found
+
+
+def point_with_inner(ip, k):
+    """A point of C^k, unit up to rounding, whose inner product with e_1 is
+    exactly ip, so that every BLAS path computes that Gram entry exactly."""
+    z = np.zeros(k, dtype=complex)
+    z[0], z[1] = np.conj(ip), math.sqrt(max(0.0, 1.0 - abs(ip) ** 2))
+    return z
+
+
+def planted_pairs():
+    """(name, params, kind, inner products) for each threshold: the rotation
+    test for each h, each strip (offset into the window), and both window
+    ends, with the strips made vacuous, of a window below pi and one past
+    it."""
+    pr = CbeParams(p=3, ell=1, k=4, n=1, epsilon=0.05, big_k=2.0, seed=0)
+    slack, strip = pr.mu + GEOM_TOL, pr.big_k * pr.mu - GEOM_TOL
+    cases = []
+    for h in range(1, pr.p):
+        r = pr.rho ** -h
+        cases.append((f"rotation-h{h}", pr, "inner", straddling(
+            (1 - slack / 2) * pr.rho ** h,
+            lambda x, y: 2 - 2 * (r.real * x - r.imag * y), slack)))
+    for h in range(pr.p):
+        q = pr.rho ** h
+        line = cmath.exp(1j * ((-2 * math.pi * h / pr.p) % math.pi))  # Im(q G) = 0
+        side = -1j if h == pr.p - 1 else 1j
+        cases.append((f"strip-h{h}", pr, "cross", straddling(
+            line * (0.6 + side * strip), lambda x, y: abs(q.real * y + q.imag * x), strip)))
+    for ell in (1, 2):
+        # K mu - GEOM_TOL < 0: every strip test passes, the window decides
+        no_strips = CbeParams(p=3, ell=ell, k=4, n=1, epsilon=1e-12, big_k=1.0, seed=0)
+        for end, a in (("start", -GEOM_TOL), ("end", 2 * math.pi * ell / 3 + GEOM_TOL)):
+            c, s_ = math.cos(a), math.sin(a)
+            cases.append((f"window-ell{ell}-{end}", no_strips, "cross", straddling(
+                0.6 * complex(c, s_), lambda x, y: c * y - s_ * x, 0.0)))
+    return cases
+
+
+PLANTED = planted_pairs()
+
+
+def planted_decisions(params, kind, ips, fallbacks=None):
+    """The library's decisions and the Fraction reference's on e_1 against
+    each planted point."""
+    e1 = np.eye(params.k, dtype=complex)[0]
+    Z = np.array([point_with_inner(ip, params.k) for ip in ips])
+    if kind == "inner":
+        got = cbe._inner_adjacency(np.vstack([e1, Z]), params, fallbacks)[0, 1:]
+        want = [exact_rotation_edge(e1, z, params) for z in Z]
+    else:
+        got = cbe._cross_adjacency(e1[None], Z, params, fallbacks)[0]
+        want = [exact_cross_edge(e1, z, params) for z in Z]
+    return got, np.array(want)
+
+
+@pytest.mark.parametrize("name, params, kind, ips", PLANTED, ids=[c[0] for c in PLANTED])
+def test_planted_thresholds_are_decided_exactly(name, params, kind, ips):
+    assert len(ips) >= 26             # every x offset found its crossing
+    fallbacks = []
+    got, want = planted_decisions(params, kind, ips, fallbacks)
+    assert sum(fallbacks) == len(ips)
+    assert np.array_equal(got, want)
+    assert want.any() and not want.all()
+
+
+def test_planted_thresholds_need_the_exact_path(monkeypatch):
+    # with a zero error bound the float margins decide: some planted pair
+    # then falls on the wrong side
+    monkeypatch.setattr(cbe, "_float_margin", lambda k: 0.0)
+    wrong = 0
+    for name, params, kind, ips in PLANTED:
+        got, want = planted_decisions(params, kind, ips)
+        wrong += int(np.sum(got != want))
+    assert wrong > 0
+
+
+def test_exact_references_match_the_float_rules_away_from_thresholds():
+    pr = params(p=4, ell=3, k=5, epsilon=0.3, big_k=1.0)
+    rng = S.philox_rng(12)
+    U = S.sample_complex_sphere(5, 40, rng)
+    for u, v in zip(U[:20], U[20:]):
+        assert exact_rotation_edge(u, v, pr) == (rotation_witness(inner(u, v), pr) is not None)
+        assert exact_cross_edge(u, v, pr) == cross_edge(inner(u, v), pr)
+
+
+def test_error_bound_is_1e_12_up_to_k_69_then_grows_with_k():
+    assert cbe._float_margin(1) == cbe._float_margin(69) == 1e-12
+    assert 1e-12 < cbe._float_margin(70) < cbe._float_margin(1000)
+
+
+@pytest.mark.parametrize("n, seed", [(800, 1), (800, 1009), (2500, 1)])
+def test_gen_cbe_bytes_independent_of_the_block_size(n, seed, tmp_path, monkeypatch):
+    # one row per block takes the gemv path, the default a gemm
+    graphs = []
+    monkeypatch.setattr(cli, "build_cbe", lambda pr: graphs.append(build_cbe(pr)) or graphs[-1])
+    outputs = []
+    for block in (cbe._GRAM_BLOCK, 1):
+        monkeypatch.setattr(cbe, "_GRAM_BLOCK", block)
+        out = tmp_path / str(block)
+        out.mkdir()
+        argv = ["gen-cbe", "--p", 3, "--ell", 1, "--k", 16, "--n", n, "--seed", seed,
+                "--out", out / "g"]
+        assert cli.main([str(a) for a in argv]) == 0
+        outputs.append(digests(out))
+    assert {"g.edges", "g.json"} <= set(outputs[0])
+    assert outputs[0] == outputs[1]
+    assert [g.exact_decisions for g in graphs] == [0, 0]
+
+
+def test_golden_configurations_decide_every_edge_in_float():
+    configs = [dict(k=8, n=40, seed=4),
+               dict(k=1, n=140, epsilon=0.27, seed=2, mode="strict")]
+    configs += [dict(k=k, n=n, seed=1) for k in (8, 16) for n in (20, 30)]
+    for config in configs:
+        graph = build_cbe(CbeParams(p=3, ell=1, **config))
+        assert graph.exact_decisions == 0, config

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -372,6 +373,22 @@ def test_partition_determinism():
     b = S.partition_real_sphere(4, 10, delta=2.0, seed=9)
     for i in range(a.n):
         assert np.array_equal(a.sample_cell(i, 1), b.sample_cell(i, 1))
+
+
+# S^1 is uniform in angle; S^2 and S^3 run the betainc / betaincinv path of
+# the polar axes, which no golden CLI output reaches
+PARTITION_POINTS_SHA256 = {
+    (3, 40): "582ecd50b053040d100d66317f87d68a8c9176e7a3ed999cb0f74cd45e8f6b30",
+    (4, 60): "2bcc9da08c9fb3b14b3a22bc21311d8b97bcc4e4927156bf848a282398878881",
+}
+
+
+@pytest.mark.parametrize("d, n", sorted(PARTITION_POINTS_SHA256))
+def test_partition_points_are_pinned(d, n):
+    part = S.partition_real_sphere(d, n, delta=2.0, seed=7)
+    pts = np.vstack([part.sample_cell(i, 2, substream=1) for i in range(n)])
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == PARTITION_POINTS_SHA256[d, n]
+    assert np.array_equal(part.locate(pts), np.repeat(np.arange(n), 2))
 
 
 def test_philox_keeps_every_seed_bit():
