@@ -18,8 +18,9 @@ from .sphere import ResourceLimit
 
 MAX_EXACT_CLIQUE_VERTICES = 5000
 MAX_ROW_BYTES = 2 ** 28          # packed rows of up to n = 46,340 vertices
-_READ_BLOCK = 2 ** 18            # bytes of an edge list parsed at once
-_SCATTER_BLOCK = 2 ** 22         # bytes of bool rows from_edges fills at once
+_READ_BLOCK = 2 ** 16            # bytes of an edge list parsed at once
+_SCATTER_BLOCK = 2 ** 14         # edges whose bits are set at once
+_BITS = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -47,40 +48,6 @@ class LabeledGraph:
         return self._order
 
     @classmethod
-    def from_edges(cls, n: int, edges) -> "LabeledGraph":
-        """The graph with the given (u, v) pairs, a sequence or a k x 2 array.
-        A repeated pair sets the same bits again.
-
-        Both entries of each edge are set in a bool block of at most
-        _SCATTER_BLOCK bytes of rows, which is then packed into the rows."""
-        ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        u, v = ends.T
-        # a negative id reads as 2^64 - |id|, so one test bounds both sides
-        outside = ends.view(np.uint64) >= n
-        bad = (u == v) | outside[:, 0] | outside[:, 1]
-        if bad.any():
-            u, v = ends[bad.argmax()].tolist()
-            raise ValueError("loops are not allowed" if u == v else f"edge ({u},{v}) out of range")
-        rows = _zero_rows(n)
-        step = max(1, _SCATTER_BLOCK // max(n, 1))
-        runs = []
-        for src, dst in ((u, v), (v, u)):           # row src gets bit dst
-            if step < n:            # sorted by row, each block's entries are one run
-                order = np.argsort(src)
-                src, dst = src[order], dst[order]
-            cuts = np.searchsorted(src, range(step, n, step))
-            runs.append(list(zip(np.split(src, cuts), np.split(dst, cuts))))
-        for lo, block in zip(range(0, n, step), zip(*runs)):
-            if not any(len(s) for s, _ in block):
-                continue
-            bits = np.zeros((min(step, n - lo), n), dtype=bool)
-            for s, d in block:
-                bits[s - lo, d] = True
-            rows[lo:lo + step, :(n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-            del bits                # freed before the next block's
-        return cls(n, rows)
-
-    @classmethod
     def from_adjacency(cls, matrix) -> "LabeledGraph":
         m = np.asarray(matrix, dtype=bool)
         if m.shape[0] != m.shape[1]:
@@ -93,20 +60,20 @@ class LabeledGraph:
         return cls(n, rows)
 
     def edge_count(self) -> int:
-        return int(np.bitwise_count(self.rows).sum(dtype=np.int64)) // 2
+        return int(np.bitwise_count(self.rows.view(np.uint64)).sum(dtype=np.int64)) // 2
 
     def edges(self):
         """The edges (u, v), u < v, in ascending order, as k x 2 int64 arrays
-        of a few rows' edges each: a block unpacks at most 8 KiB of rows,
-        clears each row's bits up to the diagonal, and finds the rest with
-        flatnonzero."""
+        of a block of rows' edges each.  A block unpacks at most 64 KiB of
+        rows and, at the mean degree, 2^13 bits, so the per-edge arrays of
+        a dense graph stay small; it clears the diagonal and the entries
+        left of it with np.triu, and finds the rest with flatnonzero."""
         n = self.n
-        block = max(1, (1 << 13) // max(n, 1))
+        degree = 2 * self.edge_count() // max(n, 1)
+        block = max(1, min((1 << 16) // max(n, 1), (1 << 13) // max(degree, 1)))
         for lo in range(0, n, block):
-            bits = np.unpackbits(self.rows[lo:lo + block], axis=1, count=n,
-                                 bitorder="little")
-            for i, row in enumerate(bits):
-                row[:lo + i + 1] = 0        # the diagonal and the entries left of it
+            bits = np.triu(np.unpackbits(self.rows[lo:lo + block], axis=1, count=n,
+                                         bitorder="little"), lo + 1)
             u, v = np.divmod(np.flatnonzero(bits), n)
             yield np.stack((u + lo, v), axis=1)
 
@@ -118,6 +85,28 @@ def _zero_rows(n: int) -> np.ndarray:
         raise ResourceLimit(f"the packed rows of n={n} vertices need {n * width} "
                             f"bytes, over the {MAX_ROW_BYTES}-byte cap")
     return np.zeros((n, width), dtype=np.uint8)
+
+
+def _set_edges(rows: np.ndarray, ends: np.ndarray):
+    """Set both bits of each edge of ends, a k x 2 int64 array of ids below
+    len(rows), in the packed rows, _SCATTER_BLOCK edges at a time."""
+    flat = rows.reshape(-1)
+    width = rows.shape[1]
+    for lo in range(0, len(ends), _SCATTER_BLOCK):
+        block = ends[lo:lo + _SCATTER_BLOCK]
+        src, dst = block.ravel(), block[:, ::-1].ravel()    # row src gets bit dst
+        np.bitwise_or.at(flat, src * width + (dst >> 3), _BITS[dst & 7])
+
+
+def _grown(rows: np.ndarray, n: int):
+    """rows widened and extended to the packed rows of n vertices, or None
+    past the MAX_ROW_BYTES gate."""
+    try:
+        out = _zero_rows(n)
+    except ResourceLimit:
+        return None
+    out[:len(rows), :rows.shape[1]] = rows
+    return out
 
 
 def _unpack_rows(rows: np.ndarray) -> list[int]:
@@ -352,20 +341,21 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
     if g.n <= exact_limit:
         order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
         best = 0
-
-        def dfs(idx: int, chosen: int, count: int):
-            nonlocal best
+        # depth first over (index, chosen set, its size): order[idx] is taken
+        # when it closes no K_p, and that branch is searched before the one
+        # without it; a branch that cannot beat best is cut
+        stack = [(0, 0, 0)]
+        while stack:
+            idx, chosen, count = stack.pop()
             if count + (g.n - idx) <= best:
-                return
+                continue
             if idx == g.n:
                 best = max(best, count)
-                return
+                continue
             v = order[idx]
+            stack.append((idx + 1, chosen, count))
             if _find_clique(adj, adj[v] & chosen, p - 1) is None:
-                dfs(idx + 1, chosen | (1 << v), count + 1)
-            dfs(idx + 1, chosen, count)
-
-        dfs(0, 0, 0)
+                stack.append((idx + 1, chosen | (1 << v), count + 1))
         return best, best, True
 
     # greedy lower bound
@@ -530,18 +520,23 @@ def read_edge_list(path):
     1-18 ASCII digits) are found and parsed in numpy; every other line --
     comments, `# n=` lines, blank lines, CRLF ends, tabs, signs, longer
     ids, non-UTF-8 bytes -- is decoded and parsed on its own, as text.
+    Each block's edges are then set in the packed rows, which cover n
+    vertices once a `# n=` line has given n, and the largest id seen so far
+    before that.
 
     The first line at fault in file order raises ValueError("path:line: ..."):
     a line that is not UTF-8, a malformed line, a `# n=` line that
     contradicts an earlier one, or a loop.  A vertex id outside 0..n-1, or
     an edge that an earlier line lists, in either orientation, is found by a
     rescan that runs only when the graph disagrees with the lines, and
-    raises the same way.
+    raises the same way.  Rows past the MAX_ROW_BYTES gate raise
+    ResourceLimit once the file has parsed.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    ends = np.empty((data.count(b"\n") + 1, 2), dtype=np.int64)
-    k = 0                           # rows of ends filled
+    rows = _zero_rows(0)            # None once the rows would pass the gate
+    top = 0                         # 1 + the largest id seen
+    k = 0                           # edge lines read
     n = n_line = None
     base = lo = 0                   # lines and bytes before the block
     while lo < len(data):
@@ -554,6 +549,7 @@ def read_edge_list(path):
         end = int(loops[0]) if len(loops) else len(starts)   # lines checked here
         irregular = stops[:end] > starts[:end]  # empty lines are skipped
         irregular[plain[plain < end]] = False
+        extra = []                  # edges of the irregular lines
         for i in np.flatnonzero(irregular).tolist():
             lineno = base + i + 1
             try:
@@ -584,25 +580,30 @@ def read_edge_list(path):
                     raise ValueError
             except ValueError:
                 raise _bad_line(path, lineno, line, n) from None
-            ends[k] = u, v
-            k += 1
+            extra.append((u, v))
         if len(loops):
             line = data[lo + starts[end]:lo + stops[end]].decode()
             raise _bad_line(path, base + end + 1, line, n)
-        ends[k:k + len(uv)] = uv
+        if extra:
+            uv = np.concatenate((uv, np.array(extra, dtype=np.int64)))
         k += len(uv)
+        top = max(top, int(uv.max(initial=-1)) + 1)
+        size = top if n is None else n
+        if rows is not None and size > len(rows):
+            rows = _grown(rows, size)
+        if rows is not None and top <= size:    # else the gate or the rescan raises
+            _set_edges(rows, uv)
         base += len(starts)
         lo = hi
-    del data                        # freed before the rows are built
-    ends = ends[:k]
+    del data                        # freed before the edge count
     if n is None:
-        n = 1 + int(ends.max(initial=-1))
-    try:
-        g = LabeledGraph.from_edges(n, ends)
-        if g.edge_count() == len(ends):
+        n = top
+    if top <= n:                    # then the last block left n rows
+        if rows is None:
+            _zero_rows(n)           # raises ResourceLimit
+        g = LabeledGraph(n, rows)
+        if g.edge_count() == k:
             return g
-    except ValueError:              # an id >= n
-        pass
     # an id >= n or a repeated edge: rescan for the first line at fault
     first = {}
     with open(path, "rb") as fh:

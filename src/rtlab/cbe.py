@@ -27,13 +27,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import sphere
-from .analysis import LabeledGraph
+from .analysis import LabeledGraph, _zero_rows
 from .sphere import GEOM_TOL
 
 _STREAM_W = 10
 _STREAM_Z = 11
-# p n^2: the edge rules test each n x n Gram matrix p times, at about 30 s
-# per 10^9 tests on 2 vCPUs
+# p n^2: the edge rules test each n x n Gram matrix p times, at 3-10 s per
+# 10^9 tests on 2 vCPUs (build_cbe at n = 2,500, k = 16: about 10 s at p = 3,
+# 4 s at p = 20 and 3 s at p = 40)
 MAX_GRAM_TESTS = 10 ** 9
 # bytes of complex128 Gram rows computed at once: about 40 rows at n = 800.
 # An edge test's float terms take (terms + 1) / 2 times as many bytes again
@@ -158,9 +159,10 @@ def _exact_gram(A: np.ndarray, B: np.ndarray):
 
 
 def _edge_tests(A: np.ndarray, B: np.ndarray, params: CbeParams, terms, margin,
-                fallbacks=None, upper=False) -> np.ndarray:
-    """Bool matrix of one edge test on the pairs (A[i], B[j]); with upper,
-    where A is B, on i < j only and False elsewhere.
+                out: np.ndarray, col: int, fallbacks=None, upper=False):
+    """One edge test on the pairs (A[i], B[j]), ORed into the packed rows
+    out: bit col + j of out[i] is set when the pair passes.  With upper, where
+    A is B, only the pairs i < j are tested.
 
     Each block of rows of A takes its Gram entries from a product of its
     own, against the rows of B from the block's first row on when upper.
@@ -168,11 +170,11 @@ def _edge_tests(A: np.ndarray, B: np.ndarray, params: CbeParams, terms, margin,
     Re(c (x + iy)) = x Re c - y Im c.  The float margin decides where it
     exceeds the error bound, and the margin of the exact Gram entry of the
     stored points decides the rest, so no block size or BLAS path moves an
-    edge.  The count of exact decisions is appended to fallbacks."""
+    edge.  The block's decisions are then packed into its rows.  The count
+    of exact decisions is appended to fallbacks."""
     consts = terms(params)
     coef = np.array([[c.real, -c.imag] for c in consts])
     n, m = len(A), len(B)
-    edges = np.zeros((n, m), dtype=bool)
     bound = _float_margin(params.k)
     columns = B.conj().T
     step = max(1, _GRAM_BLOCK // (16 * m))
@@ -191,7 +193,10 @@ def _edge_tests(A: np.ndarray, B: np.ndarray, params: CbeParams, terms, margin,
         value = margin(t.reshape(-1, rows, cols), params)
         if upper:
             value[:, :rows][np.tri(rows, dtype=bool)] = -np.inf
-        block = edges[lo:lo + rows, first:]
+        # the block's bits from bit col + first on, padded to a whole byte
+        pad = (col + first) % 8
+        bits = np.zeros((rows, pad + cols), dtype=bool)
+        block = bits[:, pad:]
         np.greater(value, bound, out=block)
         near = np.abs(value, out=term_buf[-1, :size].reshape(rows, cols))
         near = np.less_equal(near, bound, out=near_buf[:size].reshape(rows, cols))
@@ -201,30 +206,35 @@ def _edge_tests(A: np.ndarray, B: np.ndarray, params: CbeParams, terms, margin,
             t = np.array([Fraction(c.real) * x - Fraction(c.imag) * y for c in consts])
             block[i, j] = margin(t, params, Fraction) >= 0
             exact += i.size
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        byte = (col + first) // 8
+        out[lo:lo + rows, byte:byte + packed.shape[1]] |= packed
     if fallbacks is not None:
         fallbacks.append(exact)
-    return edges
 
 
-def _inner_adjacency(points: np.ndarray, params: CbeParams, fallbacks=None) -> np.ndarray:
-    """Bool adjacency of one class: u ~ v iff u is an h-rotation of v for
-    some h in [p-1], tested by _edge_tests on the upper triangle.  With the
-    float rho^-h the test on (u, v) and the one on (v, u) can disagree at
-    the threshold: the i < j test decides."""
-    adjacency = _edge_tests(points, points, params, _rotation_terms, _rotation_margin,
-                            fallbacks, upper=True)
-    adjacency |= adjacency.T
-    return adjacency
-
-
-def _cross_adjacency(W: np.ndarray, Z: np.ndarray, params: CbeParams,
-                     fallbacks=None) -> np.ndarray:
-    """Bool cross adjacency of W x Z, tested by _edge_tests."""
-    return _edge_tests(W, Z, params, _cross_terms, _cross_margin, fallbacks)
+def _mirror(rows: np.ndarray):
+    """Complete packed rows that hold only pairs i < j to the symmetric
+    matrix, one word of columns [lo, lo + 64) at a time: those columns of
+    rows [0, lo + 64), which no earlier word has touched, are unpacked, and
+    their transpose is packed and ORed into rows [lo, lo + 64)."""
+    n = len(rows)
+    for lo in range(0, n, 64):
+        hi = min(n, lo + 64)
+        bits = np.unpackbits(rows[:hi, lo // 8:(hi + 7) // 8], axis=1, count=hi - lo,
+                             bitorder="little")
+        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+        rows[lo:hi, :packed.shape[1]] |= packed
 
 
 class CbeGraph:
-    """Built complex Bollobas-Erdos graph; vertices 0..n-1 are W, n..2n-1 are Z."""
+    """Built complex Bollobas-Erdos graph; vertices 0..n-1 are W, n..2n-1 are Z.
+
+    rows holds the 2n vertices' adjacency as LabeledGraph's packed rows.
+    The rotation tests in each class decide the pairs i < j (with the float
+    rho^-h the test on (u, v) and the one on (v, u) can disagree at the
+    threshold), the cross tests every pair of W x Z, and the lower triangle
+    is their transpose."""
 
     def __init__(self, params: CbeParams, W: np.ndarray, Z: np.ndarray):
         if W.shape != (params.n, params.k) or Z.shape != (params.n, params.k):
@@ -232,15 +242,15 @@ class CbeGraph:
         self.params = params
         self.W = W
         self.Z = Z
-        fallbacks = []
-        cross = _cross_adjacency(W, Z, params, fallbacks)
         n = params.n
-        adjacency = np.zeros((2 * n, 2 * n), dtype=bool)
-        adjacency[:n, :n] = _inner_adjacency(W, params, fallbacks)
-        adjacency[n:, n:] = _inner_adjacency(Z, params, fallbacks)
-        adjacency[:n, n:] = cross
-        adjacency[n:, :n] = cross.T
-        self.adjacency = adjacency
+        rows = _zero_rows(2 * n)
+        fallbacks = []
+        _edge_tests(W, Z, params, _cross_terms, _cross_margin, rows[:n], n, fallbacks)
+        for lo, points in ((0, W), (n, Z)):
+            _edge_tests(points, points, params, _rotation_terms, _rotation_margin,
+                        rows[lo:lo + n], lo, fallbacks, upper=True)
+        _mirror(rows)
+        self.rows = rows
         # edge tests decided from exact inner products: their float margin
         # lay within the rounding bound
         self.exact_decisions = sum(fallbacks)
@@ -249,25 +259,44 @@ class CbeGraph:
     def n(self) -> int:
         return self.params.n
 
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The 2n x 2n bool adjacency, unpacked from the rows on each call;
+        for tests and the traced benchmark, as the library reads the rows."""
+        return np.unpackbits(self.rows, axis=1, count=2 * self.n,
+                             bitorder="little").view(bool)
+
     def omega_bound(self) -> int:
         return self.params.p + self.params.ell
 
+    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each vertex's inner and cross degree: the popcounts of its row
+        below bit n and from bit n on, in the order W, Z."""
+        n = self.n
+        total = np.bitwise_count(self.rows).sum(axis=1, dtype=np.int64)
+        below = np.bitwise_count(self.rows[:, :n // 8]).sum(axis=1, dtype=np.int64)
+        if n % 8:
+            below += np.bitwise_count(self.rows[:, n // 8] & np.uint8((1 << n % 8) - 1))
+        inner = np.concatenate((below[:n], total[n:] - below[n:]))
+        return inner, total - inner
+
     def cross_density(self) -> float:
         n = self.n
-        return float(self.adjacency[:n, n:].sum()) / (n * n)
+        return float(self._degrees()[1][:n].sum()) / (n * n)
 
     def cross_degrees(self) -> np.ndarray:
-        n = self.n
-        return np.concatenate([self.adjacency[:n, n:].sum(axis=1),
-                               self.adjacency[n:, :n].sum(axis=1)])
+        return self._degrees()[1]
 
     def max_inner_degree(self) -> int:
-        n = self.n
-        return int(max(self.adjacency[:n, :n].sum(axis=1).max(initial=0),
-                       self.adjacency[n:, n:].sum(axis=1).max(initial=0)))
+        return int(self._degrees()[0].max(initial=0))
+
+    def inner_edges(self) -> tuple[int, int]:
+        """Edges inside W and inside Z."""
+        inner = self._degrees()[0]
+        return int(inner[:self.n].sum()) // 2, int(inner[self.n:].sum()) // 2
 
     def to_labeled_graph(self) -> LabeledGraph:
-        return LabeledGraph.from_adjacency(self.adjacency)
+        return LabeledGraph(2 * self.n, self.rows)
 
 
 def build_cbe(params: CbeParams) -> CbeGraph:

@@ -458,7 +458,7 @@ def evaluate_mbe(params: MbeParams):
 def cmd_gen_cbe(args, parser) -> int:
     params, out = _merge_config(args, parser, CbeParams)
     graph, lg, cert, results = evaluate_cbe(params)
-    n, a = graph.n, graph.adjacency
+    n = graph.n
     config = params.to_dict()
     write_edge_list(f"{out}.edges", lg, comments=[_config_comment(config)],
                     classes=f"classes W=[0,{n}) Z=[{n},{2*n})")
@@ -468,8 +468,7 @@ def cmd_gen_cbe(args, parser) -> int:
         "class_sizes": {"W": n, "Z": n},
         "edge_count": lg.edge_count(),
         "cross_density": graph.cross_density(),
-        "inner_edges": {"W": int(a[:n, :n].sum()) // 2,
-                        "Z": int(a[n:, n:].sum()) // 2},
+        "inner_edges": dict(zip("WZ", graph.inner_edges())),
         "max_inner_degree": graph.max_inner_degree(),
         "cross_degree_range": [int(degs.min()), int(degs.max())],
         "clique": {"size": cert.size, "witness": list(cert.witness),
@@ -674,7 +673,7 @@ def main(argv=None) -> int:
         args.parser.error(f"infeasible partition: {exc}")
     except MemoryError as exc:
         args.parser.error(f"out of memory: {exc}")
-    except RecursionError as exc:     # p_independence's exhaustive search
+    except RecursionError as exc:     # a clique search deeper than the recursion limit
         args.parser.error(f"resource gate: {exc}")
     except OSError as exc:
         # the commands report unreadable inputs themselves, so this is an

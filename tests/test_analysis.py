@@ -12,7 +12,9 @@ from rtlab.analysis import (
     _degeneracy_order,
     _find_clique,
     _induced_rows,
+    _set_edges,
     _unpack_rows,
+    _zero_rows,
     density_report,
     max_clique,
     p_independence,
@@ -28,6 +30,23 @@ from rtlab.sphere import ResourceLimit
 # ---------------------------------------------------------------------------
 # graph helpers and oracles
 # ---------------------------------------------------------------------------
+
+def from_edges(n: int, edges) -> LabeledGraph:
+    """The graph with the given (u, v) pairs, a sequence or a k x 2 array,
+    its bits set by the scatter read_edge_list uses.  A repeated pair sets
+    the same bits again."""
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    u, v = ends.T
+    # a negative id reads as 2^64 - |id|, so one test bounds both sides
+    outside = ends.view(np.uint64) >= n
+    bad = (u == v) | outside[:, 0] | outside[:, 1]
+    if bad.any():
+        u, v = ends[bad.argmax()].tolist()
+        raise ValueError("loops are not allowed" if u == v else f"edge ({u},{v}) out of range")
+    rows = _zero_rows(n)
+    _set_edges(rows, ends)
+    return LabeledGraph(n, rows)
+
 
 def subgraph(g: LabeledGraph, vertices) -> LabeledGraph:
     """The subgraph induced on vertices, renumbered 0.. in the given order."""
@@ -164,11 +183,11 @@ def random_graph(n, density, seed):
     rng = S.philox_rng(seed, 77)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < density]
-    return LabeledGraph.from_edges(n, edges)
+    return from_edges(n, edges)
 
 
 def complete_graph(n):
-    return LabeledGraph.from_edges(n, list(itertools.combinations(range(n), 2)))
+    return from_edges(n, list(itertools.combinations(range(n), 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +201,7 @@ def test_max_clique_k5():
 
 
 def test_max_clique_empty_graph():
-    g = LabeledGraph.from_edges(10, [])
+    g = from_edges(10, [])
     cert = max_clique(g)
     assert cert.size == 1 and cert.exhaustive
 
@@ -213,7 +232,7 @@ def test_max_clique_cutoff_semantics():
 
 
 def test_max_clique_resource_gate():
-    g = LabeledGraph.from_edges(5001, [])
+    g = from_edges(5001, [])
     with pytest.raises(ResourceLimit):
         max_clique(g)
     cert = max_clique(g, cutoff=4)
@@ -235,7 +254,7 @@ def test_alpha_3_of_complete_graph():
 
 
 def test_alpha_2_of_c5():
-    c5 = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert brute_alpha_p(c5, 2) == 2
     assert p_independence(c5, 2) == (2, 2, True)
 
@@ -263,13 +282,13 @@ def test_p_independence_packing_matches_unpruned_reference(seed):
 
 
 def cycle(n):
-    return LabeledGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def random_bipartite(a, b, density, seed):
     rng = S.philox_rng(seed, 78)
-    return LabeledGraph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)
-                                           if rng.random() < density])
+    return from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)
+                              if rng.random() < density])
 
 
 K_P_FREE = {
@@ -283,7 +302,7 @@ K_P_FREE = {
     "bipartite-15-20": (random_bipartite(15, 20, 0.5, 1), 3),
     "bipartite-40-50": (random_bipartite(40, 50, 0.3, 2), 3),
     "complete-6": (complete_graph(6), 7),
-    "empty-9": (LabeledGraph.from_edges(9, []), 2),
+    "empty-9": (from_edges(9, []), 2),
 }
 
 
@@ -324,21 +343,21 @@ def test_p_independence_validation():
 
 def test_density_report_k33():
     edges = [(u, v) for u in range(3) for v in range(3, 6)]
-    g = LabeledGraph.from_edges(6, edges)
+    g = from_edges(6, edges)
     rep = density_report(g)
     assert rep.edge_count == 9
     assert math.isclose(rep.global_density, 9 / 15)
 
 
 def test_density_report_empty():
-    g = LabeledGraph.from_edges(4, [])
+    g = from_edges(4, [])
     rep = density_report(g)
     assert rep.global_density == 0.0
     assert rep.edge_count == 0
 
 
 def test_complete_join_two_vertices():
-    v = LabeledGraph.from_edges(1, [])
+    v = from_edges(1, [])
     j = complete_join([v, v])
     assert j.n == 2 and _unpack_rows(j.rows) == [0b10, 0b01]
 
@@ -354,7 +373,7 @@ def test_join_of_free_graphs_is_free():
     g1 = random_graph(8, 0.45, seed=31)
     while brute_max_clique(g1) > 3:
         g1 = random_graph(8, 0.3, seed=31 + g1.edge_count())
-    g2 = LabeledGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    g2 = from_edges(6, [(0, 1), (2, 3), (4, 5)])
     j = complete_join([g1, g2])
     cert = max_clique(j)
     assert cert.exhaustive and cert.size <= 5
@@ -464,9 +483,9 @@ def test_from_adjacency_matches_per_entry_rows(n, tmp_path):
     g = LabeledGraph.from_adjacency(matrix)
     assert_rows(g, matrix)
     edges = [(u, v) for u in range(n) for v in range(n) if upper[u, v]]
-    assert_rows(LabeledGraph.from_edges(n, edges), matrix)
+    assert_rows(from_edges(n, edges), matrix)
     # as an array, in reverse order and orientation
-    assert_rows(LabeledGraph.from_edges(n, np.array(edges, dtype=int).reshape(-1, 2)[::-1, ::-1]),
+    assert_rows(from_edges(n, np.array(edges, dtype=int).reshape(-1, 2)[::-1, ::-1]),
                 matrix)
     # g as the subgraph induced on n of n + 70 vertices, placed out of order
     big = np.triu(rng.random((n + 70, n + 70)) < 0.3, 1)
@@ -498,7 +517,7 @@ def test_from_adjacency_matches_per_entry_rows(n, tmp_path):
 ])
 def test_from_edges_reports_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError, match=message):
-        LabeledGraph.from_edges(3, edges)
+        from_edges(3, edges)
 
 
 def test_edge_list_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -12,7 +13,8 @@ from test_golden import digests
 
 from rtlab import cbe, cli
 from rtlab import sphere as S
-from rtlab.analysis import max_clique, read_edge_list, write_edge_list
+from rtlab.analysis import (LabeledGraph, _zero_rows, max_clique, read_edge_list,
+                            write_edge_list)
 from rtlab.cbe import CbeGraph, CbeParams, build_cbe
 from rtlab.sphere import GEOM_TOL, InfeasiblePartition
 
@@ -50,13 +52,34 @@ def cross_edge(ip, params):
     return strips and window
 
 
+def unpack(rows, count):
+    return np.unpackbits(rows, axis=1, count=count, bitorder="little").view(bool)
+
+
+def inner_adjacency(points, params, fallbacks=None):
+    """The library's rotation tests on one class, packed, mirrored as
+    CbeGraph mirrors them and unpacked to a bool matrix."""
+    rows = _zero_rows(len(points))
+    cbe._edge_tests(points, points, params, cbe._rotation_terms, cbe._rotation_margin,
+                    rows, 0, fallbacks, upper=True)
+    cbe._mirror(rows)
+    return unpack(rows, len(points))
+
+
+def cross_adjacency(W, Z, params, fallbacks=None):
+    """The library's cross tests on W x Z, unpacked to a bool matrix."""
+    rows = np.zeros((len(W), (len(Z) + 7) // 8), dtype=np.uint8)
+    cbe._edge_tests(W, Z, params, cbe._cross_terms, cbe._cross_margin, rows, 0, fallbacks)
+    return unpack(rows, len(Z))
+
+
 def kernel_cross_edge(ip, params):
-    """cbe._cross_adjacency on w = e_1 and a unit z with <w, z> = ip."""
+    """The library's cross test on w = e_1 and a unit z with <w, z> = ip."""
     w = np.zeros((1, params.k), dtype=complex)
     z = np.zeros((1, params.k), dtype=complex)
     w[0, 0] = 1.0
     z[0, 0], z[0, 1] = np.conj(ip), math.sqrt(max(0.0, 1.0 - abs(ip) ** 2))
-    return bool(cbe._cross_adjacency(w, z, params)[0, 0])
+    return bool(cross_adjacency(w, z, params)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +210,7 @@ def test_cross_edge_matches_oracle_on_random_pairs():
     W = S.sample_complex_sphere(8, 60, rng)
     Z = S.sample_complex_sphere(8, 60, rng)
     kmu = pr.big_k * pr.mu - GEOM_TOL
-    adjacency = cbe._cross_adjacency(W, Z, pr)
+    adjacency = cross_adjacency(W, Z, pr)
     for i, j in itertools.product(range(60), repeat=2):
         ip = inner(W[i], Z[j])
         # skip knife-edge cases within float slack of the thresholds
@@ -362,8 +385,8 @@ def edge_test_points(pr, seed):
 def assert_blocked_edges_match(pr, W, Z):
     inner_w = reference_inner_adjacency(W, pr)
     cross = reference_cross_adjacency(W, Z, pr)
-    assert np.array_equal(cbe._inner_adjacency(W, pr), inner_w)
-    assert np.array_equal(cbe._cross_adjacency(W, Z, pr), cross)
+    assert np.array_equal(inner_adjacency(W, pr), inner_w)
+    assert np.array_equal(cross_adjacency(W, Z, pr), cross)
     n = pr.n
     a = CbeGraph(pr, W, Z).adjacency
     assert np.array_equal(a[:n, :n], inner_w)
@@ -403,6 +426,59 @@ def test_blocked_edge_tests_match_in_strict_mode(monkeypatch):
     assert_blocked_edges_match(pr, g.W, g.Z)
     monkeypatch.setattr(cbe, "_GRAM_BLOCK", 16 * 100 * 9)
     assert_blocked_edges_match(pr, g.W, g.Z)
+
+
+# ---------------------------------------------------------------------------
+# packed rows and the accessors that read them
+# ---------------------------------------------------------------------------
+
+# epsilon at which the strict partition of S^1 into n cells is feasible: the
+# cell diameter mu / 4 must reach the chord of an arc of 2 pi / n, and 2 at n = 1
+STRICT_EPSILON = {1: 8 * math.sqrt(2), 7: 6.0, 63: 0.7, 65: 0.7, 130: 0.4}
+
+
+@pytest.mark.parametrize("mode", ["sampled", "strict"])
+@pytest.mark.parametrize("n", sorted(STRICT_EPSILON))
+def test_packed_graph_matches_references(n, mode):
+    """Rows, adjacency and every accessor against the whole-matrix
+    references, at class sizes below, at and past a word, and across bit n
+    at every offset in a byte (n % 8 = 1, 7, 7, 1, 2)."""
+    k, epsilon = (2, 0.5) if mode == "sampled" else (1, STRICT_EPSILON[n])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # large mu, and k = 1
+        pr = CbeParams(p=3, ell=1, k=k, n=n, epsilon=epsilon, big_k=1.0, seed=n,
+                       mode=mode)
+        g = build_cbe(pr)
+    inner_w, inner_z = (reference_inner_adjacency(P, pr) for P in (g.W, g.Z))
+    cross = reference_cross_adjacency(g.W, g.Z, pr)
+    a = np.block([[inner_w, cross], [cross.T, inner_z]])
+    want = LabeledGraph.from_adjacency(a).rows
+    assert g.rows.shape == want.shape and g.rows.tobytes() == want.tobytes()
+    assert g.adjacency.dtype == bool and np.array_equal(g.adjacency, a)
+    lg = g.to_labeled_graph()
+    assert lg.n == 2 * n and lg.rows is g.rows
+    assert g.cross_density() == float(cross.sum()) / (n * n)
+    assert np.array_equal(g.cross_degrees(),
+                          np.concatenate([cross.sum(axis=1), cross.sum(axis=0)]))
+    assert g.max_inner_degree() == max(inner_w.sum(axis=1).max(), inner_z.sum(axis=1).max())
+    assert g.inner_edges() == (inner_w.sum() // 2, inner_z.sum() // 2)
+    assert g.exact_decisions == 0
+    if n >= 63:                 # both outcomes of both tests occur
+        assert 0 < cross.sum() < n * n and inner_w.any() and inner_z.any()
+
+
+def test_build_memory_stays_near_the_rows():
+    """At n = 2,500 per class the packed rows take 3.2 MB and the points
+    1.3 MB.  The build may add 4 MiB to them: less than one n x n bool
+    matrix (6.25 MB), and the whole 2n x 2n one takes 25 MB."""
+    pr = CbeParams(p=3, ell=1, k=16, n=2500, seed=1)
+    tracemalloc.start()
+    try:
+        g = build_cbe(pr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= g.rows.nbytes + g.W.nbytes + g.Z.nbytes + 2 ** 22
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +592,10 @@ def planted_decisions(params, kind, ips, fallbacks=None):
     e1 = np.eye(params.k, dtype=complex)[0]
     Z = np.array([point_with_inner(ip, params.k) for ip in ips])
     if kind == "inner":
-        got = cbe._inner_adjacency(np.vstack([e1, Z]), params, fallbacks)[0, 1:]
+        got = inner_adjacency(np.vstack([e1, Z]), params, fallbacks)[0, 1:]
         want = [exact_rotation_edge(e1, z, params) for z in Z]
     else:
-        got = cbe._cross_adjacency(e1[None], Z, params, fallbacks)[0]
+        got = cross_adjacency(e1[None], Z, params, fallbacks)[0]
         want = [exact_cross_edge(e1, z, params) for z in Z]
     return got, np.array(want)
 

@@ -523,10 +523,6 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
      "capped at 5000 vertices"),
     (lambda d: ["analyze", _write(d / "big.edges", f"# n={10**30}\n0 1\n")],
      f"packed rows of n={10**30} vertices"),
-    # one edge: the K_2-free search cannot stop early, and recurses once per
-    # vertex, past Python's recursion limit
-    (lambda d: ["analyze", _write(d / "deep.edges", "# n=1500\n0 1\n"), "--p", 2,
-                "--exact-limit", 5000], "maximum recursion depth exceeded"),
     (lambda d: ["gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4, "--m", 2,
                 "--seed", 1, "--out", d / "g"], "capped at ell <= 6"),
     (lambda d: ["sweep", "gen-mbe", "--ell", 7, "--p", 1, "--q", 2, "--k", 4,
@@ -538,7 +534,7 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
     (lambda d: ["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 4, "--m", 10 ** 400,
                 "--seed", 1, "--out", d / "g"], "m exceeds the desk bound 1000000"),
 ], ids=["gen-mbe-hyperedges", "gen-mbe-adjacency", "analyze-clique", "analyze-rows",
-        "analyze-recursion", "gen-mbe-ell", "sweep-mbe-ell", "gen-mbe-ell-before-m^ell",
+        "gen-mbe-ell", "sweep-mbe-ell", "gen-mbe-ell-before-m^ell",
         "gen-mbe-m-before-points"])
 def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
@@ -547,6 +543,15 @@ def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     err = capsys.readouterr().err
     assert "resource gate" in err and fragment in err
     assert "Traceback" not in err
+
+
+def test_analyze_exact_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # one edge: the K_2-free search cannot stop early and goes one level deep
+    # per vertex, past Python's recursion limit of 1,000 frames
+    path = _write(tmp_path / "deep.edges", "# n=1500\n0 1\n")
+    assert run(["analyze", path, "--p", 2, "--exact-limit", 5000]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[:2] == ["deep.edges", "1500"] and row[-2:] == ["1499", "1499"]
 
 
 # one huge value of one flag on the small instances of FIELD_CASES

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_analysis import colour_bound, cycle, subgraph
+from test_analysis import colour_bound, cycle, from_edges, subgraph
 
 from rtlab import analysis
 from rtlab import sphere as S
@@ -164,11 +164,11 @@ def graph_of_blocks(sizes, inside):
     n = len(block)
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
              if (block[u] == block[v]) == inside]
-    return LabeledGraph.from_edges(n, edges)
+    return from_edges(n, edges)
 
 
 TIE_HEAVY = {
-    "empty-9": LabeledGraph.from_edges(9, []),
+    "empty-9": from_edges(9, []),
     "complete-12": graph_of_blocks([1] * 12, inside=False),
     "cycle-3": cycle(3),
     "cycle-64": cycle(64),
@@ -244,7 +244,7 @@ def test_setup_matches_reference_at_word_boundaries(n, density):
 
 
 def test_cutoff_path_past_the_gate_matches_reference():
-    g = LabeledGraph.from_edges(5001, [(0, 5000), (63, 64), (64, 65), (63, 65)])
+    g = from_edges(5001, [(0, 5000), (63, 64), (64, 65), (63, 65)])
     assert_setup_matches(g)
     assert max_clique(g, cutoff=4) == reference_max_clique(g, cutoff=4)
     assert max_clique(g, cutoff=2) == CliqueCertificate(3, (63, 64, 65), False, None)

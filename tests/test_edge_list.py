@@ -5,8 +5,9 @@ read_edge_list parses plain `u v` lines in numpy blocks and every other line
 on its own; reference_read_edge_list is the earlier parser, one line at a
 time in Python.  For every file both must give the same n and rows, or raise
 the same exception with the same message.  write_edge_list formats its lines
-in numpy, and LabeledGraph.from_edges sets bits through bool blocks; their
-references format with % and set bits with np.bitwise_or.at.
+in numpy, and the scatter that read_edge_list and the tests' from_edges
+share sets bits in blocks of edges; their references format with % and
+set every bit with one np.bitwise_or.at.
 """
 
 import tracemalloc
@@ -15,11 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_analysis import from_edges
 from unittest import mock
 
 from rtlab import analysis
 from rtlab import sphere as S
 from rtlab.analysis import LabeledGraph, read_edge_list, write_edge_list
+from rtlab.cbe import CbeParams, build_cbe
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +82,7 @@ def reference_read_edge_list(path):
     ends = np.array(ids, dtype=np.int64).reshape(-1, 2)
     del ids                         # freed before the rows are built
     try:
-        g = LabeledGraph.from_edges(n, ends)
+        g = from_edges(n, ends)
         if g.edge_count() == len(ends):
             return g
     except ValueError:              # an id >= n
@@ -165,6 +168,9 @@ CASES = {
     "underscore-id": b"1_0 2\n",
     "arabic-digits": "٣ 4\n".encode(),
     "comment-only": b"# nothing here\n",
+    "huge-id-then-bad-line": b"1 999999999999999999\n0 x\n",
+    "huge-id-then-count": b"1 999999999999999999\n# n=5\n",
+    "huge-id-then-huge-count": b"1 999999999999999999\n# n=1000000000000000000\n",
 }
 
 
@@ -198,6 +204,61 @@ def test_line_numbers_across_default_blocks(tmp_path):
         got = assert_same(tmp_path / "g.edges", body.encode())
         assert got[0] == "error" and f":{i + 1}: " in got[2]
     assert assert_same(tmp_path / "g.edges", ("\n".join(lines) + "\n").encode())[0] == "graph"
+
+
+def band_lines(n, reach):
+    """Edges (u, u + d), d = 1..reach, in ascending order: ids that grow
+    line by line, and about 10 bytes a line."""
+    return [f"{u} {u + d}" for u in range(n) for d in range(1, reach + 1) if u + d < n]
+
+
+BAND = band_lines(1500, 12)
+# (lines, the error's fragment or None for a graph)
+MULTI_BLOCK = {
+    "count-after-edges": (BAND + ["# n=1500"], None),
+    "no-count": (BAND, None),
+    "out-of-range-then-bad-line": (["# n=1500"] + BAND[:2000] + ["3 1500"] + BAND[2000:6000]
+                                   + ["0 x"] + BAND[6000:], ":6003: bad line '0 x'"),
+    "repeat-across-blocks": (BAND + [BAND[10]], f":{len(BAND) + 1}: edge '{BAND[10]}' "
+                                                "repeats line 11"),
+    "reversed-repeat-across-blocks": (BAND + ["2 0"], f":{len(BAND) + 1}: edge '2 0' "
+                                                      "repeats line 2"),
+}
+
+
+@pytest.mark.parametrize("block", [64, None], ids=["64-bytes", "default"])
+@pytest.mark.parametrize("lines, fault", MULTI_BLOCK.values(), ids=MULTI_BLOCK.keys())
+def test_rows_and_first_fault_do_not_follow_the_block_size(tmp_path, lines, fault, block):
+    """Files of several default blocks, read in blocks of a few lines and
+    in the default ones: the rows, which grow with the ids when no count
+    precedes the edges, and the first line at fault match the reference.
+    An id out of range only marks the file for the rescan, so a malformed
+    line after it is the one named."""
+    content = ("\n".join(lines) + "\n").encode()
+    assert len(content) > 2 * analysis._READ_BLOCK
+    got = assert_same(tmp_path / "g.edges", content, block)
+    if fault is None:
+        assert got[:2] == ("graph", 1500)
+    else:
+        assert got[0] == "error" and fault in got[2]
+
+
+def test_reader_memory_stays_near_the_file_and_rows(tmp_path):
+    """The gen-cbe graph at n = 2,500 per class: an 18 MB file and 3.2 MB of
+    rows.  Reading it may add 4 MiB to them: less than one 2,500 x 2,500
+    bool matrix, and far less than the 30 MB of a whole-file int64 edge
+    array."""
+    path = tmp_path / "g.edges"
+    graph = build_cbe(CbeParams(p=3, ell=1, k=16, n=2500, seed=1)).to_labeled_graph()
+    write_edge_list(path, graph)
+    tracemalloc.start()
+    try:
+        g = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.rows, graph.rows)
+    assert peak <= path.stat().st_size + g.rows.nbytes + 2 ** 22
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +323,7 @@ def reference_write_edge_list(path, g: LabeledGraph, comments=(), classes=None):
 @pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 100, 101, 1001])
 def test_writer_matches_percent_formatting(tmp_path, n, labels):
     """Ids of every width up to 4 digits, 0 to 500 edges a row, and graphs
-    whose edges span several of edges()' 8 KiB blocks."""
+    whose edges span several of edges()' blocks."""
     rng = S.philox_rng(n, 79)
     upper = np.triu(rng.random((n, n)) < 0.5, 1)
     if n > 1:
@@ -302,8 +363,8 @@ def scatter_outcome(build, n, edges):
 @pytest.mark.parametrize("block", [None, 1, 7, 64, 1000])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 300])
 def test_from_edges_matches_bitwise_or_at(n, block, monkeypatch):
-    """Random pairs, each third also reversed and each fifth repeated, with
-    bool blocks of 1 row, a few rows and all rows."""
+    """Random pairs, each third also reversed and each fifth repeated, set
+    in scatter blocks of 1, 7, 64, 1,000 and the default number of edges."""
     if block is not None:
         monkeypatch.setattr(analysis, "_SCATTER_BLOCK", block)
     rng = S.philox_rng(n + 1000 * (block or 0), 80)
@@ -311,7 +372,7 @@ def test_from_edges_matches_bitwise_or_at(n, block, monkeypatch):
     ends = ends[ends[:, 0] != ends[:, 1]]
     ends = np.concatenate([ends, ends[::3, ::-1], ends[::5]])
     for edges in (ends, ends.tolist(), ends[::-1, ::-1]):
-        got = scatter_outcome(LabeledGraph.from_edges, n, edges)
+        got = scatter_outcome(from_edges, n, edges)
         assert got == scatter_outcome(reference_from_edges, n, edges)
     assert got[0] == "graph"
 
@@ -331,24 +392,24 @@ def test_from_edges_matches_bitwise_or_at(n, block, monkeypatch):
     (0, []),
 ])
 def test_from_edges_errors_match_bitwise_or_at(n, edges):
-    assert (scatter_outcome(LabeledGraph.from_edges, n, edges)
+    assert (scatter_outcome(from_edges, n, edges)
             == scatter_outcome(reference_from_edges, n, edges))
 
 
 def test_from_edges_memory_stays_near_the_rows():
     """At n = 20,000 the packed rows take 50.08 MB and a whole bool matrix
-    400 MB.  A few edges may cost the rows plus 8 MiB: a 4 MiB bool block of
-    209 rows, its packed copy and the edges."""
+    400 MB.  A few edges may cost the rows plus 8 MiB; the scatter itself
+    takes a few dozen bytes an edge."""
     n = 20_000
     edges = [(0, n - 1), (5, 6), (n // 2, n // 2 + 1), (n - 2, 3), (6, 5)]
     tracemalloc.start()
     try:
-        g = LabeledGraph.from_edges(n, edges)
+        g = from_edges(n, edges)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert g.rows.nbytes == n * 2504
     assert peak <= g.rows.nbytes + 2 ** 23
     assert g.edge_count() == 4
-    assert scatter_outcome(LabeledGraph.from_edges, n, edges) \
+    assert scatter_outcome(from_edges, n, edges) \
         == scatter_outcome(reference_from_edges, n, edges)
