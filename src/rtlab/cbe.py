@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sphere
-from .analysis import LabeledGraph, _zero_rows
+from .analysis import LabeledGraph, _mirror, _or_block, _popcount, _zero_rows
 from .sphere import GEOM_TOL
 
 _STREAM_W = 10
@@ -159,7 +159,7 @@ def _exact_gram(A: np.ndarray, B: np.ndarray):
 
 
 def _edge_tests(A: np.ndarray, B: np.ndarray, params: CbeParams, terms, margin,
-                out: np.ndarray, col: int, fallbacks=None, upper=False):
+                out: np.ndarray, col: int, upper=False) -> int:
     """One edge test on the pairs (A[i], B[j]), ORed into the packed rows
     out: bit col + j of out[i] is set when the pair passes.  With upper, where
     A is B, only the pairs i < j are tested.
@@ -170,8 +170,8 @@ def _edge_tests(A: np.ndarray, B: np.ndarray, params: CbeParams, terms, margin,
     Re(c (x + iy)) = x Re c - y Im c.  The float margin decides where it
     exceeds the error bound, and the margin of the exact Gram entry of the
     stored points decides the rest, so no block size or BLAS path moves an
-    edge.  The block's decisions are then packed into its rows.  The count
-    of exact decisions is appended to fallbacks."""
+    edge.  The block's decisions are then ORed into its rows.  Returns the
+    count of exact decisions."""
     consts = terms(params)
     coef = np.array([[c.real, -c.imag] for c in consts])
     n, m = len(A), len(B)
@@ -193,11 +193,7 @@ def _edge_tests(A: np.ndarray, B: np.ndarray, params: CbeParams, terms, margin,
         value = margin(t.reshape(-1, rows, cols), params)
         if upper:
             value[:, :rows][np.tri(rows, dtype=bool)] = -np.inf
-        # the block's bits from bit col + first on, padded to a whole byte
-        pad = (col + first) % 8
-        bits = np.zeros((rows, pad + cols), dtype=bool)
-        block = bits[:, pad:]
-        np.greater(value, bound, out=block)
+        block = value > bound
         near = np.abs(value, out=term_buf[-1, :size].reshape(rows, cols))
         near = np.less_equal(near, bound, out=near_buf[:size].reshape(rows, cols))
         if near.any():
@@ -206,25 +202,8 @@ def _edge_tests(A: np.ndarray, B: np.ndarray, params: CbeParams, terms, margin,
             t = np.array([Fraction(c.real) * x - Fraction(c.imag) * y for c in consts])
             block[i, j] = margin(t, params, Fraction) >= 0
             exact += i.size
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        byte = (col + first) // 8
-        out[lo:lo + rows, byte:byte + packed.shape[1]] |= packed
-    if fallbacks is not None:
-        fallbacks.append(exact)
-
-
-def _mirror(rows: np.ndarray):
-    """Complete packed rows that hold only pairs i < j to the symmetric
-    matrix, one word of columns [lo, lo + 64) at a time: those columns of
-    rows [0, lo + 64), which no earlier word has touched, are unpacked, and
-    their transpose is packed and ORed into rows [lo, lo + 64)."""
-    n = len(rows)
-    for lo in range(0, n, 64):
-        hi = min(n, lo + 64)
-        bits = np.unpackbits(rows[:hi, lo // 8:(hi + 7) // 8], axis=1, count=hi - lo,
-                             bitorder="little")
-        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-        rows[lo:hi, :packed.shape[1]] |= packed
+        _or_block(out[lo:lo + rows], block, col + first)
+    return exact
 
 
 class CbeGraph:
@@ -244,16 +223,15 @@ class CbeGraph:
         self.Z = Z
         n = params.n
         rows = _zero_rows(2 * n)
-        fallbacks = []
-        _edge_tests(W, Z, params, _cross_terms, _cross_margin, rows[:n], n, fallbacks)
-        for lo, points in ((0, W), (n, Z)):
-            _edge_tests(points, points, params, _rotation_terms, _rotation_margin,
-                        rows[lo:lo + n], lo, fallbacks, upper=True)
-        _mirror(rows)
-        self.rows = rows
         # edge tests decided from exact inner products: their float margin
         # lay within the rounding bound
-        self.exact_decisions = sum(fallbacks)
+        exact = _edge_tests(W, Z, params, _cross_terms, _cross_margin, rows[:n], n)
+        for lo, points in ((0, W), (n, Z)):
+            exact += _edge_tests(points, points, params, _rotation_terms,
+                                 _rotation_margin, rows[lo:lo + n], lo, upper=True)
+        _mirror(rows)
+        self.rows = rows
+        self.exact_decisions = exact
 
     @property
     def n(self) -> int:
@@ -269,16 +247,12 @@ class CbeGraph:
     def omega_bound(self) -> int:
         return self.params.p + self.params.ell
 
-    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each vertex's inner and cross degree: the popcounts of its row
-        below bit n and from bit n on, in the order W, Z."""
+    def _degrees(self) -> np.ndarray:
+        """Each vertex's inner and cross degree, in rows 0 and 1, in the
+        order W, Z: the popcounts of its row below bit n and from bit n on."""
         n = self.n
-        total = np.bitwise_count(self.rows).sum(axis=1, dtype=np.int64)
-        below = np.bitwise_count(self.rows[:, :n // 8]).sum(axis=1, dtype=np.int64)
-        if n % 8:
-            below += np.bitwise_count(self.rows[:, n // 8] & np.uint8((1 << n % 8) - 1))
-        inner = np.concatenate((below[:n], total[n:] - below[n:]))
-        return inner, total - inner
+        below, above = _popcount(self.rows, 0, n), _popcount(self.rows, n, 2 * n)
+        return np.where(np.arange(2 * n) < n, (below, above), (above, below))
 
     def cross_density(self) -> float:
         n = self.n

@@ -7,14 +7,15 @@ Exit codes: 0 all assertions passed, 1 a certified bound or suite failed,
 parameter, a malformed or mistyped config-file line or a config key that
 names no option of the command, a bad sweep grid value or an axis the
 sweep target does not take, a certify flag the suite does not take, a
---trials below 1, an analyze --p below 2, an unreadable config file, edge
-list or header, a header whose class sizes do not sum to the edge list's n,
-a malformed, repeated or non-UTF-8 edge-list line or a `# n=` line that
-contradicts an earlier one (reported as path:line), an equal-measure
-partition that cannot meet its diameter (gen-cbe --mode strict, gen-mbe
---point-mode partition), an exact search or enumeration beyond its size
-gate (gen-mbe --ell above 6, among others), or an allocation that runs out
-of memory.
+--trials below 1, an analyze --p below 2 or --cutoff or --exact-limit
+below 0, an unreadable config file, edge list or header, a header whose
+class sizes do not sum to the edge list's n, a malformed, repeated or
+non-UTF-8 edge-list line or a `# n=` line that contradicts an earlier one
+(reported as path:line), an equal-measure partition that cannot meet its
+diameter (gen-cbe --mode strict, gen-mbe --point-mode partition), an exact
+search or enumeration beyond its size gate (gen-mbe --ell above 6, among
+others), a clique search deeper than Python's recursion limit, or an
+allocation that runs out of memory.
 Every output embeds the originating configuration; reruns of the same
 configuration are byte-identical (seeds are explicit, never wall-clock).
 The options of gen-cbe and gen-mbe, and the sweep axes' defaults, are the
@@ -511,8 +512,9 @@ def cmd_gen_mbe(args, parser) -> int:
 
 
 def cmd_analyze(args, parser) -> int:
-    if args.p < 2:
-        parser.error(f"--p must be at least 2, not {args.p}")
+    for name, least in (("p", 2), ("cutoff", 0), ("exact_limit", 0)):
+        if (value := getattr(args, name)) is not None and value < least:
+            parser.error(f"{_flag(name)} must be at least {least}, not {value}")
     try:
         g = read_edge_list(args.edge_list)
         if args.header and (total := _header_vertex_count(args.header)) != g.n:

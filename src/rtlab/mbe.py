@@ -36,14 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphere
-from .analysis import LabeledGraph
+from .analysis import LabeledGraph, _mirror, _or_block, _popcount, _set_edges, _zero_rows
 from .sphere import GEOM_TOL
 
 MAX_Q_FAMILY_ELL = 6
 MAX_BASE_VERTICES = 10 ** 6
 MAX_ASSIGNMENTS = 10 ** 5
 MAX_BLOWUP_EDGES = 2 * 10 ** 5
-MAX_ADJACENCY_BYTES = 2 ** 28   # the dense bool adjacency: n <= 16,384 vertices
+MAX_VERTICES = 2 ** 14          # bounds the N x N bool cross blocks and their temporaries
 
 _STREAM_POINTS = 20
 _STREAM_DUPS = 21
@@ -475,16 +475,14 @@ def blowup_sparsify(base: GeometricHypergraph, t: int, zeta: float, seed: int,
 # step 4: shadow graph
 # ---------------------------------------------------------------------------
 
-def shadow_graph(hypergraph: GeometricHypergraph) -> np.ndarray:
-    """N x N bool adjacency of the shadow graph: u ~ v iff u != v and some
-    hyperedge contains both; one assignment per column pair."""
-    n, edges = len(hypergraph.vertices), hypergraph.hyperedges
-    adjacency = np.zeros((n, n), dtype=bool)
+def shadow_graph(hypergraph: GeometricHypergraph):
+    """The shadow graph's edges, u ~ v iff u != v and some hyperedge contains
+    both: one k x 2 int64 array of (u, v) per column pair of the hyperedges,
+    with repeats, less the pairs of a vertex repeated in a row."""
+    edges = hypergraph.hyperedges
     for a, b in itertools.combinations(range(hypergraph.r), 2):
-        adjacency[edges[:, a], edges[:, b]] = True
-    adjacency |= adjacency.T
-    np.fill_diagonal(adjacency, False)    # a vertex repeated in a row
-    return adjacency
+        pairs = edges[:, [a, b]]
+        yield pairs[pairs[:, 0] != pairs[:, 1]]
 
 
 def lengthy_coordinates(hg: GeometricHypergraph, vertex_ids, mu: float) -> set:
@@ -508,10 +506,10 @@ def lengthy_coordinates(hg: GeometricHypergraph, vertex_ids, mu: float) -> set:
 
 class MbeGraph:
     """q classes, each a copy of B(ell), the shadow graph of the hypergraph
-    B'; global ids are class * N + local.  Each diagonal N x N block of
-    `adjacency` is shadow_graph(hypergraph), and an off-diagonal block joins
-    u and v when every related coordinate pair (h, h') has
-    |u_h - v_h'| <= sqrt(2) - mu."""
+    B'; global ids are class * N + local.  rows holds the graph as
+    LabeledGraph's packed rows: each class holds the shadow's edges, and
+    classes i and i' are joined at u and v when every related coordinate
+    pair (h, h') has |u_h - v_h'| <= sqrt(2) - mu."""
 
     def __init__(self, params: MbeParams, hypergraph: GeometricHypergraph,
                  coloring: dict, blowup_report: BlowupReport):
@@ -524,35 +522,34 @@ class MbeGraph:
         self.classes = q
         self.class_size = N
         self.n = N * q
-        if self.n ** 2 > MAX_ADJACENCY_BYTES:
+        if self.n > MAX_VERTICES:
             raise sphere.ResourceLimit(
-                f"the {self.n} x {self.n} bool adjacency needs {self.n ** 2} bytes, "
-                f"over the desk bound {MAX_ADJACENCY_BYTES}")
-        adjacency = np.kron(np.eye(q, dtype=bool), shadow_graph(hypergraph))
+                f"the graph's {self.n} vertices exceed the desk bound {MAX_VERTICES}, "
+                f"which bounds its {N} x {N} cross-block temporaries")
+        rows = _zero_rows(self.n)
+        for edges in shadow_graph(hypergraph):      # into every class
+            _set_edges(rows, (edges + N * np.arange(q)[:, None, None]).reshape(-1, 2))
 
         ids = hypergraph.vertices
         near = sphere.near(hypergraph.points @ hypergraph.points.T, params.mu)
 
-        for i in range(q):
-            for ip in range(i + 1, q):
-                rel = related_coordinates(i, ip, params, coloring)
-                block = np.ones((N, N), dtype=bool)
-                for h, hp in sorted(rel):
-                    block &= near[np.ix_(ids[:, h - 1], ids[:, hp - 1])]
-                adjacency[i * N:(i + 1) * N, ip * N:(ip + 1) * N] = block
-                adjacency[ip * N:(ip + 1) * N, i * N:(i + 1) * N] = block.T
-        self.adjacency = adjacency
+        for i, ip in itertools.combinations(range(q), 2):
+            block = np.ones((N, N), dtype=bool)
+            for h, hp in sorted(related_coordinates(i, ip, params, coloring)):
+                block &= near[np.ix_(ids[:, h - 1], ids[:, hp - 1])]
+            _or_block(rows[i * N:(i + 1) * N], block, ip * N)
+        _mirror(rows)
+        self.rows = rows
 
     def omega_bound(self) -> int:
         return 2 ** self.params.ell + 2 ** self.params.p + self.params.q - 2
 
     def to_labeled_graph(self) -> LabeledGraph:
-        return LabeledGraph.from_adjacency(self.adjacency)
+        return LabeledGraph(self.n, self.rows)
 
     def pair_density(self, i: int, ip: int) -> float:
         N = self.class_size
-        block = self.adjacency[i * N:(i + 1) * N, ip * N:(ip + 1) * N]
-        return float(block.sum()) / (N * N)
+        return float(_popcount(self.rows[i * N:(i + 1) * N], ip * N, (ip + 1) * N).sum()) / N ** 2
 
     def header_dict(self) -> dict:
         return {"params": self.params.to_dict(),

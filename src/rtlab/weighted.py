@@ -152,24 +152,11 @@ def is_dominating_extension(g: PWeightedGraph, order, weights) -> bool:
     return True
 
 
-def max_feasible_weight(p: int, backwards) -> int:
-    """Largest a in {1,...,p} whose target multiset the backwards weights
-    dominate; 0 when even a = 1 fails (some backwards weight is 0).
-
-    Sorted targets are [a, c, ..., c] with c = p(a-1)/a + 1 >= a, so only the
-    two smallest backwards weights matter; the c comparison is done in
-    integers as a*b >= (p+1)a - p.
-    """
-    backwards = sorted(backwards)
-    if not backwards:
-        return p
-    return _weight_of_two_smallest(p, backwards[0],
-                                   backwards[1] if len(backwards) > 1 else None)
-
-
 def _weight_of_two_smallest(p: int, min1: int, min2) -> int:
-    """max_feasible_weight from the smallest backwards weight and the second
-    smallest (None for a single backwards weight)."""
+    """_wmax from the smallest backwards weight and the second smallest
+    (None for a single one).  Sorted targets are [a, c, ..., c] with
+    c = p(a-1)/a + 1 >= a, so only the two smallest backwards weights
+    matter; the c comparison is done in integers as a*b >= (p+1)a - p."""
     for a in range(p, 0, -1):
         if min1 < a:
             continue
@@ -189,14 +176,14 @@ def maximal_dominating_extension(g: PWeightedGraph, order) -> tuple:
     order = list(order)
     if len(set(order)) != len(order):
         raise ValueError("order must list distinct vertices")
-    weights = []
-    for j in range(1, len(order) + 1):
-        backwards = [g.w[order[i]][order[j - 1]] for i in range(j - 1)]
-        a = max_feasible_weight(g.p, backwards)
+    weights, prefix = [], 0
+    for j, v in enumerate(order, 1):
+        a = _wmax(g, v, prefix)
         if a == 0:
             raise ValueError(
                 f"zero weight on a prefix pair forces weight 0 at position {j}")
         weights.append(a)
+        prefix |= 1 << v
     return tuple(weights)
 
 
@@ -230,7 +217,8 @@ def _two_smallest(g: PWeightedGraph, u: int, mask: int):
 
 
 def _wmax(g: PWeightedGraph, u: int, mask: int) -> int:
-    """max_feasible_weight of u against the backwards set given by mask."""
+    """Largest a in {1,...,p} whose target multiset u's weights to mask
+    dominate: p for an empty mask, 0 when even a = 1 fails."""
     if mask == 0:
         return g.p
     return _weight_of_two_smallest(g.p, *_two_smallest(g, u, mask))

@@ -12,6 +12,9 @@ from rtlab.analysis import (
     _degeneracy_order,
     _find_clique,
     _induced_rows,
+    _mirror,
+    _or_block,
+    _popcount,
     _set_edges,
     _unpack_rows,
     _zero_rows,
@@ -507,6 +510,37 @@ def test_from_adjacency_matches_per_entry_rows(n, tmp_path):
         upper[0, 1] = True
         with pytest.raises(ValueError):
             LabeledGraph.from_adjacency(upper)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+def test_block_mirror_and_range_counts_match_bool_references(n):
+    """_or_block at every column, with widths up to the row's end, _mirror
+    of an upper triangle with some pairs i > j also held, and _popcount over
+    every column range, against bool matrices."""
+    rng = S.philox_rng(n, 79)
+
+    def packed(matrix):
+        rows = np.zeros((len(matrix), 8 * ((n + 63) // 64)), dtype=np.uint8)
+        rows[:, :(n + 7) // 8] = np.packbits(matrix, axis=1, bitorder="little")
+        return rows
+
+    start = rng.random((3, n)) < 0.3
+    for col in range(n):
+        for width in {1, min(9, n - col), n - col}:
+            bits = rng.random((3, width)) < 0.5
+            rows = packed(start)
+            _or_block(rows, bits, col)
+            want = start.copy()
+            want[:, col:col + width] |= bits
+            assert np.array_equal(rows, packed(want)), (col, width)
+    upper = np.triu(rng.random((n, n)) < 0.3, 1)
+    matrix = upper | upper.T
+    rows = packed(upper | np.tril(matrix & (rng.random((n, n)) < 0.5)))
+    _mirror(rows)
+    assert np.array_equal(rows, packed(matrix))
+    for lo in range(n):
+        for hi in range(lo + 1, n + 1):
+            assert np.array_equal(_popcount(rows, lo, hi), matrix[:, lo:hi].sum(axis=1))
 
 
 @pytest.mark.parametrize("edges, message", [

@@ -13,7 +13,7 @@ from test_golden import digests
 
 from rtlab import cbe, cli
 from rtlab import sphere as S
-from rtlab.analysis import (LabeledGraph, _zero_rows, max_clique, read_edge_list,
+from rtlab.analysis import (LabeledGraph, _mirror, _zero_rows, max_clique, read_edge_list,
                             write_edge_list)
 from rtlab.cbe import CbeGraph, CbeParams, build_cbe
 from rtlab.sphere import GEOM_TOL, InfeasiblePartition
@@ -60,16 +60,20 @@ def inner_adjacency(points, params, fallbacks=None):
     """The library's rotation tests on one class, packed, mirrored as
     CbeGraph mirrors them and unpacked to a bool matrix."""
     rows = _zero_rows(len(points))
-    cbe._edge_tests(points, points, params, cbe._rotation_terms, cbe._rotation_margin,
-                    rows, 0, fallbacks, upper=True)
-    cbe._mirror(rows)
+    exact = cbe._edge_tests(points, points, params, cbe._rotation_terms,
+                            cbe._rotation_margin, rows, 0, upper=True)
+    if fallbacks is not None:
+        fallbacks.append(exact)
+    _mirror(rows)
     return unpack(rows, len(points))
 
 
 def cross_adjacency(W, Z, params, fallbacks=None):
     """The library's cross tests on W x Z, unpacked to a bool matrix."""
     rows = np.zeros((len(W), (len(Z) + 7) // 8), dtype=np.uint8)
-    cbe._edge_tests(W, Z, params, cbe._cross_terms, cbe._cross_margin, rows, 0, fallbacks)
+    exact = cbe._edge_tests(W, Z, params, cbe._cross_terms, cbe._cross_margin, rows, 0)
+    if fallbacks is not None:
+        fallbacks.append(exact)
     return unpack(rows, len(Z))
 
 

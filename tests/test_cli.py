@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -449,6 +450,11 @@ def _write(path, text):
     return path
 
 
+def complete_graph_text(n):
+    """The edge list of K_n."""
+    return f"# n={n}\n" + "".join(f"{u} {v}\n" for u, v in itertools.combinations(range(n), 2))
+
+
 # (argv after the command, given tmp_path; expected fragment of the error)
 BAD_INPUTS = {
     "missing-config": (lambda d: ["gen-cbe", "--config", d / "missing.cfg"],
@@ -497,6 +503,11 @@ BAD_INPUTS = {
     "contradicting-count": (
         lambda d: ["analyze", _write(d / "g.edges", "# n=5\n0 1\n# n=2\n")],
         "g.edges:3: '# n=2' contradicts '# n=5' on line 1"),
+    "negative-cutoff": (lambda d: ["analyze", _write(d / "ok.edges", "# n=3\n0 1\n"),
+                                   "--cutoff", -1], "--cutoff must be at least 0, not -1"),
+    "negative-exact-limit": (
+        lambda d: ["analyze", _write(d / "ok.edges", "# n=3\n0 1\n"), "--exact-limit", -1],
+        "--exact-limit must be at least 0, not -1"),
 }
 
 
@@ -518,7 +529,7 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
     (lambda d: ["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 4, "--m", 1002,
                 "--seed", 1, "--out", d / "g"], "m^ell = 1004004 exceeds"),
     (lambda d: ["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 10, "--m", 200,
-                "--seed", 1, "--out", d / "g"], "80000 x 80000 bool adjacency"),
+                "--seed", 1, "--out", d / "g"], "40000 x 40000 cross-block temporaries"),
     (lambda d: ["analyze", _write(d / "big.edges", "# n=5001\n0 1\n")],
      "capped at 5000 vertices"),
     (lambda d: ["analyze", _write(d / "big.edges", f"# n={10**30}\n0 1\n")],
@@ -533,9 +544,13 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
     # the m gate comes before any point is drawn
     (lambda d: ["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 4, "--m", 10 ** 400,
                 "--seed", 1, "--out", d / "g"], "m exceeds the desk bound 1000000"),
+    # K_1100 is not K_1100-free: the p-independence greedy's clique search
+    # at its last vertex goes one level deep per earlier vertex
+    (lambda d: ["analyze", _write(d / "k.edges", complete_graph_text(1100)), "--p", 1100],
+     "resource gate: maximum recursion depth exceeded"),
 ], ids=["gen-mbe-hyperedges", "gen-mbe-adjacency", "analyze-clique", "analyze-rows",
         "gen-mbe-ell", "sweep-mbe-ell", "gen-mbe-ell-before-m^ell",
-        "gen-mbe-m-before-points"])
+        "gen-mbe-m-before-points", "analyze-recursion"])
 def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
         run(argv(tmp_path))

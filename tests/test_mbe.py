@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from rtlab import mbe
 from rtlab import sphere as S
-from rtlab.analysis import LabeledGraph, max_clique, read_edge_list, write_edge_list
+from rtlab.analysis import (LabeledGraph, _set_edges, _zero_rows, max_clique, read_edge_list,
+                            write_edge_list)
 from rtlab.mbe import (
     BinaryStringFamily,
     BlowupReport,
+    MbeGraph,
     MbeParams,
     blowup_sparsify,
     build_base_hypergraph,
@@ -596,7 +599,7 @@ def test_empty_hypergraph_through_blowup_shadow_and_file(tmp_path):
     assert report == BlowupReport(0, 0, 0, 0)
     assert blown.hyperedges.shape == (0, 2) and blown.hyperedges.dtype == np.int64
     assert len(blown.vertices) == 8
-    shadow = shadow_graph(blown)
+    shadow = shadow_rows(blown)
     assert shadow.shape == (8, 8) and not shadow.any()
     blown.write_hyperedges(tmp_path / "e.hyper")
     assert (tmp_path / "e.hyper").read_text() == "# r=2 vertices=8\n"
@@ -606,10 +609,19 @@ def test_empty_hypergraph_through_blowup_shadow_and_file(tmp_path):
 # shadow graph
 # ---------------------------------------------------------------------------
 
+def shadow_rows(hypergraph):
+    """The shadow graph's packed rows, set from shadow_graph's edges as
+    MbeGraph sets them in each class."""
+    rows = _zero_rows(len(hypergraph.vertices))
+    for edges in shadow_graph(hypergraph):
+        _set_edges(rows, edges)
+    return rows
+
+
 def test_shadow_single_hyperedge_is_complete():
     pr = mbe_params(ell=2, p=1, q=2, k=4, m=2)
     hg = build_base_hypergraph(pr, points=antipodal_points(4, 1, seed=11))
-    cert = max_clique(LabeledGraph.from_adjacency(shadow_graph(hg)))
+    cert = max_clique(LabeledGraph(len(hg.vertices), shadow_rows(hg)))
     assert cert.size == hg.r  # K_r
 
 
@@ -639,7 +651,8 @@ def test_shadow_matches_pair_loop_on_repeated_vertices(case):
     hg = build_base_hypergraph(pr, points=P)
     if pr.mu >= 2.0:        # every pair is far, a point and itself included
         assert any(len(set(e)) < hg.r for e in hg.hyperedges.tolist())
-    assert np.array_equal(shadow_graph(hg), reference_shadow_graph(hg))
+    assert np.array_equal(shadow_rows(hg),
+                          LabeledGraph.from_adjacency(reference_shadow_graph(hg)).rows)
 
 
 # (ell, m, t, retention)
@@ -652,19 +665,20 @@ def test_shadow_matches_pair_loop_after_blowup(ell, m, t, retention):
     blown, _ = blowup_sparsify(build_base_hypergraph(pr), t, pr.zeta, seed=5,
                                retention=retention)
     assert len(blown.hyperedges)
-    assert np.array_equal(shadow_graph(blown), reference_shadow_graph(blown))
+    assert np.array_equal(shadow_rows(blown),
+                          LabeledGraph.from_adjacency(reference_shadow_graph(blown)).rows)
 
 
 def test_shadow_empty():
     pr = mbe_params(ell=1, p=1, q=2, k=3, m=2)
     P = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
-    assert not shadow_graph(build_base_hypergraph(pr, points=P)).any()
+    assert not shadow_rows(build_base_hypergraph(pr, points=P)).any()
 
 
 def test_shadow_clique_bound_and_hyperedge_containment():
     pr = mbe_params(ell=2, p=1, q=2, k=6, m=8)
     hg = build_base_hypergraph(pr, points=antipodal_points(6, 4, seed=12))
-    g = LabeledGraph.from_adjacency(shadow_graph(hg))
+    g = LabeledGraph(len(hg.vertices), shadow_rows(hg))
     cert = max_clique(g)
     assert cert.exhaustive and cert.size <= hg.r
     # every maximal clique lies inside a single hyperedge
@@ -783,7 +797,69 @@ def test_mbe_determinism():
     pr = mbe_params(ell=2, p=1, q=2, k=6, m=4, seed=9)
     g1 = build_mbe(pr)
     g2 = build_mbe(pr)
-    assert np.array_equal(g1.adjacency, g2.adjacency)
+    assert np.array_equal(g1.rows, g2.rows)
+
+
+def reference_mbe_adjacency(g):
+    """Reference: the dense construction that the packed rows replaced.
+    The shadow graph fills each diagonal block (np.kron), and each cross
+    block i < i' and its transpose are assigned from the near matrix."""
+    params, hg, N = g.params, g.hypergraph, g.class_size
+    adjacency = np.kron(np.eye(g.classes, dtype=bool), reference_shadow_graph(hg))
+    ids = hg.vertices
+    near = S.near(hg.points @ hg.points.T, params.mu)
+    for i, ip in itertools.combinations(range(g.classes), 2):
+        block = np.ones((N, N), dtype=bool)
+        for h, hp in sorted(related_coordinates(i, ip, params, g.coloring)):
+            block &= near[np.ix_(ids[:, h - 1], ids[:, hp - 1])]
+        adjacency[i * N:(i + 1) * N, ip * N:(ip + 1) * N] = block
+        adjacency[ip * N:(ip + 1) * N, i * N:(i + 1) * N] = block.T
+    return adjacency
+
+
+# (ell, p, q, k, m, epsilon, t, point_mode): class sizes N = 6, 18, 100 and
+# 130, which are not multiples of 8, q = 4 at N = 64 and 216, a blow-up, and
+# the partition mode
+DENSE_REFERENCE_CASES = [
+    (1, 1, 2, 6, 6, 0.05, 1, "antipodal"),
+    (1, 1, 2, 6, 6, 0.05, 3, "antipodal"),
+    (2, 1, 2, 10, 10, 0.05, 1, "antipodal"),
+    (3, 1, 4, 8, 4, 0.05, 1, "antipodal"),
+    (3, 1, 4, 8, 6, 0.5, 1, "antipodal"),
+    (1, 1, 2, 1, 130, 0.2, 1, "partition"),
+]
+
+
+@pytest.mark.parametrize("case", DENSE_REFERENCE_CASES,
+                         ids=lambda c: "-".join(str(x) for x in c))
+def test_packed_graph_matches_dense_reference(case):
+    ell, p, q, k, m, epsilon, t, mode = case
+    g = build_mbe(MbeParams(ell=ell, p=p, q=q, k=k, m=m, epsilon=epsilon, t=t,
+                            seed=2, point_mode=mode))
+    a = reference_mbe_adjacency(g)
+    assert np.array_equal(g.rows, LabeledGraph.from_adjacency(a).rows)
+    N = g.class_size
+    assert N % 8 or q == 4
+    for i, ip in itertools.combinations(range(q), 2):
+        assert g.pair_density(i, ip) == a[i * N:(i + 1) * N, ip * N:(ip + 1) * N].mean()
+
+
+def test_graph_memory_stays_below_a_dense_matrix():
+    """The rows (n x 8 ceil(n/64) bytes), one N x N cross block and its
+    temporaries, against one n x n bool matrix (0.71 MiB at n = 864); the
+    dense construction peaked at 1.43 MiB."""
+    pr = MbeParams(ell=3, p=1, q=4, k=8, m=6, epsilon=0.5, seed=2)
+    blown, report = blowup_sparsify(build_base_hypergraph(pr), pr.t, pr.zeta, pr.seed,
+                                    pr.retention)
+    coloring = proper_edge_coloring(pr.q)
+    tracemalloc.start()
+    try:
+        g = MbeGraph(pr, blown, coloring, report)
+        g.to_labeled_graph()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n ** 2
 
 
 def test_mbe_exports(tmp_path):

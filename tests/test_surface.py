@@ -1,6 +1,6 @@
-"""The library's surface: every function in src/rtlab has a caller in src,
-and every name the traced benchmark wraps exists.  Test references live in
-the tests that use them."""
+"""The library's surface: every function in src/rtlab has a caller in src
+or is a name the traced benchmark wraps or reads, and every name it wraps
+exists.  Test references live in the tests that use them."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SHIMS = ROOT / "perfbench" / "shims.py"
 
 # paper checks kept in src for a `certify geometry` suite and the theorem 13
 # rationals, which no command runs yet
@@ -23,10 +24,18 @@ PAPER_CHECKS = {
 def shim_targets():
     """perfbench/shims.py's TARGETS, from its source: nothing is wrapped,
     and no bytecode is written beside it."""
-    path = ROOT / "perfbench" / "shims.py"
     namespace = {}
-    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    exec(compile(SHIMS.read_text(), str(SHIMS), "exec"), namespace)
     return namespace["TARGETS"]
+
+
+def shim_reads():
+    """The attribute names that TARGETS' count functions read from the
+    arguments and return values they get, from perfbench/shims.py's source."""
+    counts = {count.__name__ for *_, count in shim_targets() if count}
+    return {node.attr for fn in ast.parse(SHIMS.read_text()).body
+            if isinstance(fn, ast.FunctionDef) and fn.name in counts
+            for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
 
 
 def test_every_benchmark_target_resolves():
@@ -45,7 +54,8 @@ def _names(node):
 
 def test_every_src_function_has_a_src_caller():
     # called: the bare name is read in src outside the function's own body
-    allowed = PAPER_CHECKS | {attr.split(".")[-1] for _, _, attr, _ in shim_targets()}
+    allowed = (PAPER_CHECKS | shim_reads()
+               | {attr.split(".")[-1] for _, _, attr, _ in shim_targets()})
     trees = {f.name: ast.parse(f.read_text())
              for f in sorted((ROOT / "src" / "rtlab").glob("*.py"))}
     used = Counter(name for tree in trees.values() for name in _names(tree))

@@ -16,6 +16,7 @@ from rtlab.weighted import (
     DominatingExtension,
     HerculeanCertificate,
     PWeightedGraph,
+    _wmax,
     dense_core,
     dominance_target,
     extension_value_table,
@@ -25,7 +26,6 @@ from rtlab.weighted import (
     g_of_A_numeric,
     in_G_p_q,
     is_dominating_extension,
-    max_feasible_weight,
     maximal_dominating_extension,
     multiset_dominates,
     verify_theorem15_window,
@@ -132,13 +132,23 @@ def test_extension_counterexample_p4():
     assert is_dominating_extension(g, [0, 1, 2], [4, 2, 1])
 
 
+def feasible_weight(p, backwards):
+    """_wmax of the last of len(backwards) + 1 vertices, whose weights to
+    the others are backwards, against all the others."""
+    m = len(backwards) + 1
+    w = [[0] * m for _ in range(m)]
+    for i, b in enumerate(backwards):
+        w[i][m - 1] = w[m - 1][i] = b
+    return _wmax(PWeightedGraph(p, w), m - 1, (1 << m - 1) - 1)
+
+
 def test_max_feasible_weight_rules():
-    assert max_feasible_weight(4, []) == 4
-    assert max_feasible_weight(4, [4, 4]) == 4     # all p
-    assert max_feasible_weight(4, [3, 3]) == 2     # equality twice at 3
-    assert max_feasible_weight(4, [3, 4]) == 3     # one equality at 3
-    assert max_feasible_weight(3, [1, 1]) == 1
-    assert max_feasible_weight(3, [0, 2]) == 0
+    assert feasible_weight(4, []) == 4
+    assert feasible_weight(4, [4, 4]) == 4     # all p
+    assert feasible_weight(4, [3, 3]) == 2     # equality twice at 3
+    assert feasible_weight(4, [3, 4]) == 3     # one equality at 3
+    assert feasible_weight(3, [1, 1]) == 1
+    assert feasible_weight(3, [0, 2]) == 0
 
 
 def section_rules_oracle(p, backwards):
@@ -159,7 +169,7 @@ def section_rules_oracle(p, backwards):
 def test_max_feasible_matches_three_rules(p):
     for length in range(1, 5):
         for backwards in itertools.product(range(0, p + 1), repeat=length):
-            assert max_feasible_weight(p, list(backwards)) == \
+            assert feasible_weight(p, list(backwards)) == \
                 section_rules_oracle(p, backwards), backwards
 
 
