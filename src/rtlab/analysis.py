@@ -295,29 +295,38 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
                 bounds.append(color)
         return order_out, bounds
 
-    stack_R: list[int] = []
-
-    def expand(P: int):
-        nonlocal best_size, best_witness
-        order_out, bounds = color_sort(P)
-        for i in range(len(order_out) - 1, -1, -1):
-            if cutoff is not None and best_size > cutoff:
-                return
-            if len(stack_R) + bounds[i] <= max(best_size, cutoff or 0):
-                return
-            v = order_out[i]
-            stack_R.append(v)
-            newP = P & adj[v]
-            if newP:
-                expand(newP)
-            elif len(stack_R) > best_size:
-                best_size = len(stack_R)
-                best_witness = list(stack_R)
-            stack_R.pop()
-            P &= ~(1 << v)
-
     if best_size < bound:
-        expand((1 << g.n) - 1)
+        # depth first on an explicit stack, so no depth meets Python's
+        # recursion limit.  Each level tries its colour-sorted vertices from
+        # the highest colour down and ends at the first whose colour cannot
+        # lift R past the best size (or the cutoff); R holds one vertex per
+        # open level, and saved the state of each level below the current one
+        R: list[int] = []
+        saved = []
+        P = (1 << g.n) - 1
+        vs, colours = color_sort(P)
+        i = len(vs) - 1
+        while True:
+            if (i < 0 or (cutoff is not None and best_size > cutoff)
+                    or len(R) + colours[i] <= max(best_size, cutoff or 0)):
+                if not saved:
+                    break
+                P, vs, colours, i = saved.pop()
+            else:
+                v = vs[i]
+                R.append(v)
+                newP = P & adj[v]
+                if newP:
+                    saved.append((P, vs, colours, i))
+                    P = newP
+                    vs, colours = color_sort(P)
+                    i = len(vs) - 1
+                    continue
+                if len(R) > best_size:
+                    best_size = len(R)
+                    best_witness = list(R)
+            P &= ~(1 << R.pop())
+            i -= 1
 
     witness = tuple(sorted(order[i] for i in best_witness))
     if cutoff is None:
@@ -336,24 +345,27 @@ def _find_clique(adj: list[int], mask: int, t: int):
 
     Vertices are tried lowest first and each branch looks only at later
     vertices, so the first clique in that order is returned; a branch with
-    fewer than t vertices left is cut, which never cuts a success.
+    fewer than t vertices left is cut, which never cuts a success.  The
+    search keeps its own stack, so no t meets Python's recursion limit.
     """
     if t <= 0:
         return []
-    if mask.bit_count() < t:
-        return None
-    if t == 1:
-        return [(mask & -mask).bit_length() - 1]
-    rest = mask
-    while rest:
+    taken, rests = [], []       # per open level below: its vertex, its untried rest
+    rest = mask                 # the current level's untried candidates
+    while True:
+        if rest.bit_count() < t - len(taken):   # too few left: back up a level
+            if not taken:
+                return None
+            taken.pop()
+            rest = rests.pop()
+            continue
         v = (rest & -rest).bit_length() - 1
+        if len(taken) == t - 1:
+            return [*taken, v]
         rest &= rest - 1
-        sub = _find_clique(adj, adj[v] & rest, t - 1)
-        if sub is not None:
-            return [v, *sub]
-        if rest.bit_count() < t:
-            return None
-    return None
+        taken.append(v)
+        rests.append(rest)
+        rest = adj[v] & rest
 
 
 def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
@@ -452,6 +464,22 @@ def rho_star(p: int, q: int):
 
 @dataclass(frozen=True)
 class Theorem13Report:
+    """Theorem 13's multipartite density against the conjecture, exactly.
+
+    ell, p, q: the construction's parameters (q even, ell >= p (q - 1)).
+    p_star, q_star: the regime they reach, 2^ell-independence and no
+    K_{q_star}, with q_star = 2^ell + 2^p + q - 1.
+    lower_bound: the construction's density (1/2^(ell-p)) (1 - 1/q).
+    rho_star_value: rho_star(p_star, q_star), the conjectured density.
+    exceeds_conjecture: lower_bound > rho_star_value, compared exactly.
+    strict_expected: what the closed form lower_bound - rho_star_value =
+    (q - 2)(2^p - q) / (q 2^(ell+1)) predicts for exceeds_conjecture: true
+    exactly when q > 2 and 2^p > q.
+    equality_window: theorem 15's window t (t - 2) <= s <= t^2 at s = 2^p,
+    t = q.  It does not mean equality: at (ell, p, q) = (9, 3, 4) it holds
+    and the bound is strict.
+    """
+
     ell: int
     p: int
     q: int
@@ -481,7 +509,7 @@ def theorem13_density(ell: int, p: int, q: int) -> Theorem13Report:
         ell=ell, p=p, q=q, p_star=p_star, q_star=q_star,
         lower_bound=bound, rho_star_value=conj,
         exceeds_conjecture=bound > conj,
-        strict_expected=q > 2,
+        strict_expected=q > 2 and 2 ** p > q,
         equality_window=q * (q - 2) <= 2 ** p <= q * q,
     )
 
@@ -552,11 +580,13 @@ def _plain_lines(a: np.ndarray):
 def read_edge_list(path):
     """Read the `u v` edge format; `# n=...` comments pin the vertex count.
 
-    The file is read once and parsed in blocks of about _READ_BLOCK bytes,
-    each ending at a newline.  Plain lines (1-18 ASCII digits, one space,
-    1-18 ASCII digits) are found and parsed in numpy; every other line --
-    comments, `# n=` lines, blank lines, CRLF ends, tabs, signs, longer
-    ids, non-UTF-8 bytes -- is decoded and parsed on its own, as text.
+    The file is read once, _READ_BLOCK bytes at a time, and parsed in
+    blocks that end at a newline: the unfinished last line of each read is
+    carried over to the next, and a line longer than a read is read to its
+    end, so no block splits a line.  Plain lines (1-18 ASCII digits, one
+    space, 1-18 ASCII digits) are found and parsed in numpy; every other
+    line -- comments, `# n=` lines, blank lines, CRLF ends, tabs, signs,
+    longer ids, non-UTF-8 bytes -- is decoded and parsed on its own, as text.
     Each block's edges are then set in the packed rows, which cover n
     vertices once a `# n=` line has given n, and the largest id seen so far
     before that.
@@ -569,70 +599,70 @@ def read_edge_list(path):
     raises the same way.  Rows past the MAX_ROW_BYTES gate raise
     ResourceLimit once the file has parsed.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     rows = _zero_rows(0)            # None once the rows would pass the gate
     top = 0                         # 1 + the largest id seen
     k = 0                           # edge lines read
     n = n_line = None
-    base = lo = 0                   # lines and bytes before the block
-    while lo < len(data):
-        hi = len(data)
-        if hi - lo > _READ_BLOCK:
-            hi = (data.rfind(b"\n", lo, lo + _READ_BLOCK) + 1
-                  or data.find(b"\n", lo + _READ_BLOCK) + 1 or hi)
-        starts, stops, plain, uv = _plain_lines(np.frombuffer(data, np.uint8, hi - lo, lo))
-        loops = plain[uv[:, 0] == uv[:, 1]]
-        end = int(loops[0]) if len(loops) else len(starts)   # lines checked here
-        irregular = stops[:end] > starts[:end]  # empty lines are skipped
-        irregular[plain[plain < end]] = False
-        extra = []                  # edges of the irregular lines
-        for i in np.flatnonzero(irregular).tolist():
-            lineno = base + i + 1
-            try:
-                line = data[lo + starts[i]:lo + stops[i]].decode().strip()
-            except UnicodeDecodeError:
-                raise ValueError(f"{path}:{lineno}: line is not UTF-8") from None
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if not body.startswith("n="):
+    base = 0                        # lines before the block
+    tail = b""                      # the unfinished last line of the last read
+    with open(path, "rb") as fh:
+        while data := tail + fh.read(_READ_BLOCK):
+            cut = data.rfind(b"\n") + 1
+            if not cut:             # one line longer than a read, or the file's last
+                data += fh.readline()
+                cut = len(data)
+            data, tail = data[:cut], data[cut:]
+            starts, stops, plain, uv = _plain_lines(np.frombuffer(data, np.uint8))
+            loops = plain[uv[:, 0] == uv[:, 1]]
+            end = int(loops[0]) if len(loops) else len(starts)   # lines checked here
+            irregular = stops[:end] > starts[:end]  # empty lines are skipped
+            irregular[plain[plain < end]] = False
+            extra = []              # edges of the irregular lines
+            for i in np.flatnonzero(irregular).tolist():
+                lineno = base + i + 1
+                try:
+                    line = data[starts[i]:stops[i]].decode().strip()
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}:{lineno}: line is not UTF-8") from None
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if not body.startswith("n="):
+                        continue
+                    try:
+                        count = int(body[2:])
+                        if count < 0:
+                            raise ValueError
+                    except ValueError:
+                        raise _bad_line(path, lineno, line, n) from None
+                    if n is None:
+                        n, n_line = count, lineno
+                    elif count != n:
+                        raise ValueError(f"{path}:{lineno}: '# n={count}' contradicts "
+                                         f"'# n={n}' on line {n_line}")
                     continue
                 try:
-                    count = int(body[2:])
-                    if count < 0:
+                    u, v = map(int, line.split())
+                    # ids must fit int64
+                    if u == v or not (0 <= u < 2 ** 63 and 0 <= v < 2 ** 63):
                         raise ValueError
                 except ValueError:
                     raise _bad_line(path, lineno, line, n) from None
-                if n is None:
-                    n, n_line = count, lineno
-                elif count != n:
-                    raise ValueError(f"{path}:{lineno}: '# n={count}' contradicts "
-                                     f"'# n={n}' on line {n_line}")
-                continue
-            try:
-                u, v = map(int, line.split())
-                if u == v or not (0 <= u < 2 ** 63 and 0 <= v < 2 ** 63):  # int64 ids
-                    raise ValueError
-            except ValueError:
-                raise _bad_line(path, lineno, line, n) from None
-            extra.append((u, v))
-        if len(loops):
-            line = data[lo + starts[end]:lo + stops[end]].decode()
-            raise _bad_line(path, base + end + 1, line, n)
-        if extra:
-            uv = np.concatenate((uv, np.array(extra, dtype=np.int64)))
-        k += len(uv)
-        top = max(top, int(uv.max(initial=-1)) + 1)
-        size = top if n is None else n
-        if rows is not None and size > len(rows):
-            rows = _grown(rows, size)
-        if rows is not None and top <= size:    # else the gate or the rescan raises
-            _set_edges(rows, uv)
-        base += len(starts)
-        lo = hi
-    del data                        # freed before the edge count
+                extra.append((u, v))
+            if len(loops):
+                line = data[starts[end]:stops[end]].decode()
+                raise _bad_line(path, base + end + 1, line, n)
+            if extra:
+                uv = np.concatenate((uv, np.array(extra, dtype=np.int64)))
+            k += len(uv)
+            top = max(top, int(uv.max(initial=-1)) + 1)
+            size = top if n is None else n
+            if rows is not None and size > len(rows):
+                rows = _grown(rows, size)
+            if rows is not None and top <= size:    # else the gate or the rescan raises
+                _set_edges(rows, uv)
+            base += len(starts)
     if n is None:
         n = top
     if top <= n:                    # then the last block left n rows

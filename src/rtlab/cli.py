@@ -14,8 +14,7 @@ non-UTF-8 edge-list line or a `# n=` line that contradicts an earlier one
 (reported as path:line), an equal-measure partition that cannot meet its
 diameter (gen-cbe --mode strict, gen-mbe --point-mode partition), an exact
 search or enumeration beyond its size gate (gen-mbe --ell above 6, among
-others), a clique search deeper than Python's recursion limit, or an
-allocation that runs out of memory.
+others), or an allocation that runs out of memory.
 Every output embeds the originating configuration; reruns of the same
 configuration are byte-identical (seeds are explicit, never wall-clock).
 The options of gen-cbe and gen-mbe, and the sweep axes' defaults, are the
@@ -675,8 +674,6 @@ def main(argv=None) -> int:
         args.parser.error(f"infeasible partition: {exc}")
     except MemoryError as exc:
         args.parser.error(f"out of memory: {exc}")
-    except RecursionError as exc:     # a clique search deeper than the recursion limit
-        args.parser.error(f"resource gate: {exc}")
     except OSError as exc:
         # the commands report unreadable inputs themselves, so this is an
         # output; an error from a buffered write or close names no file

@@ -124,50 +124,6 @@ class MbeParams:
 
 
 # ---------------------------------------------------------------------------
-# step 1: binary strings and the graphs Q_h
-# ---------------------------------------------------------------------------
-
-class BinaryStringFamily:
-    """The r = 2^ell binary strings with the bipartite splits Q_h, h in [ell]."""
-
-    def __init__(self, ell: int):
-        if ell < 1:
-            raise ValueError("ell must be at least 1")
-        if ell > MAX_Q_FAMILY_ELL:
-            raise sphere.ResourceLimit(
-                f"binary string family capped at ell <= {MAX_Q_FAMILY_ELL}")
-        self.ell = ell
-        self.r = 2 ** ell
-        self.strings = _digits(2, ell)   # row i: the bits of i, most significant first
-
-    def q_edges(self, h: int) -> set:
-        """Edges of Q_h (1-based coordinate): string pairs differing in bit h."""
-        if not 1 <= h <= self.ell:
-            raise ValueError("coordinate out of range")
-        return {(i, j) for i in range(self.r) for j in range(i + 1, self.r)
-                if self.strings[i, h - 1] != self.strings[j, h - 1]}
-
-    def union_alpha(self, coords) -> int:
-        """Independence number of the union of Q_h over h in coords, by brute
-        force over string subsets (feasible up to ell = 4, gated by size)."""
-        coords = set(coords)
-        if self.r > 16:
-            raise sphere.ResourceLimit("brute-force independence gated at r <= 16")
-        edges = set()
-        for h in coords:
-            edges |= self.q_edges(h)
-        best = 0
-        for size in range(self.r, 0, -1):
-            if size <= best:
-                break
-            for sub in itertools.combinations(range(self.r), size):
-                if not any((a, b) in edges for a, b in itertools.combinations(sub, 2)):
-                    best = size
-                    break
-        return best
-
-
-# ---------------------------------------------------------------------------
 # proper edge colouring of K_q (round-robin 1-factorisation)
 # ---------------------------------------------------------------------------
 
@@ -209,7 +165,7 @@ def related_coordinates(i: int, ip: int, params: MbeParams, coloring: dict) -> s
 
 
 # ---------------------------------------------------------------------------
-# steps 2-3: the geometric hypergraph and its blow-up
+# steps 1-3: the Q_h splits, the geometric hypergraph and its blow-up
 # ---------------------------------------------------------------------------
 
 class GeometricHypergraph:
@@ -262,10 +218,11 @@ def default_points(params: MbeParams) -> np.ndarray:
     return np.vstack([half, -half])
 
 
-def _coordinate_assignments(far: np.ndarray, fam: BinaryStringFamily, h: int) -> np.ndarray:
+def _coordinate_assignments(far: np.ndarray, strings: np.ndarray, h: int) -> np.ndarray:
     """(count, r) int array of every map string index -> point id with
     far[x_i, x_j] for i > j whenever strings i and j differ in coordinate h,
-    rows in lexicographic order.
+    rows in lexicographic order; strings is the (r, ell) array of the r
+    binary strings, row i the bits of i.
 
     Built level by level, assigning the strings alternately from the two
     sides of Q_h; the first two levels together are np.nonzero(far.T).  The
@@ -279,10 +236,10 @@ def _coordinate_assignments(far: np.ndarray, fam: BinaryStringFamily, h: int) ->
     ell >= 2, where build_base_hypergraph's vertex gate keeps m <= 1000: at
     most 10^8 bools (100 MB).
     """
-    side = fam.strings[:, h - 1]
+    side = strings[:, h - 1]
     order = np.stack([np.flatnonzero(side == 0), np.flatnonzero(side == 1)], 1).ravel()
     rows = np.arange(far.shape[0])[:, None]
-    for c in range(1, fam.r):
+    for c in range(1, len(strings)):
         s = order[c]
         mask = np.ones((len(rows), far.shape[0]), dtype=bool)
         for j in range(1 - c % 2, c, 2):        # the other side's columns
@@ -305,9 +262,11 @@ def build_base_hypergraph(params: MbeParams, points: np.ndarray | None = None) -
     itertools.product order; this never brute-forces all m^(ell r)
     labelled tuples.  A hyperedge is kept at its first labelling.
     """
-    fam = BinaryStringFamily(params.ell)
+    # ell, m and m^ell are gated in that order, before any point is drawn
+    if params.ell > MAX_Q_FAMILY_ELL:
+        raise sphere.ResourceLimit(
+            f"binary string family capped at ell <= {MAX_Q_FAMILY_ELL}")
     m = params.m if points is None else len(points)
-    # BinaryStringFamily gates ell; then m and m^ell, before any point is drawn
     if m > MAX_BASE_VERTICES:
         raise sphere.ResourceLimit(f"m exceeds the desk bound {MAX_BASE_VERTICES}")
     if m ** params.ell > MAX_BASE_VERTICES:
@@ -316,13 +275,14 @@ def build_base_hypergraph(params: MbeParams, points: np.ndarray | None = None) -
     P = default_points(params) if points is None else np.asarray(points, dtype=float)
     far = sphere.almost_antipodal(P @ P.T, params.mu)
 
-    per_coord = [_coordinate_assignments(far, fam, h)
+    strings = _digits(2, params.ell)    # row i: the bits of i, most significant first
+    per_coord = [_coordinate_assignments(far, strings, h)
                  for h in range(1, params.ell + 1)]
     if math.prod(len(a) for a in per_coord) > MAX_ASSIGNMENTS:
         raise sphere.ResourceLimit("hyperedge combination count too large")
-    ids = np.zeros((1, fam.r), dtype=np.int64)
+    ids = np.zeros((1, params.r), dtype=np.int64)
     for a in per_coord:
-        ids = (ids[:, None, :] * m + a).reshape(-1, fam.r)
+        ids = (ids[:, None, :] * m + a).reshape(-1, params.r)
     # the sorted row names the vertex set; a vertex repeats within a row only
     # when mu is so large that a point is far from itself, and then each
     # repeat becomes -1, so rows with the same set share one key
@@ -483,21 +443,6 @@ def shadow_graph(hypergraph: GeometricHypergraph):
     for a, b in itertools.combinations(range(hypergraph.r), 2):
         pairs = edges[:, [a, b]]
         yield pairs[pairs[:, 0] != pairs[:, 1]]
-
-
-def lengthy_coordinates(hg: GeometricHypergraph, vertex_ids, mu: float) -> set:
-    """Coordinates h in [ell] witnessed by an almost antipodal pair
-    (|v_h - v'_h| >= 2 - mu) within the given vertex set."""
-    ids = list(vertex_ids)
-    if len(ids) < 2:
-        return set()
-    iu = np.triu_indices(len(ids), k=1)
-    out = set()
-    for h in range(1, hg.ell + 1):
-        pts = hg.points[hg.vertices[ids, h - 1]]
-        if np.any(sphere.almost_antipodal((pts @ pts.T)[iu], mu)):
-            out.add(h)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Geometry of high dimensional real and complex unit spheres.
 
 Points are plain arrays: an (n, k) complex128 array holds n points of
-S^{k-1}(C) and an (n, d) float64 array n points of S^{d-1}(R).  Provides
-the coordinate-interleaving isometry between S^{k-1}(C) and S^{2k-1}(R),
-closed-form cap-measure bounds, uniform sampling, equal-measure partitions
-of S^{d-1}(R) with certified diameter bounds (a partition of S^{k-1}(C) is
-one of S^{2k-1}(R) read through the isometry), the almost antipodal and
-near tests, and an exhaustive search for rhombus configurations (two almost
-antipodal pairs whose four cross distances are all at most sqrt(2)-mu),
-which cannot exist among genuine unit vectors.
+S^{k-1}(C) and an (n, d) float64 array n points of S^{d-1}(R); a point of
+S^{k-1}(C) is read as one of S^{2k-1}(R) by interleaving its real and
+imaginary parts (uninterleave is the way back).  Provides uniform sampling,
+equal-measure partitions of S^{d-1}(R) with certified diameter bounds (a
+partition of S^{k-1}(C) is one of S^{2k-1}(R) read through the isometry),
+and the almost antipodal and near tests.  The cap-measure bounds, the
+isometry's forward map and the rhombus search are checked in the tests.
 
 All geometric predicates use closed comparisons with an absolute slack of
 GEOM_TOL so that boundary cases keep their mathematical truth value at
@@ -21,7 +20,6 @@ import dataclasses
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 # imported here, not on the first philox_rng call, so that its cost falls in
@@ -75,52 +73,20 @@ def philox_rng(seed: int, stream: int = 0, substream: int = 0) -> np.random.Gene
 
 
 # ---------------------------------------------------------------------------
-# The interleaving isometry and cap-measure bounds
+# The interleaving isometry, uniform sampling and the distance tests
 # ---------------------------------------------------------------------------
 
-def interleave(z: np.ndarray) -> np.ndarray:
-    """(x1+iy1,...,xk+iyk) -> (x1,y1,...,xk,yk), vectorised over rows.
-
-    The distance-preserving map from S^{k-1}(C) to S^{2k-1}(R)."""
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
-
-
 def uninterleave(x: np.ndarray) -> np.ndarray:
-    """Inverse of interleave; last axis length must be even."""
+    """(x1,y1,...,xk,yk) -> (x1+iy1,...,xk+iyk), vectorised over rows; the
+    last axis length must be even.
+
+    The inverse of the distance-preserving map that interleaves the real and
+    imaginary parts of S^{k-1}(C) into S^{2k-1}(R)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] % 2:
         raise ValueError("real dimension must be even")
     return x[..., 0::2] + 1j * x[..., 1::2]
 
-
-def cap_measure_upper_bound(k: int, alpha: float) -> float:
-    """Upper bound exp(-k alpha^2) on the measure of a height-(1-alpha) cap
-    of S^{k-1}(C)."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    if k < 1:
-        raise ValueError("k must be positive")
-    return math.exp(-k * alpha * alpha)
-
-
-def cap_measure_lower_bound(k: int, delta: float) -> float:
-    """Lower bound max(0, 1/2 - sqrt(2) delta) on the measure of the cap of
-    points within distance sqrt(2) - delta/sqrt(2k) of a fixed point of
-    S^{k-1}(C); requires k >= 3."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if k < 3:
-        raise ValueError("k must be at least 3")
-    return max(0.0, 0.5 - math.sqrt(2.0) * delta)
-
-
-# ---------------------------------------------------------------------------
-# Uniform sampling, distance checks and the rhombus search
-# ---------------------------------------------------------------------------
 
 def sample_real_sphere(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. uniform points on S^{d-1}(R), shape (size, d)."""
@@ -142,18 +108,6 @@ def sample_complex_sphere(k: int, size: int, rng: np.random.Generator) -> np.nda
     return uninterleave(sample_real_sphere(2 * k, size, rng))
 
 
-def two_set_distance_check(A, B, nu: float) -> bool:
-    """True iff max_{a in A, b in B} |a - b| >= 2 - nu (closed, GEOM_TOL slack)."""
-    ra = interleave(A)
-    rb = interleave(B)
-    if ra.size == 0 or rb.size == 0:
-        raise ValueError("A and B must be nonempty")
-    # |a-b|^2 = 2 - 2 <a, b> on unit vectors
-    min_ip = float(np.min(ra @ rb.T))
-    dmax = math.sqrt(max(0.0, 2.0 - 2.0 * min_ip))
-    return dmax >= (2.0 - nu) - GEOM_TOL
-
-
 def almost_antipodal(ip, mu: float):
     """Where unit vectors with inner products ip are almost antipodal:
     |x - y| >= 2 - mu, i.e. <x,y> <= 1 - (2 - mu)^2 / 2 while 2 - mu > 0
@@ -169,38 +123,6 @@ def near(ip, mu: float):
     becomes infinite."""
     bound = math.sqrt(2) * mu - mu ** 2 / 2.0 if mu <= math.sqrt(2) else math.inf
     return ip >= bound - GEOM_TOL
-
-
-def rhombus_search(P, Q, mu: float):
-    """Search for p1, p2 in P and q1, q2 in Q with |p1-p2| >= 2-mu,
-    |q1-q2| >= 2-mu and all four cross distances <= sqrt(2)-mu.
-
-    Exhaustive over all quadruples: any witness quadruple must consist of a
-    far pair of P and a far pair of Q, so enumerating far pairs first loses
-    nothing.  No witness exists for genuine unit vectors; a non-None return
-    indicates corrupted input upstream.
-    """
-    if not 0.0 < mu < 0.25:
-        raise ValueError("mu must lie in (0, 1/4)")
-    p = np.asarray(P, dtype=np.float64)
-    q = np.asarray(Q, dtype=np.float64)
-
-    def far_pairs(x):
-        idx = np.argwhere(np.triu(almost_antipodal(x @ x.T, mu), k=1))
-        return [tuple(ij) for ij in idx]
-
-    fp = far_pairs(p)
-    if not fp:
-        return None
-    fq = far_pairs(q)
-    if not fq:
-        return None
-    close = near(p @ q.T, mu)
-    for i1, i2 in fp:
-        for j1, j2 in fq:
-            if close[i1, j1] and close[i1, j2] and close[i2, j1] and close[i2, j2]:
-                return (p[i1].copy(), p[i2].copy(), q[j1].copy(), q[j2].copy())
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -283,55 +205,19 @@ def _box_diameter_bound(lo: np.ndarray, hi: np.ndarray) -> float:
     return min(diam, 2.0)
 
 
-@dataclass(frozen=True)
-class _Node:
-    axis: int
-    cuts: np.ndarray          # internal boundaries, ascending
-    children: tuple           # _Node or int cell id per bucket
-
-
-def _split_tree(cells, axis: int, first: int, last: int):
-    """The split tree of cells[first:last], boxes listed depth first that
-    share their bounds on the axes before axis: a cell id, or a _Node with
-    one bucket per run of cells with equal bounds on axis."""
-    if last - first == 1:
-        return first
-    starts = [i for i in range(first + 1, last)
-              if cells[i][0][axis] != cells[i - 1][0][axis]]
-    cuts = np.array([cells[i][0][axis] for i in starts])
-    bounds = [first, *starts, last]
-    return _Node(axis, cuts, tuple(_split_tree(cells, axis + 1, a, b)
-                                   for a, b in zip(bounds, bounds[1:])))
-
-
 class RealSpherePartition:
     """n equal-measure cells of S^{d-1}(R) with a certified diameter bound.
 
-    Each cell is an axis-aligned box in nested spherical coordinates; locate
-    builds the split tree of the boxes on its first call.
+    Each cell is an axis-aligned box in nested spherical coordinates.
     """
 
     def __init__(self, d: int, n: int, cells, max_diameter: float, seed: int):
         self.d = d
         self.n = n
         self.cells = cells              # list of (lo, hi) angle arrays, depth first
-        self._tree = None               # _Node or cell id, built by locate
         self.max_diameter = max_diameter
         self.seed = seed
         self._axes = [_Axis(d, j) for j in range(d - 1)]
-
-    # -- geometry -----------------------------------------------------------
-
-    def cell_measure(self, i: int) -> float:
-        lo, hi = self.cells[i]
-        meas = 1.0
-        for j, ax in enumerate(self._axes):
-            meas *= ax.cdf(hi[j]) - ax.cdf(lo[j])
-        return meas
-
-    def cell_diameter_bound(self, i: int) -> float:
-        lo, hi = self.cells[i]
-        return _box_diameter_bound(lo, hi)
 
     def _angles_to_points(self, ang: np.ndarray) -> np.ndarray:
         n = ang.shape[0]
@@ -343,20 +229,6 @@ class RealSpherePartition:
         x[:, self.d - 2] = s * np.cos(ang[:, -1])
         x[:, self.d - 1] = s * np.sin(ang[:, -1])
         return x
-
-    def _points_to_angles(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        nrm = np.linalg.norm(pts, axis=1, keepdims=True)
-        pts = pts / nrm
-        n = pts.shape[0]
-        ang = np.empty((n, self.d - 1))
-        tail = np.sqrt(np.cumsum(pts[:, ::-1] ** 2, axis=1))[:, ::-1]
-        for j in range(self.d - 2):
-            ang[:, j] = np.arctan2(tail[:, j + 1], pts[:, j])
-        ang[:, -1] = np.mod(np.arctan2(pts[:, -1], pts[:, -2]), _TWO_PI)
-        return ang
-
-    # -- sampling and location ----------------------------------------------
 
     def sample_cell(self, i: int, count: int, substream: int = 0) -> np.ndarray:
         """Uniform points inside cell i, deterministic per (seed, i, substream);
@@ -373,25 +245,6 @@ class RealSpherePartition:
             for t in range(count):
                 ang[t, j] = ax.ppf(flo + u[t, j] * (fhi - flo))
         return self._angles_to_points(ang)
-
-    def locate(self, points) -> np.ndarray:
-        """Cell index for each point; total on the whole sphere."""
-        if self._tree is None:
-            self._tree = _split_tree(self.cells, 0, 0, self.n)
-        ang = self._points_to_angles(points)
-        out = np.empty(ang.shape[0], dtype=np.int64)
-        stack = [(self._tree, np.arange(ang.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if isinstance(node, int):
-                out[idx] = node
-                continue
-            bucket = np.searchsorted(node.cuts, ang[idx, node.axis], side="right")
-            for ci, child in enumerate(node.children):
-                stack.append((child, idx[bucket == ci]))
-        return out
 
 
 def _band_counts(m: int, n: int) -> list[int]:

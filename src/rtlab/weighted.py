@@ -14,9 +14,9 @@ p-weighted graphs admitting a dominating extension of size at least q.
 The module provides the dominance primitives, pointwise-maximal extensions,
 exact membership search via a subset dynamic program, the simplex quadratic
 program g(A) = max u^T A u over the probability simplex (exact rational
-support enumeration plus a multiplicative-update numeric fallback), dense
-cores, heroic/herculean sets with verifiable certificates, and the
-constructive subgraph finder used by the p in {3, 4} density bounds.
+support enumeration plus a multiplicative-update numeric fallback),
+heroic/herculean sets with verifiable certificates, and the constructive
+subgraph finder used by the p in {3, 4} density bounds.
 """
 
 from __future__ import annotations
@@ -475,26 +475,6 @@ def g_of_A_numeric(A, seed: int = 0):
         best_u = np.zeros(m)
         best_u[0] = 1.0
     return best_val, best_u
-
-
-def dense_core(A):
-    """Minimal index set J with g(A[J]) = g(A), first in size-then-
-    combinations order, and the solution on A[J] (support range(|J|)); the
-    submatrix is dense: every one-index deletion strictly decreases g.
-
-    J is g_of_A's support.  A minimal J supports a maximiser of A with the
-    smallest possible support, and there the bordered stationarity system
-    is nonsingular: a kernel direction d (A_J d = delta 1, sum d = 0) keeps
-    u^T A u constant, so moving along it would shrink the support.  So
-    g_of_A solves J exactly, no support it meets earlier reaches g(A), and
-    later ones only tie.
-    """
-    sol = g_of_A(A)
-    if not sol.support:
-        raise ValueError("empty matrix has no core")
-    J = sol.support
-    return J, SimplexSolution(sol.value, tuple(sol.u[j] for j in J),
-                              tuple(range(len(J))))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 from test_analysis import subgraph
 from test_mbe import reference_find_dense_subconfig
-from test_sphere import mc_cap_height_measure, mc_cap_radius_measure
+from test_sphere import (
+    cap_measure_lower_bound,
+    cap_measure_upper_bound,
+    mc_cap_height_measure,
+    mc_cap_radius_measure,
+    rhombus_search,
+)
 
 from rtlab import sphere as S
 from rtlab.analysis import max_clique, rho_star, theorem13_density
@@ -205,14 +211,14 @@ def test_geometry_oracles():
     for k in (10, 20, 40):
         for alpha in (0.1, 0.3, 0.5):
             est, se = mc_cap_height_measure(k, alpha, samples, seed=100 + k)
-            bound = S.cap_measure_upper_bound(k, alpha)
+            bound = cap_measure_upper_bound(k, alpha)
             if est > bound + 4 * se:
                 ok = False
                 details.append(f"upper k={k} a={alpha}")
         for delta in (0.1, 0.3, 0.5):
             radius = math.sqrt(2) - delta / math.sqrt(2 * k)
             est, se = mc_cap_radius_measure(k, radius, samples, seed=200 + k)
-            bound = S.cap_measure_lower_bound(k, delta)
+            bound = cap_measure_lower_bound(k, delta)
             if est < bound - 4 * se:
                 ok = False
                 details.append(f"lower k={k} d={delta}")
@@ -220,7 +226,7 @@ def test_geometry_oracles():
         rng = S.philox_rng(300 + seed)
         P = S.sample_real_sphere(4, 200, rng)
         Q = S.sample_real_sphere(4, 200, rng)
-        if S.rhombus_search(P, Q, mu=0.2) is not None:
+        if rhombus_search(P, Q, mu=0.2) is not None:
             ok = False
             details.append(f"rhombus witness at seed {seed}")
     _report("geometry-oracles", ok,

@@ -111,25 +111,27 @@ def brute_alpha_p(g: LabeledGraph, p: int) -> int:
     return best
 
 
+def reference_find_clique(adj, mask, t):
+    """The first K_t inside mask, lowest vertices first, by a recursive
+    search with no pruning."""
+    if t == 0:
+        return []
+    rest = mask
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        sub = reference_find_clique(adj, adj[v] & rest, t - 1)
+        if sub is not None:
+            return [v, *sub]
+    return None
+
+
 def reference_packing_bound(g: LabeledGraph, p: int) -> int:
     """n minus the number of vertex-disjoint K_p copies packed greedily, each
     found lowest-first by a search with no pruning."""
     adj = _unpack_rows(g.rows)
-
-    def find(mask, t):
-        if t == 0:
-            return []
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            sub = find(adj[v] & rest, t - 1)
-            if sub is not None:
-                return [v, *sub]
-        return None
-
     mask, packed = (1 << g.n) - 1, 0
-    while (clique := find(mask, p)) is not None:
+    while (clique := reference_find_clique(adj, mask, p)) is not None:
         packed += 1
         for v in clique:
             mask &= ~(1 << v)
@@ -152,7 +154,7 @@ def reference_p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
                 best = max(best, count)
                 return
             v = order[idx]
-            if _find_clique(adj, adj[v] & chosen, p - 1) is None:
+            if reference_find_clique(adj, adj[v] & chosen, p - 1) is None:
                 dfs(idx + 1, chosen | (1 << v), count + 1)
             dfs(idx + 1, chosen, count)
 
@@ -162,13 +164,13 @@ def reference_p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
     chosen = 0
     count = 0
     for v in sorted(range(g.n), key=lambda u: adj[u].bit_count()):
-        if _find_clique(adj, adj[v] & chosen, p - 1) is None:
+        if reference_find_clique(adj, adj[v] & chosen, p - 1) is None:
             chosen |= 1 << v
             count += 1
     mask = (1 << g.n) - 1
     packed = 0
     while True:
-        clique = _find_clique(adj, mask, p)
+        clique = reference_find_clique(adj, mask, p)
         if clique is None:
             break
         packed += 1
@@ -275,6 +277,20 @@ def test_p_independence_heuristic_brackets_exact():
     lb, ub, flag = p_independence(g, 3, exact_limit=5)
     assert not flag
     assert lb <= exact <= ub
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_find_clique_matches_the_unpruned_search(seed):
+    # every t up to past the clique number, in the whole graph, in random
+    # masks and in neighbourhoods
+    g = random_graph(30, 0.3 + 0.1 * seed, seed=seed + 60)
+    adj = _unpack_rows(g.rows)
+    rng = S.philox_rng(seed, 78)
+    masks = [(1 << g.n) - 1, 0, *adj[:5],
+             *(int(m) for m in rng.integers(0, 1 << g.n, 8)), (1 << g.n) - 2]
+    for mask in masks:
+        for t in range(10):
+            assert _find_clique(adj, mask, t) == reference_find_clique(adj, mask, t), (mask, t)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -448,6 +464,25 @@ def test_theorem13_q2_not_strict():
     assert not rep.strict_expected
     assert not rep.exceeds_conjecture  # bound meets rho_star exactly at q = 2
     assert rep.lower_bound == rep.rho_star_value
+
+
+# q even in 2..12, p in 1..7 and ell in p (q - 1)..p (q - 1) + 4: 210 rows
+THEOREM13_GRID = [(ell, p, q) for q in range(2, 13, 2) for p in range(1, 8)
+                  for ell in range(p * (q - 1), p * (q - 1) + 5)]
+
+
+def test_theorem13_strictness_follows_the_closed_form():
+    assert len(THEOREM13_GRID) == 210
+    for ell, p, q in THEOREM13_GRID:
+        rep = theorem13_density(ell, p, q)
+        assert (rep.lower_bound - rep.rho_star_value
+                == Fraction((q - 2) * (2 ** p - q), q * 2 ** (ell + 1))), (ell, p, q)
+        assert rep.strict_expected == rep.exceeds_conjecture, (ell, p, q)
+    # q > 2, yet the bound is below rho_star (3/16 < 1/4) or meets it (3/64)
+    below, meets = theorem13_density(3, 1, 4), theorem13_density(6, 2, 4)
+    assert (below.lower_bound, below.rho_star_value) == (Fraction(3, 16), Fraction(1, 4))
+    assert meets.lower_bound == meets.rho_star_value == Fraction(3, 64)
+    assert not (below.strict_expected or meets.strict_expected)
 
 
 def test_theorem13_validation():

@@ -544,13 +544,9 @@ def test_analyze_accepts_a_repeated_count(tmp_path, capsys):
     # the m gate comes before any point is drawn
     (lambda d: ["gen-mbe", "--ell", 2, "--p", 1, "--q", 2, "--k", 4, "--m", 10 ** 400,
                 "--seed", 1, "--out", d / "g"], "m exceeds the desk bound 1000000"),
-    # K_1100 is not K_1100-free: the p-independence greedy's clique search
-    # at its last vertex goes one level deep per earlier vertex
-    (lambda d: ["analyze", _write(d / "k.edges", complete_graph_text(1100)), "--p", 1100],
-     "resource gate: maximum recursion depth exceeded"),
 ], ids=["gen-mbe-hyperedges", "gen-mbe-adjacency", "analyze-clique", "analyze-rows",
         "gen-mbe-ell", "sweep-mbe-ell", "gen-mbe-ell-before-m^ell",
-        "gen-mbe-m-before-points", "analyze-recursion"])
+        "gen-mbe-m-before-points"])
 def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     with pytest.raises(SystemExit) as exc:
         run(argv(tmp_path))
@@ -558,6 +554,18 @@ def test_resource_gate_exits_2(tmp_path, capsys, argv, fragment):
     err = capsys.readouterr().err
     assert "resource gate" in err and fragment in err
     assert "Traceback" not in err
+
+
+def test_analyze_clique_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # K_1100 is not K_1100-free: the p-independence greedy's clique search at
+    # its last vertex goes one level deep per earlier vertex, past Python's
+    # recursion limit of 1,000 frames.  The greedy keeps all but the last
+    # vertex, and the packing finds the one K_1100
+    path = _write(tmp_path / "k.edges", complete_graph_text(1100))
+    assert run(["analyze", path, "--p", 1100]) == 0
+    out = capsys.readouterr().out.splitlines()
+    row = dict(zip(out[0].split(","), out[1].split(",")))
+    assert (row["omega"], row["alpha_p_lb"], row["alpha_p_ub"]) == ("1100", "1099", "1099")
 
 
 def test_analyze_exact_search_deeper_than_the_recursion_limit(tmp_path, capsys):

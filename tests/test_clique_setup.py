@@ -250,6 +250,15 @@ def test_cutoff_path_past_the_gate_matches_reference():
     assert max_clique(g, cutoff=2) == CliqueCertificate(3, (63, 64, 65), False, None)
 
 
+def test_cutoff_below_the_greedy_seed_stops_the_search():
+    # the greedy seed of this graph has 6 vertices and omega is 7: under a
+    # cutoff below 6 the certificate is the seed's, so the branch and bound
+    # must stop before it finds the larger clique
+    g = random_graph(30, 0.5, 3)
+    assert_certificates_match(g, [None, 0, 1, 5, 6])
+    assert (max_clique(g).size, max_clique(g, cutoff=5).size) == (7, 6)
+
+
 def test_cbe_benchmark_graph_matches_reference():
     # the graph of gen-cbe --p 3 --ell 1 --k 16 --n 800 --seed 1, certified
     # exhaustively by gen-cbe and with --cutoff 4 by analyze

@@ -13,7 +13,6 @@ from rtlab import sphere as S
 from rtlab.analysis import (LabeledGraph, _set_edges, _zero_rows, max_clique, read_edge_list,
                             write_edge_list)
 from rtlab.mbe import (
-    BinaryStringFamily,
     BlowupReport,
     MbeGraph,
     MbeParams,
@@ -21,7 +20,6 @@ from rtlab.mbe import (
     build_base_hypergraph,
     build_mbe,
     find_dense_subconfig,
-    lengthy_coordinates,
     proper_edge_coloring,
     related_coordinates,
     shadow_graph,
@@ -53,42 +51,71 @@ def hyperedge_valid(points, mu, ids):
 
 
 # ---------------------------------------------------------------------------
-# Q_h family
+# Q_h family: the independence of unions of the splits Q_h, which no command
+# computes
 # ---------------------------------------------------------------------------
 
+def q_edges(ell: int, h: int) -> set:
+    """Edges of Q_h (1-based coordinate) on the 2^ell binary strings of
+    length ell: string pairs differing in bit h."""
+    if not 1 <= h <= ell:
+        raise ValueError("coordinate out of range")
+    strings = mbe._digits(2, ell)
+    return {(i, j) for i in range(len(strings)) for j in range(i + 1, len(strings))
+            if strings[i, h - 1] != strings[j, h - 1]}
+
+
+def union_alpha(ell: int, coords) -> int:
+    """Independence number of the union of Q_h over h in coords, by brute
+    force over string subsets (feasible up to ell = 4, gated by size)."""
+    coords = set(coords)
+    r = 2 ** ell
+    if r > 16:
+        raise S.ResourceLimit("brute-force independence gated at r <= 16")
+    edges = set()
+    for h in coords:
+        edges |= q_edges(ell, h)
+    best = 0
+    for size in range(r, 0, -1):
+        if size <= best:
+            break
+        for sub in itertools.combinations(range(r), size):
+            if not any((a, b) in edges for a, b in itertools.combinations(sub, 2)):
+                best = size
+                break
+    return best
+
+
 def test_q_family_ell1():
-    fam = BinaryStringFamily(1)
-    assert fam.r == 2
-    assert fam.q_edges(1) == {(0, 1)}
+    assert mbe_params(ell=1).r == 2
+    assert q_edges(1, 1) == {(0, 1)}
 
 
 def test_q_family_ell2():
-    fam = BinaryStringFamily(2)
-    assert fam.r == 4
-    union = fam.q_edges(1) | fam.q_edges(2)
+    assert mbe_params(ell=2).r == 4
+    union = q_edges(2, 1) | q_edges(2, 2)
     assert union == set(itertools.combinations(range(4), 2))  # Q_0 = K_4
-    assert len(fam.q_edges(1)) == 4  # K_{2,2}
-    assert fam.union_alpha([1, 2]) == 1
+    assert len(q_edges(2, 1)) == 4  # K_{2,2}
+    assert union_alpha(2, [1, 2]) == 1
 
 
 def test_q_family_alpha_single_coordinate():
-    fam = BinaryStringFamily(3)
-    assert fam.union_alpha([1]) == 4  # 2^{3-1}
+    assert union_alpha(3, [1]) == 4  # 2^{3-1}
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_q_family_alpha_formula(ell):
-    fam = BinaryStringFamily(ell)
     for size in range(ell + 1):
         for coords in itertools.combinations(range(1, ell + 1), size):
-            assert fam.union_alpha(coords) == 2 ** (ell - size)
+            assert union_alpha(ell, coords) == 2 ** (ell - size)
 
 
 def test_q_family_gate():
-    with pytest.raises(S.ResourceLimit):
-        BinaryStringFamily(7)
+    # the build gates ell before it draws a point; ell = 0 is no parameter
+    with pytest.raises(S.ResourceLimit, match=r"binary string family capped at ell <= 6"):
+        build_base_hypergraph(mbe_params(ell=7, m=2))
     with pytest.raises(ValueError):
-        BinaryStringFamily(0)
+        mbe_params(ell=0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +234,12 @@ def test_base_hyperedge_two_exact_antipodal_pairs():
     assert target in {frozenset(e) for e in hg.hyperedges.tolist()}
 
 
-def reference_coordinate_assignments(far, fam, h):
+def reference_coordinate_assignments(far, strings, h):
     """Reference: the recursive search the level-by-level build replaced.
     Its gate is checked on entry to each call, so it can return
     MAX_ASSIGNMENTS + 1 assignments when the last one ends the search."""
-    r = fam.r
-    side = [fam.strings[i][h - 1] for i in range(r)]
+    r = len(strings)
+    side = [strings[i][h - 1] for i in range(r)]
     m = far.shape[0]
     out = []
     assign = [0] * r
@@ -253,44 +280,44 @@ def test_coordinate_assignments_match_recursive_search(case, monkeypatch):
     ell, m, density, gate = case
     if gate is not None:
         monkeypatch.setattr(mbe, "MAX_ASSIGNMENTS", gate)
-    fam = BinaryStringFamily(ell)
+    strings = mbe._digits(2, ell)
     rng = S.philox_rng(m * 100 + ell, 56, int(density * 10))
     for _ in range(3):
         far = random_symmetric_far(rng, m, density)
         for h in range(1, ell + 1):
             try:
-                ref = reference_coordinate_assignments(far, fam, h)
+                ref = reference_coordinate_assignments(far, strings, h)
             except S.ResourceLimit:
                 ref = None
             if ref is None or len(ref) > mbe.MAX_ASSIGNMENTS:
                 # the build gates every count above MAX_ASSIGNMENTS
                 with pytest.raises(S.ResourceLimit, match="enumeration"):
-                    mbe._coordinate_assignments(far, fam, h)
+                    mbe._coordinate_assignments(far, strings, h)
                 continue
-            got = mbe._coordinate_assignments(far, fam, h)
-            assert np.array_equal(got, np.array(ref, dtype=int).reshape(-1, fam.r))
+            got = mbe._coordinate_assignments(far, strings, h)
+            assert np.array_equal(got, np.array(ref, dtype=int).reshape(-1, len(strings)))
             if ref:
                 # a gate at the finished count passes; one below it raises
                 with monkeypatch.context() as patch:
                     patch.setattr(mbe, "MAX_ASSIGNMENTS", len(ref))
-                    assert np.array_equal(mbe._coordinate_assignments(far, fam, h), got)
+                    assert np.array_equal(mbe._coordinate_assignments(far, strings, h), got)
                     patch.setattr(mbe, "MAX_ASSIGNMENTS", len(ref) - 1)
                     with pytest.raises(S.ResourceLimit, match="enumeration"):
-                        mbe._coordinate_assignments(far, fam, h)
+                        mbe._coordinate_assignments(far, strings, h)
 
 
 def reference_hyperedges(P, ell, mu):
     """Reference: the recursive search, then itertools.product over the
     coordinates, keeping each vertex set at its first labelling."""
-    fam = BinaryStringFamily(ell)
+    strings = mbe._digits(2, ell)
     m = P.shape[0]
     far = S.almost_antipodal(P @ P.T, mu)
-    per_coord = [reference_coordinate_assignments(far, fam, h)
+    per_coord = [reference_coordinate_assignments(far, strings, h)
                  for h in range(1, ell + 1)]
     seen, edges = set(), []
     for combo in itertools.product(*per_coord):
         edge = tuple(sum(combo[h][i] * m ** (ell - 1 - h) for h in range(ell))
-                     for i in range(fam.r))
+                     for i in range(len(strings)))
         if frozenset(edge) not in seen:
             seen.add(frozenset(edge))
             edges.append(edge)
@@ -690,8 +717,24 @@ def test_shadow_clique_bound_and_hyperedge_containment():
 
 
 # ---------------------------------------------------------------------------
-# lengthy coordinates
+# lengthy coordinates: the clique budget lemmas' witnesses, which no command
+# computes
 # ---------------------------------------------------------------------------
+
+def lengthy_coordinates(hg, vertex_ids, mu: float) -> set:
+    """Coordinates h in [ell] witnessed by an almost antipodal pair
+    (|v_h - v'_h| >= 2 - mu) within the given vertex set."""
+    ids = list(vertex_ids)
+    if len(ids) < 2:
+        return set()
+    iu = np.triu_indices(len(ids), k=1)
+    out = set()
+    for h in range(1, hg.ell + 1):
+        pts = hg.points[hg.vertices[ids, h - 1]]
+        if np.any(S.almost_antipodal((pts @ pts.T)[iu], mu)):
+            out.add(h)
+    return out
+
 
 def test_lengthy_trivial_cases():
     pr = mbe_params(ell=2, p=1, q=2, k=3, m=4)
@@ -786,7 +829,7 @@ def test_mbe_clique_budget_lemmas():
         if total_lengthy > pr.ell + pr.p:
             # a budget violation would mean four sphere points forming the
             # impossible rhombus configuration; localize before failing
-            from rtlab.sphere import rhombus_search
+            from test_sphere import rhombus_search
             pts = g.hypergraph.points
             witness = rhombus_search(pts, pts, pr.mu)
             raise AssertionError(

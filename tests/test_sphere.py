@@ -1,10 +1,158 @@
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rtlab import sphere as S
+
+# ---------------------------------------------------------------------------
+# The paper's geometric checks: the isometry's forward map, the cap-measure
+# bounds, the two-set distance, the rhombus search, and cell location and
+# measure in an equal-measure partition.  No command runs them; the tests
+# check them on sampled data.
+# ---------------------------------------------------------------------------
+
+def interleave(z: np.ndarray) -> np.ndarray:
+    """(x1+iy1,...,xk+iyk) -> (x1,y1,...,xk,yk), vectorised over rows.
+
+    The distance-preserving map from S^{k-1}(C) to S^{2k-1}(R)."""
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],), dtype=np.float64)
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
+    return out
+
+
+def cap_measure_upper_bound(k: int, alpha: float) -> float:
+    """Upper bound exp(-k alpha^2) on the measure of a height-(1-alpha) cap
+    of S^{k-1}(C)."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must lie in [0, 1)")
+    if k < 1:
+        raise ValueError("k must be positive")
+    return math.exp(-k * alpha * alpha)
+
+
+def cap_measure_lower_bound(k: int, delta: float) -> float:
+    """Lower bound max(0, 1/2 - sqrt(2) delta) on the measure of the cap of
+    points within distance sqrt(2) - delta/sqrt(2k) of a fixed point of
+    S^{k-1}(C); requires k >= 3."""
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    if k < 3:
+        raise ValueError("k must be at least 3")
+    return max(0.0, 0.5 - math.sqrt(2.0) * delta)
+
+
+def two_set_distance_check(A, B, nu: float) -> bool:
+    """True iff max_{a in A, b in B} |a - b| >= 2 - nu (closed, GEOM_TOL slack)."""
+    ra = interleave(A)
+    rb = interleave(B)
+    if ra.size == 0 or rb.size == 0:
+        raise ValueError("A and B must be nonempty")
+    # |a-b|^2 = 2 - 2 <a, b> on unit vectors
+    min_ip = float(np.min(ra @ rb.T))
+    dmax = math.sqrt(max(0.0, 2.0 - 2.0 * min_ip))
+    return dmax >= (2.0 - nu) - S.GEOM_TOL
+
+
+def rhombus_search(P, Q, mu: float):
+    """Search for p1, p2 in P and q1, q2 in Q with |p1-p2| >= 2-mu,
+    |q1-q2| >= 2-mu and all four cross distances <= sqrt(2)-mu.
+
+    Exhaustive over all quadruples: any witness quadruple must consist of a
+    far pair of P and a far pair of Q, so enumerating far pairs first loses
+    nothing.  No witness exists for genuine unit vectors; a non-None return
+    indicates corrupted input upstream.
+    """
+    if not 0.0 < mu < 0.25:
+        raise ValueError("mu must lie in (0, 1/4)")
+    p = np.asarray(P, dtype=np.float64)
+    q = np.asarray(Q, dtype=np.float64)
+
+    def far_pairs(x):
+        idx = np.argwhere(np.triu(S.almost_antipodal(x @ x.T, mu), k=1))
+        return [tuple(ij) for ij in idx]
+
+    fp = far_pairs(p)
+    if not fp:
+        return None
+    fq = far_pairs(q)
+    if not fq:
+        return None
+    close = S.near(p @ q.T, mu)
+    for i1, i2 in fp:
+        for j1, j2 in fq:
+            if close[i1, j1] and close[i1, j2] and close[i2, j1] and close[i2, j2]:
+                return (p[i1].copy(), p[i2].copy(), q[j1].copy(), q[j2].copy())
+    return None
+
+
+def cell_measure(partition, i: int) -> float:
+    """The measure of the partition's cell i: the product of its box's
+    one-dimensional quantile spans."""
+    lo, hi = partition.cells[i]
+    meas = 1.0
+    for j, ax in enumerate(partition._axes):
+        meas *= ax.cdf(hi[j]) - ax.cdf(lo[j])
+    return meas
+
+
+@dataclass(frozen=True)
+class _Node:
+    axis: int
+    cuts: np.ndarray          # internal boundaries, ascending
+    children: tuple           # _Node or int cell id per bucket
+
+
+def _split_tree(cells, axis: int, first: int, last: int):
+    """The split tree of cells[first:last], boxes listed depth first that
+    share their bounds on the axes before axis: a cell id, or a _Node with
+    one bucket per run of cells with equal bounds on axis."""
+    if last - first == 1:
+        return first
+    starts = [i for i in range(first + 1, last)
+              if cells[i][0][axis] != cells[i - 1][0][axis]]
+    cuts = np.array([cells[i][0][axis] for i in starts])
+    bounds = [first, *starts, last]
+    return _Node(axis, cuts, tuple(_split_tree(cells, axis + 1, a, b)
+                                   for a, b in zip(bounds, bounds[1:])))
+
+
+def _points_to_angles(d: int, pts: np.ndarray) -> np.ndarray:
+    """Nested spherical coordinates of points of S^{d-1}(R) (normalised first)."""
+    pts = np.asarray(pts, dtype=np.float64)
+    nrm = np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = pts / nrm
+    n = pts.shape[0]
+    ang = np.empty((n, d - 1))
+    tail = np.sqrt(np.cumsum(pts[:, ::-1] ** 2, axis=1))[:, ::-1]
+    for j in range(d - 2):
+        ang[:, j] = np.arctan2(tail[:, j + 1], pts[:, j])
+    ang[:, -1] = np.mod(np.arctan2(pts[:, -1], pts[:, -2]), 2.0 * math.pi)
+    return ang
+
+
+def locate(partition, points) -> np.ndarray:
+    """Cell index for each point; total on the whole sphere."""
+    tree = _split_tree(partition.cells, 0, 0, partition.n)
+    ang = _points_to_angles(partition.d, points)
+    out = np.empty(ang.shape[0], dtype=np.int64)
+    stack = [(tree, np.arange(ang.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if isinstance(node, int):
+            out[idx] = node
+            continue
+        bucket = np.searchsorted(node.cuts, ang[idx, node.axis], side="right")
+        for ci, child in enumerate(node.children):
+            stack.append((child, idx[bucket == ci]))
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators: references for the cap bounds and the partition
@@ -62,7 +210,7 @@ def monte_carlo_cell_counts(partition, samples: int, seed: int) -> np.ndarray:
 
     def count(rng, size):
         pts = S.sample_real_sphere(partition.d, size, rng)
-        return np.bincount(partition.locate(pts), minlength=partition.n)
+        return np.bincount(locate(partition, pts), minlength=partition.n)
 
     return _chunked_count(samples, seed, _STREAM_SAMPLE, 0, count)
 
@@ -72,12 +220,12 @@ def monte_carlo_cell_counts(partition, samples: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def test_interleave_identity_case():
-    assert np.array_equal(S.interleave(np.array([1 + 0j, 0j])), [1, 0, 0, 0])
+    assert np.array_equal(interleave(np.array([1 + 0j, 0j])), [1, 0, 0, 0])
 
 
 def test_interleave_interleaving():
-    assert np.array_equal(S.interleave(np.array([0j, 1j])), [0, 0, 0, 1])
-    assert np.array_equal(S.interleave(np.array([[1 + 2j, 3 - 4j]])), [[1, 2, 3, -4]])
+    assert np.array_equal(interleave(np.array([0j, 1j])), [0, 0, 0, 1])
+    assert np.array_equal(interleave(np.array([[1 + 2j, 3 - 4j]])), [[1, 2, 3, -4]])
 
 
 def test_isometry_preserves_distances():
@@ -87,14 +235,14 @@ def test_isometry_preserves_distances():
     for i in range(0, 200, 2):
         z, zp = pts[i], pts[i + 1]
         d_complex = np.linalg.norm(z - zp)
-        d_real = np.linalg.norm(S.interleave(z) - S.interleave(zp))
+        d_real = np.linalg.norm(interleave(z) - interleave(zp))
         assert abs(d_complex - d_real) <= 1e-12
 
 
 def test_round_trip_real_complex():
     rng = S.philox_rng(7)
     z = S.sample_complex_sphere(4, 10, rng)
-    back = S.uninterleave(S.interleave(z))
+    back = S.uninterleave(interleave(z))
     assert np.allclose(back, z)
 
 
@@ -103,21 +251,21 @@ def test_round_trip_real_complex():
 # ---------------------------------------------------------------------------
 
 def test_cap_upper_bound_values():
-    assert S.cap_measure_upper_bound(5, 0.0) == 1.0
-    assert math.isclose(S.cap_measure_upper_bound(10, 0.5), math.exp(-2.5))
+    assert cap_measure_upper_bound(5, 0.0) == 1.0
+    assert math.isclose(cap_measure_upper_bound(10, 0.5), math.exp(-2.5))
     with pytest.raises(ValueError):
-        S.cap_measure_upper_bound(10, 1.0)
+        cap_measure_upper_bound(10, 1.0)
     with pytest.raises(ValueError):
-        S.cap_measure_upper_bound(10, -0.1)
+        cap_measure_upper_bound(10, -0.1)
 
 
 def test_cap_lower_bound_values():
-    assert math.isclose(S.cap_measure_lower_bound(5, 0.1), 0.5 - 0.1 * math.sqrt(2))
-    assert S.cap_measure_lower_bound(5, 0.4) == 0.0  # clamped
+    assert math.isclose(cap_measure_lower_bound(5, 0.1), 0.5 - 0.1 * math.sqrt(2))
+    assert cap_measure_lower_bound(5, 0.4) == 0.0  # clamped
     with pytest.raises(ValueError):
-        S.cap_measure_lower_bound(2, 0.1)
+        cap_measure_lower_bound(2, 0.1)
     with pytest.raises(ValueError):
-        S.cap_measure_lower_bound(5, 0.0)
+        cap_measure_lower_bound(5, 0.0)
 
 
 def test_mc_cap_upper_bound_respected():
@@ -131,7 +279,7 @@ def test_mc_cap_lower_bound_respected():
     k, delta = 50, 0.2
     radius = math.sqrt(2) - delta / math.sqrt(2 * k)
     est, se = mc_cap_radius_measure(k, radius, samples=200_000, seed=12)
-    assert est >= S.cap_measure_lower_bound(k, delta) - 4 * se
+    assert est >= cap_measure_lower_bound(k, delta) - 4 * se
 
 
 def test_mc_same_seed_same_estimate():
@@ -155,12 +303,12 @@ def _e(k, i):
 def test_two_set_antipodal():
     A = np.array([_e(3, 0)])
     B = np.array([-_e(3, 0)])
-    assert S.two_set_distance_check(A, B, nu=0.0)
+    assert two_set_distance_check(A, B, nu=0.0)
 
 
 def test_two_set_same_point():
     A = np.array([_e(3, 0)])
-    assert not S.two_set_distance_check(A, A, nu=1.0)
+    assert not two_set_distance_check(A, A, nu=1.0)
 
 
 def test_two_set_hemispheres_experiment():
@@ -170,9 +318,9 @@ def test_two_set_hemispheres_experiment():
     for seed in range(50):
         rng = S.philox_rng(seed, 99)
         pts = S.sample_complex_sphere(k, 1000, rng)
-        sign = S.interleave(pts)[:, 0] >= 0
+        sign = interleave(pts)[:, 0] >= 0
         A, B = pts[sign], pts[~sign]
-        if A.shape[0] and B.shape[0] and S.two_set_distance_check(A, B, nu):
+        if A.shape[0] and B.shape[0] and two_set_distance_check(A, B, nu):
             hits += 1
     assert hits == 50
 
@@ -180,18 +328,18 @@ def test_two_set_hemispheres_experiment():
 def test_rhombus_orthogonal_axes():
     P = np.array([[1, 0, 0, 0], [-1, 0, 0, 0]], dtype=float)
     Q = np.array([[0, 1, 0, 0], [0, -1, 0, 0]], dtype=float)
-    assert S.rhombus_search(P, Q, mu=0.1) is None
+    assert rhombus_search(P, Q, mu=0.1) is None
 
 
 def test_rhombus_no_far_pair():
     P = np.array([[1, 0, 0, 0]], dtype=float)
-    assert S.rhombus_search(P, P, mu=0.2) is None
+    assert rhombus_search(P, P, mu=0.2) is None
 
 
 def test_rhombus_domain():
     P = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):
-        S.rhombus_search(P, P, mu=0.3)
+        rhombus_search(P, P, mu=0.3)
 
 
 def test_rhombus_exhaustive_random_sample():
@@ -200,7 +348,7 @@ def test_rhombus_exhaustive_random_sample():
     rng = S.philox_rng(3, 17)
     P = S.sample_real_sphere(4, 200, rng)
     Q = S.sample_real_sphere(4, 200, rng)
-    assert S.rhombus_search(P, Q, mu=0.2) is None
+    assert rhombus_search(P, Q, mu=0.2) is None
 
 
 def test_rhombus_structured_antipodal_pairs():
@@ -211,7 +359,7 @@ def test_rhombus_structured_antipodal_pairs():
     Q = np.array([[0, 0, 1, 0], [0, 0, -1, 0]], dtype=float) + noise[2:]
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     Q /= np.linalg.norm(Q, axis=1, keepdims=True)
-    assert S.rhombus_search(P, Q, mu=0.05) is None
+    assert rhombus_search(P, Q, mu=0.05) is None
 
 
 def test_rhombus_finds_a_witness_among_non_unit_vectors():
@@ -219,7 +367,7 @@ def test_rhombus_finds_a_witness_among_non_unit_vectors():
     # pairs are all near, which unit vectors cannot realise
     P = np.array([[1.0, 0, 3], [1.0, 0, -3]])
     Q = np.array([[1.0, 3, 0], [1.0, -3, 0]])
-    witness = S.rhombus_search(P, Q, mu=0.2)
+    witness = rhombus_search(P, Q, mu=0.2)
     assert witness is not None
     assert np.array_equal(np.vstack(witness), np.vstack([P, Q]))
 
@@ -282,7 +430,7 @@ def test_circle_partition_quarters():
     assert part.n == 4
     assert math.isclose(part.max_diameter, math.sqrt(2), rel_tol=1e-12)
     for i in range(4):
-        assert math.isclose(part.cell_measure(i), 0.25, abs_tol=1e-12)
+        assert math.isclose(cell_measure(part, i), 0.25, abs_tol=1e-12)
 
 
 def test_single_cell_partition():
@@ -313,22 +461,22 @@ def test_partition_representatives_and_coverage():
     part = S.partition_real_sphere(6, 5000, delta=1.3, seed=1)
     # one sample from each cell lies in that cell
     representatives = np.vstack([part.sample_cell(i, 1) for i in range(part.n)])
-    assert np.array_equal(part.locate(representatives), np.arange(part.n))
+    assert np.array_equal(locate(part, representatives), np.arange(part.n))
     # locate is total on random points
     rng = S.philox_rng(20)
     pts = S.sample_real_sphere(part.d, 100_000, rng)
-    idx = part.locate(pts)
+    idx = locate(part, pts)
     assert idx.min() >= 0 and idx.max() < part.n
     # measures are exactly 1/n by construction
-    meas = np.array([part.cell_measure(i) for i in range(part.n)])
+    meas = np.array([cell_measure(part, i) for i in range(part.n)])
     assert np.max(np.abs(meas - 1 / part.n)) < 1e-15
     # sampled points stay inside their cell and within the diameter bound
     for i in (0, 123, part.n - 1):
         q = part.sample_cell(i, 100, substream=7)
-        assert np.all(part.locate(q) == i)
+        assert np.all(locate(part, q) == i)
         g = q @ q.T
         diam_emp = math.sqrt(max(0.0, 2 - 2 * g.min()))
-        assert diam_emp <= part.cell_diameter_bound(i) + 1e-9
+        assert diam_emp <= S._box_diameter_bound(*part.cells[i]) + 1e-9
 
 
 def test_partition_equal_measure_monte_carlo():
@@ -388,7 +536,7 @@ def test_partition_points_are_pinned(d, n):
     part = S.partition_real_sphere(d, n, delta=2.0, seed=7)
     pts = np.vstack([part.sample_cell(i, 2, substream=1) for i in range(n)])
     assert hashlib.sha256(pts.tobytes()).hexdigest() == PARTITION_POINTS_SHA256[d, n]
-    assert np.array_equal(part.locate(pts), np.repeat(np.arange(n), 2))
+    assert np.array_equal(locate(part, pts), np.repeat(np.arange(n), 2))
 
 
 def test_philox_keeps_every_seed_bit():

@@ -10,15 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SHIMS = ROOT / "perfbench" / "shims.py"
 
-# paper checks kept in src for a `certify geometry` suite and the theorem 13
-# rationals, which no command runs yet
-PAPER_CHECKS = {
-    "cap_measure_upper_bound", "cap_measure_lower_bound",   # ROADMAP item 11
-    "two_set_distance_check", "rhombus_search",             # ROADMAP item 11
-    "cell_measure", "cell_diameter_bound", "locate",        # ROADMAP item 11
-    "lengthy_coordinates", "union_alpha",                   # ROADMAP item 11
-    "theorem13_density", "dense_core",                      # ROADMAP item 11
-}
+# the theorem 13 rationals stay in src, though no command prints them yet:
+# ROADMAP item 12 gives them a CLI route.  The other paper checks live in
+# the tests that check them on sampled data.
+PAPER_CHECKS = {"theorem13_density"}
 
 
 def shim_targets():

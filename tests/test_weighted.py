@@ -16,8 +16,8 @@ from rtlab.weighted import (
     DominatingExtension,
     HerculeanCertificate,
     PWeightedGraph,
+    SimplexSolution,
     _wmax,
-    dense_core,
     dominance_target,
     extension_value_table,
     find_G_pq_subgraph,
@@ -472,8 +472,28 @@ def test_g_of_a_validation():
 
 
 # ---------------------------------------------------------------------------
-# dense core
+# dense core: the minimal support of g(A), which no command computes
 # ---------------------------------------------------------------------------
+
+def dense_core(A):
+    """Minimal index set J with g(A[J]) = g(A), first in size-then-
+    combinations order, and the solution on A[J] (support range(|J|)); the
+    submatrix is dense: every one-index deletion strictly decreases g.
+
+    J is g_of_A's support.  A minimal J supports a maximiser of A with the
+    smallest possible support, and there the bordered stationarity system
+    is nonsingular: a kernel direction d (A_J d = delta 1, sum d = 0) keeps
+    u^T A u constant, so moving along it would shrink the support.  So
+    g_of_A solves J exactly, no support it meets earlier reaches g(A), and
+    later ones only tie.
+    """
+    sol = g_of_A(A)
+    if not sol.support:
+        raise ValueError("empty matrix has no core")
+    J = sol.support
+    return J, SimplexSolution(sol.value, tuple(sol.u[j] for j in J),
+                              tuple(range(len(J))))
+
 
 def test_dense_core_already_dense():
     A = [[0, 2, 2], [2, 0, 2], [2, 2, 0]]
