@@ -31,21 +31,41 @@ class LabeledGraph:
     """Simple undirected graph on vertices 0..n-1.  rows is the n x 8 ceil(n / 64)
     uint8 array in which row v has bit w (byte w // 8, bit w % 8) set when vw
     is an edge: whole uint64 words per row, the diagonal and the bits past n
-    zero.  The rows are never modified after construction, so the
-    degeneracy order is computed once, when first asked for."""
+    zero.  The rows are never modified after construction, so the graph
+    keeps one peel of the degeneracy order, advanced on demand: the peel
+    (whose int32 keys live in the _degeneracy_order generator), the order
+    peeled so far, and each vertex's place in it (n until it is peeled)."""
 
-    __slots__ = ("n", "rows", "_order")
+    __slots__ = ("n", "rows", "_peel", "_order", "_rank")
 
     def __init__(self, n: int, rows: np.ndarray):
         self.n = n
         self.rows = rows
-        self._order = None
+        self._peel = _degeneracy_order(rows)
+        self._order: list[int] = []
+        self._rank = np.full(n, n, dtype=np.intp)
 
-    def _degeneracy_order(self) -> list[int]:
-        """_degeneracy_order(self.rows), computed on the first call."""
-        if self._order is None:
-            self._order = _degeneracy_order(self.rows)
+    def _peel_one(self) -> int:
+        v = next(self._peel)
+        self._rank[v] = len(self._order)
+        self._order.append(v)
+        return v
+
+    def _degeneracy_order(self, count=None) -> list[int]:
+        """The degeneracy order peeled so far, peeled until it holds count
+        vertices (all by default)."""
+        while len(self._order) < (self.n if count is None else count):
+            self._peel_one()
         return self._order
+
+    def _ranks(self, vs: np.ndarray) -> np.ndarray:
+        """The places of the vertices vs in the degeneracy order, n for one
+        not yet peeled; the order is peeled until one of vs has its place."""
+        if self._rank[vs].min() == self.n:
+            wanted = set(vs.tolist())
+            while self._peel_one() not in wanted:
+                pass
+        return self._rank[vs]
 
     @classmethod
     def from_adjacency(cls, matrix) -> "LabeledGraph":
@@ -68,16 +88,20 @@ class LabeledGraph:
         """The edges (u, v), u < v, in ascending order, as k x 2 int64 arrays
         of a block of rows' edges each.  A block unpacks at most 64 KiB of
         rows and, at the mean degree, 2^13 bits, so the per-edge arrays of
-        a dense graph stay small; it clears the diagonal and the entries
-        left of it with np.triu, and finds the rest with flatnonzero."""
+        a dense graph stay small.  Rows [lo, hi) unpack only their columns
+        from col = (lo + 1) // 8 * 8 on; np.triu clears the diagonal and the
+        entries left of it in the band of columns [col, hi), and
+        flatnonzero finds the rest."""
         n = self.n
         degree = 2 * self.edge_count() // max(n, 1)
         block = max(1, min((1 << 16) // max(n, 1), (1 << 13) // max(degree, 1)))
         for lo in range(0, n, block):
-            bits = np.triu(np.unpackbits(self.rows[lo:lo + block], axis=1, count=n,
-                                         bitorder="little"), lo + 1)
-            u, v = np.divmod(np.flatnonzero(bits), n)
-            yield np.stack((u + lo, v), axis=1)
+            hi, col = min(n, lo + block), (lo + 1) // 8 * 8
+            bits = np.unpackbits(self.rows[lo:hi, col // 8:], axis=1, count=n - col,
+                                 bitorder="little")
+            bits[:, :hi - col] = np.triu(bits[:, :hi - col], lo + 1 - col)
+            u, v = np.divmod(np.flatnonzero(bits), n - col)
+            yield np.stack((u + lo, v + col), axis=1)
 
 
 def _zero_rows(n: int) -> np.ndarray:
@@ -157,11 +181,12 @@ def _induced_rows(packed: np.ndarray, vs) -> np.ndarray:
     n, m = len(packed), len(vs)
     out = _zero_rows(m)
     # rows are unpacked in blocks of at most 64 KiB, so peak memory stays
-    # near the packed arrays' n^2 / 8 bytes
+    # near the packed arrays' n^2 / 8 bytes; take keeps the picked columns
+    # C-contiguous, which packbits needs to be fast
     block = max(1, (1 << 16) // max(n, 1))
     for lo in range(0, m, block):
         bits = np.unpackbits(packed[vs[lo:lo + block]], axis=1, count=n,
-                             bitorder="little")[:, vs]
+                             bitorder="little").take(vs, axis=1)
         _or_block(out[lo:lo + block], bits, 0)
     return out
 
@@ -178,28 +203,30 @@ class CliqueCertificate:
     upper_bound: int | None = None
 
 
-def _degeneracy_order(packed: np.ndarray) -> list[int]:
-    """Repeatedly remove the vertex of least remaining degree, the lowest id
-    among ties: argmin returns the first minimum, and a removed vertex's key
-    stays above n - 1 however many of its neighbours leave after it."""
+def _degeneracy_order(packed: np.ndarray):
+    """Yield the vertices in degeneracy order (Matula & Beck 1983): repeatedly
+    remove the vertex of least remaining degree, the lowest id among ties.
+    argmin returns the first minimum, and a removed vertex's key stays above
+    n - 1 however many of its neighbours leave after it.  A generator, so a
+    caller peels only as many vertices as it asks for."""
     n = len(packed)
-    key = np.bitwise_count(packed.view(np.uint64)).sum(axis=1, dtype=np.int64)
-    order = []
+    key = np.bitwise_count(packed.view(np.uint64)).sum(axis=1, dtype=np.int32)
     for _ in range(n):
         v = int(key.argmin())
-        order.append(v)
+        yield v
         key[v] = 2 * n
-        key -= np.unpackbits(packed[v], count=n, bitorder="little")
-    return order
+        # positional (axis, count, bitorder): keywords cost a third more a call
+        key -= np.unpackbits(packed[v], None, n, "little")
 
 
-def _colour_bound(adj: list[int], order) -> int:
-    """Colours used by first-fit colouring in reverse order ("smallest-last"
-    when order is a degeneracy order, Matula & Beck 1983): each vertex takes
-    the first colour class holding none of its neighbours.  The classes are
-    independent sets, so the count is an upper bound on the clique number."""
+def _colour_bound(adj: list[int], vertices) -> int:
+    """Colours used by first-fit colouring of vertices in the given order:
+    each vertex takes the first colour class holding none of its
+    neighbours.  The classes are independent sets, so the count is an upper
+    bound on the clique number; in reverse degeneracy order it is the
+    smallest-last colouring of Matula & Beck (1983)."""
     classes: list[int] = []
-    for v in reversed(order):
+    for v in vertices:
         row = adj[v]
         for c, members in enumerate(classes):
             if not row & members:
@@ -210,34 +237,94 @@ def _colour_bound(adj: list[int], order) -> int:
     return len(classes)
 
 
-def _greedy_clique(words: np.ndarray, bound: int) -> list[int]:
-    """From each start, add the candidate with the most candidates among its
-    neighbours, the lowest id among ties (argmax returns the first maximum);
-    keep the first clique that no later start beats strictly.  bound is an
-    upper bound on the clique number: a clique that reaches it cannot be
-    beaten strictly, so the starts stop there with the same clique."""
+def _grow_clique(words: np.ndarray, start: int, ranks=None) -> list[int]:
+    """The greedy clique from start: add the candidate with the most
+    candidates among its neighbours until none is left.  Ties go to the
+    lowest rank, ranks(vs) giving the ranks of the vertices vs; without
+    ranks, to the lowest id (argmax returns the first maximum)."""
     n = len(words)
+    clique, cand = [start], words[start]
+    while len(ids := np.flatnonzero(np.unpackbits(cand.view(np.uint8), None, n, "little"))):
+        within = words[ids] & cand
+        score = np.bitwise_count(within).sum(axis=1)
+        if ranks is None:
+            i = score.argmax()
+        else:
+            tied = np.flatnonzero(score == score.max())
+            i = tied[0] if len(tied) == 1 else tied[ranks(ids[tied]).argmin()]
+        clique.append(int(ids[i]))
+        cand = within[i]
+    return clique
 
-    def candidates(cand):
-        return np.flatnonzero(np.unpackbits(cand.view(np.uint8), count=n,
-                                            bitorder="little"))
 
-    best: list[int] = []
-    for start in range(n):
-        clique = [start]
-        cand = words[start]
-        ids = candidates(cand)
-        while len(ids):
-            within = words[ids] & cand
-            i = np.bitwise_count(within).sum(axis=1).argmax()
-            clique.append(int(ids[i]))
-            cand = within[i]
-            ids = candidates(cand)
+def _greedy_clique(words: np.ndarray, bound: int, best: list[int]) -> list[int]:
+    """The greedy clique from each start after 0, whose clique is best; keep
+    the first clique that no later start beats strictly.  bound is an upper
+    bound on the clique number: a clique that reaches it cannot be beaten
+    strictly, so the starts stop there with the same clique."""
+    for start in range(1, len(words)):
+        if len(best) >= bound:
+            break
+        clique = _grow_clique(words, start)
         if len(clique) > len(best):
             best = clique
-            if len(best) >= bound:
-                break
     return best
+
+
+def _colour_sort(adj: list[int], P: int):
+    """The vertices of P in greedy colour classes, lowest id first within a
+    class, and each one's colour (1, 2, ...)."""
+    order_out, bounds = [], []
+    color = 0
+    rest = P
+    while rest:
+        color += 1
+        Q = rest
+        while Q:
+            v = (Q & -Q).bit_length() - 1
+            Q &= ~adj[v] & ~(1 << v)
+            rest &= ~(1 << v)
+            order_out.append(v)
+            bounds.append(color)
+    return order_out, bounds
+
+
+def _branch_and_bound(adj: list[int], best: list[int], cutoff) -> list[int]:
+    """The first clique larger than best (and, under a cutoff, than the
+    cutoff) in search order, or best when there is none.
+
+    Depth first on an explicit stack, so no depth meets Python's recursion
+    limit.  Each level tries its colour-sorted vertices from the highest
+    colour down and ends at the first whose colour cannot lift R past the
+    best size (or the cutoff); R holds one vertex per open level, and saved
+    the state of each level below the current one."""
+    best_size = len(best)
+    R: list[int] = []
+    saved = []
+    P = (1 << len(adj)) - 1
+    vs, colours = _colour_sort(adj, P)
+    i = len(vs) - 1
+    while True:
+        if (i < 0 or (cutoff is not None and best_size > cutoff)
+                or len(R) + colours[i] <= max(best_size, cutoff or 0)):
+            if not saved:
+                return best
+            P, vs, colours, i = saved.pop()
+        else:
+            v = vs[i]
+            R.append(v)
+            newP = P & adj[v]
+            if newP:
+                saved.append((P, vs, colours, i))
+                P = newP
+                vs, colours = _colour_sort(adj, P)
+                i = len(vs) - 1
+                continue
+            if len(R) > best_size:
+                best_size = len(R)
+                best = list(R)
+        P &= ~(1 << R.pop())
+        i -= 1
 
 
 def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
@@ -247,93 +334,50 @@ def max_clique(g: LabeledGraph, cutoff: int | None = None) -> CliqueCertificate:
     number).  With cutoff c the search certifies either a clique of size
     c + 1 (witness returned) or that the clique number is at most c.
 
-    The set-up runs in numpy on the graph's packed rows: the degeneracy order
-    takes the least remaining degree with argmin (lowest id among ties), the
-    relabel permutes packed rows, and the greedy seed scores each candidate
-    by the popcount of its row within the candidates, taking the lowest id
-    among ties and the first clique that no later start beats.  The colour
-    bound and the branch and bound run on Python-int bitsets unpacked from
-    the relabelled rows.
+    The search is a greedy seed, then the branch and bound, on the graph
+    relabelled by its degeneracy order: the seed grows a clique from each
+    start (see _grow_clique) and keeps the first that no later start beats
+    strictly.  Both stop at a clique that reaches an upper bound on the
+    clique number, which changes no certificate, whatever the bound: both
+    replace their best only on a strict improvement.
 
-    A first-fit colouring in reverse degeneracy order (smallest-last), that
-    is of the relabelled vertices n-1..0, bounds the clique number from
-    above.  The greedy seed stops at the first start whose clique reaches
-    that bound, and the branch and bound is skipped when the seed reaches
-    it, with or without a cutoff.  Neither changes the certificate: no later
-    start and no branch can beat such a clique strictly, and both replace
-    their best clique only on a strict improvement.  A seed below the bound
-    always runs the branch and bound, which, under a cutoff, may still raise
-    the size up to the cutoff.
+    The set-up runs only as far as the answer needs.  Start 0 is the first
+    vertex of the degeneracy order.  Its clique grows on the graph's own
+    rows, ties going to the lowest rank in the order, which is peeled only
+    until a tied candidate has its place.  When that clique reaches b0,
+    first-fit colouring in id order, it is the certificate.  Otherwise the
+    peel finishes, the rows are relabelled, the bound becomes the smaller of
+    b0 and the smallest-last colouring (first-fit in reverse degeneracy
+    order), and the seed goes on from start 1, ahead of the branch and bound
+    on Python-int bitsets of the relabelled rows.
     """
     if g.n == 0:
         return CliqueCertificate(0, (), True, 0)
     if cutoff is None and g.n > MAX_EXACT_CLIQUE_VERTICES:
         raise ResourceLimit(f"exact clique search capped at {MAX_EXACT_CLIQUE_VERTICES} vertices")
 
-    # degeneracy order improves both colouring and branching
-    order = g._degeneracy_order()
-    packed = _induced_rows(g.rows, order)
-    adj = _unpack_rows(packed)
-    bound = _colour_bound(adj, range(g.n))
-    greedy = _greedy_clique(packed.view(np.uint64), bound)
-    del packed                  # the search needs only the Python-int rows
-    best_size = len(greedy)
-    best_witness = list(greedy)
+    clique = _grow_clique(g.rows.view(np.uint64), g._degeneracy_order(1)[0], g._ranks)
+    adj = _unpack_rows(g.rows)
+    b0 = _colour_bound(adj, range(g.n))
+    if len(clique) < b0:
+        order = g._degeneracy_order()
+        bound = min(b0, _colour_bound(adj, reversed(order)))
+        del adj
+        packed = _induced_rows(g.rows, order)
+        best = _greedy_clique(packed.view(np.uint64), bound, g._rank[clique].tolist())
+        if len(best) < bound:
+            adj = _unpack_rows(packed)
+            del packed          # the search needs only the Python-int rows
+            best = _branch_and_bound(adj, best, cutoff)
+        clique = [order[i] for i in best]
 
-    def color_sort(P: int):
-        order_out, bounds = [], []
-        color = 0
-        rest = P
-        while rest:
-            color += 1
-            Q = rest
-            while Q:
-                v = (Q & -Q).bit_length() - 1
-                Q &= ~adj[v] & ~(1 << v)
-                rest &= ~(1 << v)
-                order_out.append(v)
-                bounds.append(color)
-        return order_out, bounds
-
-    if best_size < bound:
-        # depth first on an explicit stack, so no depth meets Python's
-        # recursion limit.  Each level tries its colour-sorted vertices from
-        # the highest colour down and ends at the first whose colour cannot
-        # lift R past the best size (or the cutoff); R holds one vertex per
-        # open level, and saved the state of each level below the current one
-        R: list[int] = []
-        saved = []
-        P = (1 << g.n) - 1
-        vs, colours = color_sort(P)
-        i = len(vs) - 1
-        while True:
-            if (i < 0 or (cutoff is not None and best_size > cutoff)
-                    or len(R) + colours[i] <= max(best_size, cutoff or 0)):
-                if not saved:
-                    break
-                P, vs, colours, i = saved.pop()
-            else:
-                v = vs[i]
-                R.append(v)
-                newP = P & adj[v]
-                if newP:
-                    saved.append((P, vs, colours, i))
-                    P = newP
-                    vs, colours = color_sort(P)
-                    i = len(vs) - 1
-                    continue
-                if len(R) > best_size:
-                    best_size = len(R)
-                    best_witness = list(R)
-            P &= ~(1 << R.pop())
-            i -= 1
-
-    witness = tuple(sorted(order[i] for i in best_witness))
+    witness = tuple(sorted(clique))
+    size = len(witness)
     if cutoff is None:
-        return CliqueCertificate(best_size, witness, True, best_size)
-    if best_size > cutoff:
-        return CliqueCertificate(best_size, witness, False, None)
-    return CliqueCertificate(best_size, witness, False, cutoff)
+        return CliqueCertificate(size, witness, True, size)
+    if size > cutoff:
+        return CliqueCertificate(size, witness, False, None)
+    return CliqueCertificate(size, witness, False, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +420,18 @@ def p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
     K_p packing upper bound are reported.  All three search Python-int
     bitsets unpacked from the graph's rows.
 
-    When the smallest-last colouring bound on the clique number (see
-    max_clique) is below p, the graph is K_p-free, so every vertex set is
-    K_p-free and (n, n, n <= exact_limit) is returned at once: the
-    exhaustive search, the greedy (which then keeps every vertex) and the
-    packing (which then finds no K_p) all give n.
+    When a colouring bound on the clique number is below p, the graph is
+    K_p-free, so every vertex set is K_p-free and (n, n, n <= exact_limit)
+    is returned at once: the exhaustive search, the greedy (which then
+    keeps every vertex) and the packing (which then finds no K_p) all give
+    n.  First-fit colouring in id order is tried first, as it needs no
+    order; then the smallest-last colouring (see max_clique).
     """
     if p < 2:
         raise ValueError("p must be at least 2")
     adj = _unpack_rows(g.rows)
-    if _colour_bound(adj, g._degeneracy_order()) < p:
+    if (_colour_bound(adj, range(g.n)) < p
+            or _colour_bound(adj, reversed(g._degeneracy_order())) < p):
         return g.n, g.n, g.n <= exact_limit
     if g.n <= exact_limit:
         order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
@@ -523,24 +569,21 @@ def write_edge_list(path, g: LabeledGraph, comments=(), classes=None):
     comment, then `# n=...`, then `# <classes>` when given.
 
     The edge lines are formatted in numpy, one block of g.edges() at a
-    time: each line is laid out as u's and v's decimal text, taken from a
-    table of every id's text padded to one width with NUL bytes, and the
-    NUL bytes are then dropped."""
+    time: each line is u's text and a space, then v's text and a newline,
+    each taken whole from a table of every id's text (NUL-padded to one
+    width, then its separator), and the NUL bytes are then dropped.  The
+    file is written as bytes; the comment lines are UTF-8."""
     width = len(str(max(g.n - 1, 0)))
-    text = np.arange(g.n).astype(f"S{width}").view(np.uint8).reshape(g.n, width)
-    with open(path, "w") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(f"# n={g.n}\n")
-        if classes is not None:
-            fh.write(f"# {classes}\n")
+    text = np.zeros((g.n, 2, width + 1), dtype=np.uint8)
+    text[:, :, :width] = np.arange(g.n).astype(f"S{width}").view(np.uint8).reshape(-1, 1, width)
+    text[:, :, width] = (ord(" "), ord("\n"))
+    u_text, v_text = text.view(f"V{width + 1}").reshape(g.n, 2).T
+    header = [*comments, f"n={g.n}", *([] if classes is None else [classes])]
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in header).encode())
         for block in g.edges():
-            lines = np.empty((len(block), 2 * width + 2), dtype=np.uint8)
-            lines[:, :width] = text[block[:, 0]]
-            lines[:, width] = ord(" ")
-            lines[:, width + 1:-1] = text[block[:, 1]]
-            lines[:, -1] = ord("\n")
-            fh.write(lines[lines != 0].tobytes().decode())
+            lines = np.stack((u_text[block[:, 0]], v_text[block[:, 1]]), axis=1).view(np.uint8)
+            fh.write(lines[lines != 0].tobytes())
 
 
 def _bad_line(path, lineno: int, line: str, n):
@@ -549,27 +592,39 @@ def _bad_line(path, lineno: int, line: str, n):
                       f"or 'u v' with distinct vertex ids{bound}")
 
 
-def _plain_lines(a: np.ndarray):
+def _plain_lines(data: bytes):
     """Split a block of bytes that ends at a newline or at the end of the file
     into lines, and parse its plain lines: 1-18 ASCII digits, one space, 1-18
     ASCII digits.  Returns each line's start and stop (the offset of its
     newline, or the block's end), the indexes of the plain lines, and their
-    (u, v) as an m x 2 int64 array; 18 digits stay below 2^63."""
+    (u, v) as an m x 2 int64 array; 18 digits stay below 2^63.  A block of
+    plain lines only, whose non-digits alternate space and newline, is
+    parsed by np.fromstring in one call."""
+    a = np.frombuffer(data, np.uint8)
     nd = np.flatnonzero(a - 48 > 9)          # non-digits (uint8 arithmetic wraps)
-    cut = np.flatnonzero(a[nd] == 10)        # the newlines' places in nd
+    kind = a[nd]
     if a[-1] != 10:                          # the last line ends the file
         nd = np.append(nd, len(a))
-        cut = np.append(cut, len(nd) - 1)
+        kind = np.append(kind, 10)
+    digits = np.diff(nd, prepend=-1) - 1     # the digits before each non-digit
+    fits = (digits >= 1) & (digits <= 18)
+    if (len(nd) % 2 == 0 and (kind[::2] == 32).all() and (kind[1::2] == 10).all()
+            and fits.all()):
+        stops = nd[1::2]
+        starts = np.concatenate(([0], stops[:-1] + 1))
+        ids = np.fromstring(data, np.int64, sep=" ").reshape(-1, 2)
+        return starts, stops, np.arange(len(stops)), ids
+    cut = np.flatnonzero(kind == 10)         # the newlines' places in nd
     stops = nd[cut]
     starts = np.concatenate(([0], stops[:-1] + 1))
     first = np.concatenate(([0], cut[:-1] + 1))
     # a plain line's only non-digits are one space and its end
     plain = np.flatnonzero(cut - first == 1)
-    sep = nd[first[plain]]
-    width = np.stack((sep - starts[plain], stops[plain] - sep - 1))
-    ok = (a[sep] == 32) & ((width >= 1) & (width <= 18)).all(axis=0)
-    plain, sep, width = plain[ok], sep[ok], width[:, ok]
-    at = np.stack((starts[plain], sep + 1))     # where each line's u and v begin
+    k = first[plain]                         # the spaces' places in nd
+    ok = (kind[k] == 32) & fits[k] & fits[k + 1]
+    plain, k = plain[ok], k[ok]
+    width = np.stack((digits[k], digits[k + 1]))
+    at = np.stack((starts[plain], nd[k] + 1))   # where each line's u and v begin
     ids = np.zeros(at.shape, dtype=np.int64)
     for j in range(int(width.max(initial=0))):
         digit = a[np.minimum(at + j, len(a) - 1)] - 48
@@ -584,7 +639,8 @@ def read_edge_list(path):
     blocks that end at a newline: the unfinished last line of each read is
     carried over to the next, and a line longer than a read is read to its
     end, so no block splits a line.  Plain lines (1-18 ASCII digits, one
-    space, 1-18 ASCII digits) are found and parsed in numpy; every other
+    space, 1-18 ASCII digits) are found and parsed in numpy, a block of
+    nothing else in one np.fromstring call; every other
     line -- comments, `# n=` lines, blank lines, CRLF ends, tabs, signs,
     longer ids, non-UTF-8 bytes -- is decoded and parsed on its own, as text.
     Each block's edges are then set in the packed rows, which cover n
@@ -612,7 +668,7 @@ def read_edge_list(path):
                 data += fh.readline()
                 cut = len(data)
             data, tail = data[:cut], data[cut:]
-            starts, stops, plain, uv = _plain_lines(np.frombuffer(data, np.uint8))
+            starts, stops, plain, uv = _plain_lines(data)
             loops = plain[uv[:, 0] == uv[:, 1]]
             end = int(loops[0]) if len(loops) else len(starts)   # lines checked here
             irregular = stops[:end] > starts[:end]  # empty lines are skipped

@@ -181,7 +181,7 @@ def reference_p_independence(g: LabeledGraph, p: int, exact_limit: int = 40):
 
 def colour_bound(g: LabeledGraph) -> int:
     """Colours of the smallest-last colouring on the graph's own labels."""
-    return _colour_bound(_unpack_rows(g.rows), _degeneracy_order(g.rows))
+    return _colour_bound(_unpack_rows(g.rows), reversed(list(_degeneracy_order(g.rows))))
 
 
 def random_graph(n, density, seed):

@@ -2,10 +2,13 @@
 
 The reference functions below are the earlier pure-Python degeneracy order,
 bit-by-bit relabel, greedy seed and the whole search built on them, with
-neither the colouring bound nor the early stops it allows.  The numpy kernels
-must give the same order, the same relabelled rows, the same greedy seed and
-an equal CliqueCertificate, ties included, and the smallest-last colouring
-count must be at least the size of every certified clique.
+neither the colouring bounds nor the early stops they allow.  The numpy
+kernels must give the same order, the same relabelled rows, the same greedy
+seed and an equal CliqueCertificate, ties included, and the smallest-last
+colouring count must be at least the size of every certified clique.
+max_clique grows start 0's clique on the graph's own rows, peeling the order
+only as far as its ties need, and stops there when the clique reaches the
+first-fit bound in id order; the tests below check what that set-up skips.
 """
 
 import itertools
@@ -16,14 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_analysis import colour_bound, cycle, from_edges, subgraph
 
-from rtlab import analysis
+from rtlab import analysis, cli
 from rtlab import sphere as S
 from rtlab.analysis import (
     CliqueCertificate,
     LabeledGraph,
     _colour_bound,
+    _colour_sort,
     _degeneracy_order,
     _greedy_clique,
+    _grow_clique,
     _induced_rows,
     _unpack_rows,
     max_clique,
@@ -75,15 +80,20 @@ def reference_induced_rows(g: LabeledGraph, vs) -> list[int]:
     return adj
 
 
+def reference_grow_clique(adj: list[int], start: int) -> list[int]:
+    clique = [start]
+    cand = adj[start]
+    while cand:
+        v = max(bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+        clique.append(v)
+        cand &= adj[v]
+    return clique
+
+
 def reference_greedy_clique(adj: list[int], n: int) -> list[int]:
     best: list[int] = []
     for start in range(n):
-        clique = [start]
-        cand = adj[start]
-        while cand:
-            v = max(bits(cand), key=lambda u: (adj[u] & cand).bit_count())
-            clique.append(v)
-            cand &= adj[v]
+        clique = reference_grow_clique(adj, start)
         if len(clique) > len(best):
             best = clique
     return best
@@ -182,26 +192,44 @@ TIE_HEAVY = {
 BOUNDARY_SIZES = [1, 2, 7, 8, 9, 63, 64, 65, 129]
 
 
+def start_clique(g: LabeledGraph) -> tuple[list[int], LabeledGraph]:
+    """Start 0's clique as max_clique grows it, on a fresh copy of g's rows,
+    and the copy, which has peeled only what that clique needed."""
+    h = LabeledGraph(g.n, g.rows)
+    return _grow_clique(g.rows.view(np.uint64), h._degeneracy_order(1)[0], h._ranks), h
+
+
+def first_fit_bound(g: LabeledGraph) -> int:
+    """b0: first-fit colouring in id order, which needs no order."""
+    return _colour_bound(_unpack_rows(g.rows), range(g.n))
+
+
 def assert_setup_matches(g: LabeledGraph):
-    order = _degeneracy_order(g.rows)
+    order = list(_degeneracy_order(g.rows))
     assert order == reference_degeneracy_order(g)
     rows = _induced_rows(g.rows, order)
     adj = _unpack_rows(rows)
     assert adj == reference_induced_rows(g, order)
-    # the bound max_clique takes on the relabelled rows is the smallest-last
-    # colouring's on the original rows
-    bound = _colour_bound(adj, range(g.n))
+    # the smallest-last bound, first-fit on the relabelled rows from n - 1
+    # down, is that of the original rows in reverse degeneracy order
+    bound = _colour_bound(adj, range(g.n - 1, -1, -1))
     assert bound == colour_bound(g)
-    assert _greedy_clique(rows.view(np.uint64), bound) == reference_greedy_clique(adj, g.n)
+    # start 0 grown on the original rows, ties to the lowest rank, is start
+    # 0 of the relabelled rows, whose ties go to the lowest id
+    seed, _ = start_clique(g)
+    rank = {v: i for i, v in enumerate(order)}
+    assert [rank[v] for v in seed] == reference_grow_clique(adj, 0)
+    assert (_greedy_clique(rows.view(np.uint64), bound, reference_grow_clique(adj, 0))
+            == reference_greedy_clique(adj, g.n))
 
 
 def assert_certificates_match(g: LabeledGraph, cutoffs):
-    bound = _colour_bound(_unpack_rows(g.rows), reference_degeneracy_order(g))
+    bound = _colour_bound(_unpack_rows(g.rows), reversed(reference_degeneracy_order(g)))
     for cutoff in cutoffs:
         ref = reference_max_clique(g, cutoff)
         assert max_clique(g, cutoff) == ref, cutoff
         # every certificate's size is that of a clique, so at most omega
-        assert bound >= ref.size, cutoff
+        assert min(bound, first_fit_bound(g)) >= ref.size, cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +298,124 @@ def test_cbe_benchmark_graph_matches_reference():
     assert colour_bound(g) == 2
 
 
-def test_analyze_computes_the_degeneracy_order_once(tmp_path, monkeypatch):
-    """max_clique and p_independence's K_p-free test share the order the
-    graph keeps, and it is the order of a fresh computation."""
+def no_relabel(packed, vs):
+    raise AssertionError("_induced_rows called")
+
+
+def graphs_of_max_clique(monkeypatch):
+    """The graphs that cli's max_clique calls get, kept so that a test can
+    see how far each one's order was peeled once the commands are done."""
+    graphs = []
+
+    def recorded(g, cutoff=None):
+        graphs.append(g)
+        return max_clique(g, cutoff)
+
+    monkeypatch.setattr(cli, "max_clique", recorded)
+    return graphs
+
+
+def test_analyze_of_a_cbe_graph_peels_a_handful_and_never_relabels(tmp_path, monkeypatch):
+    # omega = 2 = b0, and start 0's clique reaches it: max_clique stops
+    # there, having peeled 9 of the 120 vertices, and b0 < p settles
+    # p_independence without peeling more
+    monkeypatch.setattr(analysis, "_induced_rows", no_relabel)
+    graphs = graphs_of_max_clique(monkeypatch)
+    out = str(tmp_path / "cbe")
+    assert main(["gen-cbe", "--p", "3", "--ell", "1", "--k", "16", "--n", "60",
+                 "--seed", "1", "--out", out]) == 0
+    assert main(["analyze", f"{out}.edges", "--p", "3", "--cutoff", "4",
+                 "--out", str(tmp_path / "a.csv")]) == 0
+    assert [len(g._order) for g in graphs] == [9, 9]
+
+
+@pytest.mark.parametrize("commands", [
+    ["gen-cbe --p 3 --ell 1 --k 16 --n 800 --seed 1 --out g",
+     "analyze g.edges --header g.json --p 3 --cutoff 4 --out a.csv"],
+    ["gen-mbe --ell 2 --p 2 --q 2 --k 10 --m 20 --seed 1 --out g"],
+], ids=["cbe-gen-analyze", "mbe-dense-m20"])
+def test_benchmark_graphs_peel_at_most_8_vertices(commands, tmp_path, monkeypatch):
+    monkeypatch.setattr(analysis, "_induced_rows", no_relabel)
+    graphs = graphs_of_max_clique(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(command.split()) == 0
+    assert len(graphs) == len(commands) and max(len(g._order) for g in graphs) <= 8
+
+
+def test_full_order_is_peeled_once_and_shared(tmp_path, monkeypatch):
+    """On a graph whose start 0 does not reach b0 and whose bounds do not
+    settle p = 4, analyze peels the whole order, once: max_clique and
+    p_independence share the peel the graph keeps."""
     g = random_graph(90, 0.3, 7)
+    seed, _ = start_clique(g)
+    assert len(seed) < first_fit_bound(g) and colour_bound(g) >= 4
     path = tmp_path / "g.edges"
     write_edge_list(path, g)
-    calls = []
+    yielded = []
 
     def counted(packed):
-        calls.append(len(packed))
-        return _degeneracy_order(packed)
+        for v in _degeneracy_order(packed):
+            yielded.append(v)
+            yield v
 
     monkeypatch.setattr(analysis, "_degeneracy_order", counted)
     assert main(["analyze", str(path), "--p", "4", "--out", str(tmp_path / "a.csv")]) == 0
-    assert calls == [90]
+    assert yielded == reference_degeneracy_order(g)
+    yielded.clear()
     h = read_edge_list(path)
-    cert = max_clique(h)
-    assert h._degeneracy_order() == _degeneracy_order(h.rows)
-    assert calls == [90, 90]
-    assert (cert, p_independence(h, 4)) == (max_clique(g), p_independence(g, 4))
-    assert colour_bound(g) >= 4      # the K_p-free test does not settle p_independence
+    assert (max_clique(h), p_independence(h, 4)) == (reference_max_clique(g),
+                                                     p_independence(g, 4))
+    assert yielded == h._order == reference_degeneracy_order(g)
+
+
+# (n, density, seed) of random graphs by how b0 compares with the
+# smallest-last bound, whether start 0's clique reaches b0 (the lazy path)
+# or not (the full path), and whether start 0's growth meets tied scores
+LAZY_CASES = {
+    "below-lazy-tied": (12, 0.5, 16),
+    "below-full-untied": (12, 0.3, 9),
+    "below-full-tied": (12, 0.5, 4),
+    "equal-lazy-untied": (12, 0.1, 15),
+    "equal-lazy-tied": (12, 0.7, 23),
+    "equal-full-untied": (12, 0.1, 0),
+    "equal-full-tied": (12, 0.2, 5),
+    "above-full-untied": (12, 0.1, 10),
+    "above-full-tied": (12, 0.3, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAZY_CASES))
+def test_lazy_setup_matches_reference(case):
+    n, density, seed = LAZY_CASES[case]
+    g = random_graph(n, density, seed)
+    b0, bound = first_fit_bound(g), colour_bound(g)
+    ties = []
+    h = LabeledGraph(g.n, g.rows)
+    start = _grow_clique(g.rows.view(np.uint64), h._degeneracy_order(1)[0],
+                         lambda vs: ties.append(len(vs)) or h._ranks(vs))
+    relation = "below" if b0 < bound else "equal" if b0 == bound else "above"
+    path = "lazy" if len(start) >= b0 else "full"
+    assert f"{relation}-{path}-{'tied' if ties else 'untied'}" == case
+    # the tied candidates' ranks are those of the whole order
+    assert h._order == reference_degeneracy_order(g)[:len(h._order)]
+    assert_certificates_match(g, [None, 0, 1, 2, 3, 5])
+
+
+def test_branch_and_bound_work_is_pinned(monkeypatch):
+    """The colour sorts of a search that runs with no cutoff: each is one
+    node of the branch and bound.  A search that revisits a tried vertex, or
+    prunes less, gives the same certificate but a different count."""
+    g = random_graph(30, 0.5, 3)
+    calls = []
+
+    def counted(adj, P):
+        calls.append(P.bit_count())
+        return _colour_sort(adj, P)
+
+    monkeypatch.setattr(analysis, "_colour_sort", counted)
+    assert max_clique(g) == reference_max_clique(g)
+    assert (len(calls), sum(calls)) == (12, 152)
 
 
 @pytest.mark.parametrize("params, bound", [

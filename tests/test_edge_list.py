@@ -261,6 +261,63 @@ def test_reader_memory_stays_near_the_file_and_rows(tmp_path):
     assert peak <= g.rows.nbytes + 2 ** 22
 
 
+def parsed_in_one_call(monkeypatch):
+    """The lengths of the id arrays that np.fromstring returns: one per
+    block that read_edge_list parses in one call."""
+    calls = []
+    fromstring = np.fromstring
+
+    def counted(*args, **kwargs):
+        ids = fromstring(*args, **kwargs)
+        calls.append(len(ids))
+        return ids
+
+    monkeypatch.setattr(np, "fromstring", counted)
+    return calls
+
+
+PLAIN_BLOCK = [b"%d %d" % (u, u + 1) for u in range(100)]
+# lines that are not plain, each with an edge that no plain line lists
+ODD_LINES = {
+    "plus": (b"+3 5", "graph"),
+    "minus": (b"-1 5", "error"),
+    "tab": (b"3\t5", "graph"),
+    "crlf": (b"3 5\r", "graph"),
+    "id-19-digits": (b"0000000000000000003 5", "graph"),
+    "blank": (b"", "graph"),
+    "comment": (b"# mid-file comment", "graph"),
+    "four-ids": (b"3 5 7 9", "error"),
+}
+
+
+@pytest.mark.parametrize("where", [0, 50, 100])
+@pytest.mark.parametrize("name", ODD_LINES)
+def test_one_irregular_line_in_a_plain_block(tmp_path, monkeypatch, name, where):
+    """One line that is not plain sends its block down the line-by-line
+    path, with the same graph or the same error."""
+    line, kind = ODD_LINES[name]
+    calls = parsed_in_one_call(monkeypatch)
+    content = b"\n".join([*PLAIN_BLOCK[:where], line, *PLAIN_BLOCK[where:]]) + b"\n"
+    assert assert_same(tmp_path / "g.edges", content)[0] == kind
+    assert calls == []
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("3 1500", ":101: bad line '3 1500'; expected '# n=<count>' or 'u v' with "
+               "distinct vertex ids below n=1500"),
+    ("1 0", ":101: edge '1 0' repeats line 1"),
+    ("5 6", ":101: edge '5 6' repeats line 61"),
+])
+def test_faults_in_an_all_plain_block(tmp_path, monkeypatch, fault, message):
+    """An id >= n and a repeated edge in a block of plain lines only, which
+    one np.fromstring call parses: the rescan names the same line."""
+    calls = parsed_in_one_call(monkeypatch)
+    lines = [*BAND[:100], fault, *BAND[100:], "# n=1500"]
+    got = assert_same(tmp_path / "g.edges", ("\n".join(lines) + "\n").encode())
+    assert got[0] == "error" and got[2].endswith(message), got
+    assert len(calls) >= 2 and calls[0] > 2 * 101     # the fault's block is the first
+
+
 # ---------------------------------------------------------------------------
 # generated files
 # ---------------------------------------------------------------------------
@@ -297,6 +354,42 @@ def test_write_read_round_trip(tmp_path, n):
     back = read_edge_list(path)
     assert back.n == n and np.array_equal(back.rows, g.rows)
     assert outcome(reference_read_edge_list, path) == outcome(read_edge_list, path)
+
+
+# ---------------------------------------------------------------------------
+# edges() against np.triu
+# ---------------------------------------------------------------------------
+
+# at n = 856 the complete graph's last block is row 855 alone, whose
+# unpacked columns start at n: it unpacks none
+EDGE_SIZES = [1, 7, 8, 9, 63, 64, 65, 127, 129, 856, 1000]
+
+
+def edge_graph(n, kind):
+    if kind == "empty":
+        return from_edges(n, [])
+    upper = np.triu(np.ones((n, n), dtype=bool) if kind == "complete"
+                    else S.philox_rng(n, 81).random((n, n)) < 0.3, 1)
+    return LabeledGraph.from_adjacency(upper | upper.T)
+
+
+@pytest.mark.parametrize("kind", ["empty", "complete", "random"])
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_edges_match_triu_reference(n, kind):
+    g = edge_graph(n, kind)
+    got = np.concatenate(list(g.edges()))
+    bits = np.unpackbits(g.rows, axis=1, count=n, bitorder="little")
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.argwhere(np.triu(bits, 1)))
+
+
+def test_edges_blocks_start_on_and_off_byte_bounds():
+    """Among the graphs above, blocks start at rows lo whose unpacked
+    columns begin at lo + 1 (lo + 1 a multiple of 8) and below it.  A
+    block's first edge starts at its first row on these graphs."""
+    starts = {int(block[0, 0]) for n in EDGE_SIZES for kind in ("complete", "random")
+              for block in edge_graph(n, kind).edges() if len(block)}
+    assert {(lo + 1) % 8 == 0 for lo in starts} == {True, False}
 
 
 # ---------------------------------------------------------------------------
